@@ -30,7 +30,6 @@ from .measures import (
     atomic_corner_measure,
     bracket,
     build_ccr_kernel,
-    chk_apply,
     diagonal_lebesgue_measure,
     is_nonanticipative,
     kernel_weighted_norm,

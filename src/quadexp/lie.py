@@ -204,12 +204,12 @@ class _ConjugationFamily:
         try:
             d, v = np.linalg.eig(x)
             cond = np.linalg.cond(v)
-            recon = np.linalg.norm((v * d) @ np.linalg.inv(v) - x)
+            vinv = np.linalg.inv(v)
+            recon = np.linalg.norm((v * d) @ vinv - x)
             if np.isfinite(cond) and cond < 1e6 and recon < 1e-10 * scale:
                 self._mode = "eig"
                 self._d = d
                 self._delta = d[:, None] - d[None, :]
-                vinv = np.linalg.inv(v)
                 self._v = v
                 self._vinv = vinv
                 self._ytil = vinv @ y @ v

@@ -50,7 +50,6 @@ __all__ = [
     "random_measure",
     "split_sym_antisym",
     "lambda_product",
-    "chk_apply",
     "measure_triple_product",
     "bracket",
     "is_nonanticipative",
@@ -327,20 +326,6 @@ def lambda_product(ccr, q):
     """Complex Hamiltonian kernel of a measure: ham = big @ weights."""
     _check_same_grid(ccr.grid, q.grid)
     return ChkMatrix(ccr.grid, ccr.big @ q.weights, q)
-
-
-def chk_apply(chk, values):
-    """Apply a CHK to a function sampled on the grid nodes.
-
-    values has n(N+1) rows (stacked node samples); returns ham @ values,
-    the samples of the transformed function.
-    """
-    values = np.asarray(values, dtype=complex)
-    if values.shape[0] != chk.ham.shape[1]:
-        raise ValueError(
-            f"sample count {values.shape[0]} does not match kernel size"
-        )
-    return chk.ham @ values
 
 
 def measure_triple_product(q1, ccr, q2):

@@ -139,6 +139,11 @@ class CskPath:
     that fast solvers are not forced through per-node validation; the
     terminal entry is checked at construction and :meth:`validate`
     re-checks every node on demand.
+
+    mats is always read-only and never aliases memory a caller can
+    write.  A stack that is already read-only and owns its memory is
+    adopted as is (the integrators hand over their fresh stacks this
+    way, so each path exists once); any other array is copied.
     """
 
     grid: object
@@ -149,8 +154,9 @@ class CskPath:
         mats = np.asarray(self.mats, dtype=complex)
         if mats.shape != (self.grid.node_count, *self.ccr.big.shape):
             raise ValueError("matrix stack shape does not match grid and kernel")
-        mats = mats.copy()
-        mats.setflags(write=False)
+        if mats.flags.writeable or not mats.flags.owndata:
+            mats = mats.copy()
+            mats.setflags(write=False)
         object.__setattr__(self, "mats", mats)
         # terminal gate; full sweeps go through validate()
         self.entry(self.grid.steps)
@@ -196,6 +202,24 @@ def _midpoint_weights(f_path, u):
     return 0.5 * (f_path.entries[u].weights + f_path.entries[u + 1].weights)
 
 
+class _MidpointWeights:
+    """Per-step midpoint weights of a driver path, formed on access.
+
+    A sequence of length N whose item u is the average of node entries
+    u and u + 1, so the integrator never holds N dense midpoint
+    matrices at once.
+    """
+
+    def __init__(self, f_path):
+        self._f_path = f_path
+
+    def __len__(self):
+        return len(self._f_path.entries) - 1
+
+    def __getitem__(self, u):
+        return _midpoint_weights(self._f_path, range(len(self))[u])
+
+
 def csk_path_from_midpoints(mid_weights, ccr):
     """Integrate S' = 2i Lambda F_t S from per-step midpoint weights.
 
@@ -224,6 +248,7 @@ def csk_path_from_midpoints(mid_weights, ccr):
                 f"{STEP_NORM_BOUND}; refine the grid"
             )
         mats[u + 1] = expm(exponent) @ mats[u]
+    mats.setflags(write=False)
     return CskPath(grid, ccr, mats)
 
 
@@ -236,8 +261,7 @@ def forward_csk_evolution(f_path, ccr):
     grid = f_path.grid
     if grid != ccr.grid:
         raise ValueError("path and kernel grids differ")
-    mids = [_midpoint_weights(f_path, u) for u in range(grid.node_count - 1)]
-    return csk_path_from_midpoints(mids, ccr)
+    return csk_path_from_midpoints(_MidpointWeights(f_path), ccr)
 
 
 @dataclass(frozen=True)
@@ -599,9 +623,9 @@ def spde_fast_path(model, pi, grid):
     The driver F_t = delta at (t, t) with mass Pi makes each midpoint
     generator nonzero only in the two block columns of the step's nodes,
     so exp(M) = I + C Ups(m) P^T with C the nonzero columns and m their
-    square restriction: an O(N) update per step in place of a full
-    exponential, bit-compatible with the general integrator up to
-    exponential rounding.
+    square restriction: a rank-2n update costing O(size^2 n) =
+    O(N^2 n^3) per step in place of the O(N^3 n^3) dense exponential,
+    agreeing with the general integrator up to exponential rounding.
     """
     ccr = build_ccr_kernel(model, grid)
     big = ccr.big
@@ -624,6 +648,7 @@ def spde_fast_path(model, pi, grid):
         m_small = c[cols, :]
         update = c @ (_ups_matrix(m_small) @ mats[u][cols, :])
         mats[u + 1] = mats[u] + update
+    mats.setflags(write=False)
     return CskPath(grid, ccr, mats)
 
 

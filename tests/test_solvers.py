@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
 from quadexp import (
+    CskPath,
     KernelMeasure,
     MeasurePath,
     NumericalFailure,
@@ -288,6 +291,53 @@ def test_spde_fast_path_matches_general(model2, pi2):
         assert gap <= 1e-10 * (1.0 + np.linalg.norm(general.mats[u]))
     with pytest.raises(ValueError, match="symmetric"):
         spde_fast_path(model2, np.array([[0.0, 1.0], [0.0, 0.0]]), grid)
+
+
+def test_integrators_hand_over_one_read_only_stack(model2, pi2):
+    grid = make_grid(1.0, 8)
+    ccr = build_ccr_kernel(model2, grid)
+    f_path = corner_atom_path(grid, pi2)
+    general = forward_csk_evolution(f_path, ccr)
+    mids = [
+        0.5 * (f_path.entries[u].weights + f_path.entries[u + 1].weights)
+        for u in range(grid.steps)
+    ]
+    assert np.array_equal(general.mats, csk_path_from_midpoints(mids, ccr).mats)
+
+    # caller memory is copied, whether writable or a read-only view of it
+    stack = general.mats.copy()
+    view = stack[:]
+    view.setflags(write=False)
+    adopted = [CskPath(grid, ccr, stack), CskPath(grid, ccr, view)]
+    stack[grid.steps] += 1.0
+    for path in adopted:
+        assert not np.shares_memory(path.mats, stack)
+        assert np.array_equal(path.mats, general.mats)
+
+    fast = spde_fast_path(model2, pi2, grid)
+    for path in (general, fast, *adopted):
+        assert not path.mats.flags.writeable
+        with pytest.raises(ValueError):
+            path.mats[0, 0, 0] = 0.0
+
+
+def test_integrators_peak_memory_stays_near_one_stack(model2, pi2):
+    grid = make_grid(1.0, 32)
+    ccr = build_ccr_kernel(model2, grid)
+    f_path = corner_atom_path(grid, pi2)
+    size = ccr.big.shape[0]
+    stack_bytes = grid.node_count * size * size * 16
+
+    def peak(fn, *args):
+        tracemalloc.start()
+        try:
+            fn(*args)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(forward_csk_evolution, f_path, ccr) <= 1.5 * stack_bytes
+    assert peak(spde_fast_path, model2, pi2, grid) <= 1.5 * stack_bytes
 
 
 def test_g_path_zero_driver(ccr16):
