@@ -57,7 +57,6 @@ from .lie import (
     mho_superop,
     sinhc_scalar,
     sinhc_superop,
-    solve_measure_from_chk,
     symplectic_residual,
     ups_scalar,
     ups_superop,

@@ -52,7 +52,6 @@ __all__ = [
     "csk_log",
     "csk_log_near_identity",
     "symplectic_residual",
-    "solve_measure_from_chk",
     "bch_product",
     "magnus_derivative_check",
 ]
@@ -557,15 +556,6 @@ class KernelSolver:
                 f"(condition {self.condition:.3e})"
             )
         return measure, report
-
-
-def solve_measure_from_chk(chk, ccr, support_index=None):
-    """Recover the measure whose CHK is the given matrix.
-
-    One-shot form of :meth:`KernelSolver.solve_measure`; factorizes the
-    kernel on every call, so path solvers hold a KernelSolver instead.
-    """
-    return KernelSolver(ccr).solve_measure(chk.ham, support_index)
 
 
 def bch_product(q1, q2, ccr):

@@ -22,9 +22,12 @@ restrict their kernel solves to that support and report the truncated
 mass.  Derivative entries, where a path carries them, follow the same
 convention (the diagonal family has the exact corner-atom derivative).
 
-The fast path for the atomic driver F_t = delta_{(t,t)} Pi exploits
-that the step generator has only two nonzero block columns, replacing
-the full exponential by a rank-2n update with identical semantics.
+The integrator detects the structure of each step: the generator is
+nonzero only in the live columns of the midpoint driver, and while
+those are at most half the kernel size the exponential acts as a
+low-rank update on them (rank 2n for the atomic driver
+F_t = delta_{(t,t)} Pi, which :func:`spde_fast_path` integrates), with
+the dense exponential kept for the wider steps.
 """
 
 from __future__ import annotations
@@ -220,16 +223,50 @@ class _MidpointWeights:
         return _midpoint_weights(self._f_path, range(len(self))[u])
 
 
-def csk_path_from_midpoints(mid_weights, ccr):
-    """Integrate S' = 2i Lambda F_t S from per-step midpoint weights.
+class _AtomicMidpoints:
+    """Midpoint weights of the atomic driver F_t = delta_{(t, t)} Pi.
 
-    mid_weights[u] is the flat weight matrix of the driver at the
-    midpoint of step u, one per step.  Each step applies
-    exp(2i h Lambda F(midpoint)); the step exponent 1-norm is gated at
-    STEP_NORM_BOUND, with refinement the remedy when it trips.  Every
-    factor is symplectic, so the whole path satisfies the kernel
-    congruence to accumulated rounding.
+    Item u holds Pi / 2 in the diagonal blocks of nodes u and u + 1 and
+    zeros elsewhere, the same matrix :class:`_MidpointWeights` forms
+    from :func:`corner_atom_path`, without building that path.
     """
+
+    def __init__(self, grid, pi):
+        self._count = grid.node_count
+        self._half_pi = 0.5 * pi
+
+    def __len__(self):
+        return self._count - 1
+
+    def __getitem__(self, u):
+        u = range(len(self))[u]
+        n = self._half_pi.shape[0]
+        weights = np.zeros((n * self._count, n * self._count), dtype=complex)
+        for j in (u, u + 1):
+            weights[j * n : (j + 1) * n, j * n : (j + 1) * n] = self._half_pi
+        return weights
+
+
+def _ups_matrix(m):
+    """Ups(m) = integral_0^1 e^{s m} ds via the block exponential."""
+    k = m.shape[0]
+    block = np.zeros((2 * k, 2 * k), dtype=complex)
+    block[:k, :k] = m
+    block[:k, k:] = np.eye(k)
+    return expm(block)[:k, k:]
+
+
+def _check_step_norm(exponent):
+    step_norm = np.linalg.norm(exponent, 1)
+    if step_norm > STEP_NORM_BOUND:
+        raise NumericalFailure(
+            f"step exponent 1-norm {step_norm:.3e} exceeds "
+            f"{STEP_NORM_BOUND}; refine the grid"
+        )
+
+
+def _midpoint_stack(mid_weights, ccr, dense):
+    """Stack S_0 .. S_N of the midpoint rule; dense takes expm at every step."""
     grid = ccr.grid
     big = ccr.big
     h = grid.step
@@ -240,16 +277,56 @@ def csk_path_from_midpoints(mid_weights, ccr):
     mats = np.empty((count, size, size), dtype=complex)
     mats[0] = np.eye(size)
     for u in range(count - 1):
-        exponent = 2j * h * (big @ mid_weights[u])
-        step_norm = np.linalg.norm(exponent, 1)
-        if step_norm > STEP_NORM_BOUND:
-            raise NumericalFailure(
-                f"step exponent 1-norm {step_norm:.3e} exceeds "
-                f"{STEP_NORM_BOUND}; refine the grid"
+        weights = mid_weights[u]
+        if weights.shape != (size, size):
+            raise ValueError(f"midpoint weights {u} do not match the kernel")
+        cols = None if dense else np.flatnonzero(weights.any(axis=0))
+        if cols is None or 2 * cols.size > size:
+            exponent = 2j * h * (big @ weights)
+            _check_step_norm(exponent)
+            mats[u + 1] = expm(exponent) @ mats[u]
+        elif cols.size == 0:
+            mats[u + 1] = mats[u]
+        else:
+            block = weights[:, cols]
+            rows = np.flatnonzero(block.any(axis=1))
+            block = block[rows]
+            m_cols = (2j * h) * (big[:, rows] @ block)
+            _check_step_norm(m_cols)
+            # form the update in the slot and add S_u there: no size^2 temporaries
+            np.matmul(
+                m_cols, _ups_matrix(m_cols[cols]) @ mats[u][cols], out=mats[u + 1]
             )
-        mats[u + 1] = expm(exponent) @ mats[u]
+            mats[u + 1] += mats[u]
     mats.setflags(write=False)
     return CskPath(grid, ccr, mats)
+
+
+def csk_path_from_midpoints(mid_weights, ccr):
+    """Integrate S' = 2i Lambda F_t S from per-step midpoint weights.
+
+    mid_weights[u] is the flat weight matrix W of the driver at the
+    midpoint of step u, one per step (any sequence with len() and
+    indexing).  Each step applies exp(M), M = 2i h Lambda_big W, whose
+    1-norm is gated at STEP_NORM_BOUND, with refinement the remedy when
+    it trips.  Every factor is symplectic, so the whole path satisfies
+    the kernel congruence to accumulated rounding.
+
+    M is nonzero only in the live column set C of W, the columns
+    holding any nonzero entry.  With M_C the columns C of M and M_CC its
+    rows C, the identity exp(M) = I + M_C Ups(M_CC) P_C^T gives
+
+        S_{u+1} = S_u + M_C Ups(M_CC) S_u[C, :],
+
+    which costs O(size^2 |C| + |C|^3) against O(size^3) for the dense
+    exponential.  The step takes it when 2 |C| <= size, copies S_u when
+    C is empty, and otherwise forms expm(M) @ S_u.  M_C is formed from
+    the nonzero rows of W[:, C] only.  The atomic driver of
+    :func:`spde_fast_path` has |C| = 2n at every step; drivers recovered
+    by :func:`inverse_toe_measure` are supported in [0, t_{u+1}]^2 and
+    switch to the dense step halfway along the path.
+    """
+    return _midpoint_stack(mid_weights, ccr, dense=False)
 
 
 def forward_csk_evolution(f_path, ccr):
@@ -262,6 +339,13 @@ def forward_csk_evolution(f_path, ccr):
     if grid != ccr.grid:
         raise ValueError("path and kernel grids differ")
     return csk_path_from_midpoints(_MidpointWeights(f_path), ccr)
+
+
+def _dense_csk_evolution(f_path, ccr):
+    """Reference for :func:`forward_csk_evolution`: expm(M) @ S_u at every step."""
+    if f_path.grid != ccr.grid:
+        raise ValueError("path and kernel grids differ")
+    return _midpoint_stack(_MidpointWeights(f_path), ccr, dense=True)
 
 
 @dataclass(frozen=True)
@@ -608,48 +692,24 @@ def qef_psi_measure(n_entry, ndot_entry, ccr, nodes=DEFAULT_QUAD_NODES, solver=N
     )
 
 
-def _ups_matrix(m):
-    """Ups(m) = integral_0^1 e^{s m} ds via the block exponential."""
-    k = m.shape[0]
-    block = np.zeros((2 * k, 2 * k), dtype=complex)
-    block[:k, :k] = m
-    block[:k, k:] = np.eye(k)
-    return expm(block)[:k, k:]
-
-
 def spde_fast_path(model, pi, grid):
-    """Forward evolution for the atomic driver by rank-structured steps.
+    """Forward evolution for the atomic driver F_t = delta at (t, t) Pi.
 
-    The driver F_t = delta at (t, t) with mass Pi makes each midpoint
-    generator nonzero only in the two block columns of the step's nodes,
-    so exp(M) = I + C Ups(m) P^T with C the nonzero columns and m their
-    square restriction: a rank-2n update costing O(size^2 n) =
-    O(N^2 n^3) per step in place of the O(N^3 n^3) dense exponential,
-    agreeing with the general integrator up to exponential rounding.
+    Checks that Pi is symmetric, builds the kernel, and integrates the
+    atomic midpoint weights with :func:`csk_path_from_midpoints`.  Each
+    weight has 2n live columns, so every step is the rank-2n column
+    step, O(size^2 n) = O(N^2 n^3) in place of the O(N^3 n^3) dense
+    exponential.  The weights are formed one step at a time, so the
+    result equals forward_csk_evolution(corner_atom_path(grid, pi), ccr)
+    bit for bit without building the N + 1 dense driver entries.
     """
-    ccr = build_ccr_kernel(model, grid)
-    big = ccr.big
-    n = model.dim
-    h = grid.step
     pi = np.asarray(pi, dtype=float)
+    if pi.shape != (model.dim, model.dim):
+        raise ValueError(f"pi must be {model.dim} x {model.dim}")
     if np.linalg.norm(pi - pi.T) > 1e-12 * (1.0 + np.linalg.norm(pi)):
         raise ValueError("pi must be symmetric")
-    size = big.shape[0]
-    count = grid.node_count
-    mats = np.empty((count, size, size), dtype=complex)
-    mats[0] = np.eye(size)
-    half_pi = 0.5 * pi
-    for u in range(count - 1):
-        cols = slice(u * n, (u + 2) * n)
-        # C = 2i h big[:, cols] @ blockdiag(Pi/2, Pi/2)
-        c = np.zeros((size, 2 * n), dtype=complex)
-        c[:, :n] = (2j * h) * (big[:, u * n : (u + 1) * n] @ half_pi)
-        c[:, n:] = (2j * h) * (big[:, (u + 1) * n : (u + 2) * n] @ half_pi)
-        m_small = c[cols, :]
-        update = c @ (_ups_matrix(m_small) @ mats[u][cols, :])
-        mats[u + 1] = mats[u] + update
-    mats.setflags(write=False)
-    return CskPath(grid, ccr, mats)
+    ccr = build_ccr_kernel(model, grid)
+    return csk_path_from_midpoints(_AtomicMidpoints(grid, pi), ccr)
 
 
 def g_path_magnus(f_path, ccr, order=DEFAULT_BERNOULLI_ORDER, solver=None):

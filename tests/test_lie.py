@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from quadexp import (
-    ChkMatrix,
     CskMatrix,
     CcrKernel,
     KernelMeasure,
@@ -27,7 +26,6 @@ from quadexp import (
     random_model,
     sinhc_scalar,
     sinhc_superop,
-    solve_measure_from_chk,
     symplectic_residual,
     ups_scalar,
     ups_superop,
@@ -195,8 +193,8 @@ def test_log_inverts_exp_principal(ccr8, rng):
     assert np.linalg.norm(ham.ham - 4j * chk.ham) <= 1e-10 * (
         1.0 + np.linalg.norm(chk.ham)
     )
-    recovered, report = solve_measure_from_chk(
-        ChkMatrix(ham.grid, ham.ham / 4j, None), ccr8, support_index=q.support_index
+    recovered, report = KernelSolver(ccr8).solve_measure(
+        ham.ham / 4j, support_index=q.support_index
     )
     assert np.linalg.norm(recovered.weights - q.weights) <= 1e-9 * (
         1.0 + np.linalg.norm(q.weights)

@@ -28,6 +28,7 @@ from quadexp import (
     make_grid,
     qef_from_csk_path,
     qef_psi_measure,
+    random_measure,
     roundtrip_f_residual,
     roundtrip_n_residual,
     spde_fast_path,
@@ -36,7 +37,9 @@ from quadexp import (
     t_route_residual,
     zero_measure,
 )
+from quadexp import solvers
 from quadexp.cli import bundled_scenario, parse_scenario
+from quadexp.solvers import _dense_csk_evolution
 
 
 def zero_path(grid, dim):
@@ -101,10 +104,17 @@ def test_forward_flow_is_symplectic_at_n256(model2, pi2):
     assert s_path.validate() <= 1e-9
 
 
-def test_step_norm_gate_reports_refinement(ccr16):
+def test_step_norm_gate_reports_refinement(ccr16, rng):
+    # the atomic driver takes the column step, a full-support one the
+    # dense step; the gate trips on both
     huge = corner_atom_path(ccr16.grid, 1e4 * np.eye(2))
     with pytest.raises(NumericalFailure, match="refine"):
         forward_csk_evolution(huge, ccr16)
+    with pytest.raises(NumericalFailure, match="refine"):
+        _dense_csk_evolution(huge, ccr16)
+    full = random_measure(rng, ccr16.grid, 2, scale=1e4).weights
+    with pytest.raises(NumericalFailure, match="refine"):
+        csk_path_from_midpoints([full] * ccr16.grid.steps, ccr16)
 
 
 def test_forward_measures_are_real_and_nonanticipative(ccr16, pi2):
@@ -260,6 +270,9 @@ def test_midpoint_count_is_validated(ccr16):
     size = ccr16.big.shape[0]
     with pytest.raises(ValueError, match="midpoint"):
         csk_path_from_midpoints([np.zeros((size, size))] * 3, ccr16)
+    small = np.zeros((size - 2, size - 2))
+    with pytest.raises(ValueError, match="do not match the kernel"):
+        csk_path_from_midpoints([small] * ccr16.grid.steps, ccr16)
 
 
 def test_psi_corner_tends_to_pi(model2, pi2):
@@ -281,16 +294,74 @@ def test_psi_corner_tends_to_pi(model2, pi2):
     assert errors[1] <= 0.6 * errors[0]
 
 
+def _max_node_gap(path, reference):
+    return max(
+        float(np.linalg.norm(a - b) / (1.0 + np.linalg.norm(b)))
+        for a, b in zip(path.mats, reference.mats)
+    )
+
+
 def test_spde_fast_path_matches_general(model2, pi2):
     grid = make_grid(1.0, 32)
     ccr = build_ccr_kernel(model2, grid)
+    f_path = corner_atom_path(grid, pi2)
     fast = spde_fast_path(model2, pi2, grid)
-    general = forward_csk_evolution(corner_atom_path(grid, pi2), ccr)
-    for u in range(grid.node_count):
-        gap = np.linalg.norm(fast.mats[u] - general.mats[u])
-        assert gap <= 1e-10 * (1.0 + np.linalg.norm(general.mats[u]))
+    general = forward_csk_evolution(f_path, ccr)
+    assert np.array_equal(fast.mats, general.mats)
+    assert _max_node_gap(general, _dense_csk_evolution(f_path, ccr)) <= 1e-13
     with pytest.raises(ValueError, match="symmetric"):
         spde_fast_path(model2, np.array([[0.0, 1.0], [0.0, 0.0]]), grid)
+    with pytest.raises(ValueError, match="pi must be 2 x 2"):
+        spde_fast_path(model2, np.eye(3), grid)
+
+
+def _count_steps(monkeypatch):
+    """Patch the solver exponentials; returns [column steps, dense steps]."""
+    counts = [0, 0]
+    ups, dense = solvers._ups_matrix, solvers.expm
+
+    def counted_ups(m):
+        counts[0] += 1
+        return ups(m)
+
+    def counted_expm(m):
+        counts[1] += 1
+        return dense(m)
+
+    monkeypatch.setattr(solvers, "_ups_matrix", counted_ups)
+    monkeypatch.setattr(solvers, "expm", counted_expm)
+    return counts
+
+
+def test_recovered_driver_takes_both_steps(model2, pi2, monkeypatch):
+    # drivers recovered by the inverse map fill [0, t_{u+1}]^2, so the
+    # live columns pass half the kernel size midway through the path
+    grid = make_grid(1.0, 16)
+    ccr = build_ccr_kernel(model2, grid)
+    f_path = inverse_toe_measure(diagonal_lebesgue_path(grid, pi2), ccr).f_path
+    reference = _dense_csk_evolution(f_path, ccr)
+    counts = _count_steps(monkeypatch)
+    s_path = forward_csk_evolution(f_path, ccr)
+    column_steps = counts[0]
+    dense_steps = counts[1] - column_steps  # Ups goes through expm as well
+    assert column_steps > 0 and dense_steps > 0
+    assert column_steps + dense_steps == grid.steps
+    assert _max_node_gap(s_path, reference) <= 1e-12
+    assert s_path.validate() <= 1e-10
+
+
+def test_full_support_driver_takes_the_dense_step(ccr16, rng, monkeypatch):
+    grid = ccr16.grid
+    mids = [
+        random_measure(rng, grid, 2, scale=0.02).weights for _ in range(grid.steps)
+    ]
+    counts = _count_steps(monkeypatch)
+    s_path = csk_path_from_midpoints(mids, ccr16)
+    assert counts == [0, grid.steps]
+    mats = [np.eye(ccr16.big.shape[0])]
+    for w in mids:
+        mats.append(expm(2j * grid.step * (ccr16.big @ w)) @ mats[-1])
+    assert np.array_equal(s_path.mats, np.array(mats))
 
 
 def test_integrators_hand_over_one_read_only_stack(model2, pi2):
