@@ -13,6 +13,17 @@ Recognized keys: task, T, N, levels, seed, output_dir, pi, cutoff,
 theta, drift, dispersion, model_file.  Tasks: forward, inverse,
 roundtrip, spde, laplace, oracle, validate.
 
+report.csv rows start with a node index and its time, followed by the
+columns symplectic, reality, reconstruction, roundtrip; a column a
+task does not fill reads nan.  forward fills the first three,
+roundtrip all four, and inverse reality and reconstruction of the
+recovered driver.  spde fills symplectic and writes its route gap
+(rank-structured against dense flow) into reconstruction.  laplace and
+oracle write their residuals into reconstruction; oracle rows carry
+the case index and the ladder cutoff in the node and time columns.
+With levels >= 3 the forward, inverse, roundtrip and spde tasks also
+write convergence.csv.
+
 Exit codes: 0 all enabled checks pass, 1 a check failed, 2 schema
 violation, 3 numerical failure.  Outputs are deterministic for a fixed
 scenario and seed: all floats print with 17 significant digits and no
@@ -22,6 +33,7 @@ run metadata (times, paths) enters the CSV files.
 import argparse
 import sys
 import time
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -33,19 +45,17 @@ from .lie import symplectic_residual_raw
 from .measures import (
     KernelMeasure,
     build_ccr_kernel,
-    kernel_weighted_norm,
     make_grid,
     write_measure_csv,
 )
 from .model import OqhoModel, spectral_abscissa
 from .solvers import (
-    MeasurePath,
     _dense_csk_evolution,
+    _roundtrip_n_gaps,
     chk_column_function,
     corner_atom_path,
     diagonal_lebesgue_path,
     forward_csk_evolution,
-    forward_qef_measure,
     inverse_toe_measure,
     laplace_recover_measure,
     qef_from_csk_path,
@@ -284,117 +294,112 @@ def emit_convergence(errors):
     return rows
 
 
+# report.csv columns after node and time, in print order
+REPORT_COLUMNS = ("symplectic", "reality", "reconstruction", "roundtrip")
+
+
 @dataclass(frozen=True)
 class TaskResult:
-    """What one task run leaves behind, before files are written."""
+    """What one task run leaves behind, before files are written.
+
+    Row i of report.csv is (report_keys[i], report_times[i]) followed by
+    columns[name][i] for each name in REPORT_COLUMNS; a column the task
+    leaves out of the mapping prints as nan.
+    """
 
     checks: tuple
-    report_rows: tuple
-    convergence: tuple
-    notes: tuple
+    report_keys: Sequence
+    report_times: Sequence
+    columns: Mapping
+    convergence: tuple = ()
+    notes: tuple = ()
 
 
-def _report_rows_from_flow(grid, ccr, s_path, qef):
-    rows = []
-    for u in range(grid.node_count):
-        residual, scale = symplectic_residual_raw(s_path.mats[u], ccr.big)
-        rows.append(
-            (
-                u,
-                grid.nodes[u],
-                residual / scale,
-                qef.reality_residuals[u],
-                qef.solve_reports[u].relative,
-                float("nan"),
-            )
-        )
-    return rows
+def _flow_columns(s_path, ccr, qef=None):
+    """Symplectic column of a kernel flow, plus the reality and
+    reconstruction columns of an extraction at every node when given."""
+    columns = {"symplectic": []}
+    for mat in s_path.mats:
+        residual, scale = symplectic_residual_raw(mat, ccr.big)
+        columns["symplectic"].append(residual / scale)
+    if qef is not None:
+        columns["reality"] = list(qef.reality_residuals)
+        columns["reconstruction"] = [r.relative for r in qef.solve_reports]
+    return columns
 
 
-def _level_grids(scn):
-    return [make_grid(scn.horizon, scn.steps * 2**k) for k in range(scn.levels)]
+def _refine(scn, model, error, level0=None):
+    """Convergence rows from the task's error on grids of halved steps.
+
+    error(grid, ccr) is one level's error; level0, when given, is the
+    base-grid error the task already holds.  Below three levels there is
+    no table and the result is ().
+    """
+    if scn.levels < 3:
+        return ()
+    errors = []
+    for k in range(scn.levels):
+        grid = make_grid(scn.horizon, scn.steps * 2**k)
+        if k == 0 and level0 is not None:
+            err = level0
+        else:
+            err = error(grid, build_ccr_kernel(model, grid))
+        errors.append((grid.steps, grid.step, err))
+    return tuple(emit_convergence(errors))
 
 
 def _run_forward(scn, model, out_dir):
     grid = make_grid(scn.horizon, scn.steps)
     ccr = build_ccr_kernel(model, grid)
-    if scn.pi is not None:
-        f_path = corner_atom_path(grid, scn.pi)
-    else:
-        f_path = MeasurePath(
-            grid,
-            tuple(
-                KernelMeasure(grid, np.zeros_like(ccr.big, dtype=complex), u)
-                for u in range(grid.node_count)
-            ),
-        )
-    s_path = forward_csk_evolution(f_path, ccr)
+    pi = scn.pi if scn.pi is not None else np.zeros((model.dim, model.dim))
+    s_path = forward_csk_evolution(corner_atom_path(grid, pi), ccr)
     qef = qef_from_csk_path(s_path, ccr)
-    rows = _report_rows_from_flow(grid, ccr, s_path, qef)
     write_measure_csv(Path(out_dir) / "n_terminal.csv", qef.measures[-1])
-    checks = [
-        ("symplectic", max(r[2] for r in rows), SYMPLECTIC_GATE),
-        ("reality", max(r[3] for r in rows), REALITY_GATE),
-        ("reconstruction", max(r[4] for r in rows), RECONSTRUCTION_GATE),
-    ]
-    convergence = ()
+    columns = _flow_columns(s_path, ccr, qef)
+    checks = (
+        ("symplectic", max(columns["symplectic"]), SYMPLECTIC_GATE),
+        ("reality", max(columns["reality"]), REALITY_GATE),
+        ("reconstruction", max(columns["reconstruction"]), RECONSTRUCTION_GATE),
+    )
+    convergence = _refine(
+        scn, model, lambda g, c: t_route_residual(corner_atom_path(g, pi), c)
+    )
     notes = ()
-    if scn.levels >= 3:
-        errors = []
-        for lgrid in _level_grids(scn):
-            lccr = build_ccr_kernel(model, lgrid)
-            if scn.pi is not None:
-                lf = corner_atom_path(lgrid, scn.pi)
-            else:
-                lf = MeasurePath(
-                    lgrid,
-                    tuple(
-                        KernelMeasure(lgrid, np.zeros_like(lccr.big, dtype=complex), u)
-                        for u in range(lgrid.node_count)
-                    ),
-                )
-            errors.append((lgrid.steps, lgrid.step, t_route_residual(lf, lccr)))
-        convergence = tuple(emit_convergence(errors))
+    if convergence:
         notes = ("convergence error: two-route gap of the normal-ordered kernel",)
-    return TaskResult(tuple(checks), tuple(rows), convergence, notes)
+    return TaskResult(
+        checks, range(grid.node_count), grid.nodes, columns, convergence, notes
+    )
+
+
+def _measure_closure(pi):
+    """Level error of the measure-side roundtrip of the diagonal family."""
+    return lambda g, c: roundtrip_n_residual(diagonal_lebesgue_path(g, pi), c)
 
 
 def _run_inverse(scn, model, out_dir):
     grid = make_grid(scn.horizon, scn.steps)
     ccr = build_ccr_kernel(model, grid)
-    n_path = diagonal_lebesgue_path(grid, scn.pi)
-    result = inverse_toe_measure(n_path, ccr)
-    rows = []
-    for u in range(grid.node_count):
-        w = result.f_path.entries[u].weights
-        rows.append(
-            (
-                u,
-                grid.nodes[u],
-                float("nan"),
-                float(np.linalg.norm(w.imag) / (1.0 + np.linalg.norm(w))),
-                result.solve_reports[u].relative,
-                float("nan"),
-            )
-        )
+    result = inverse_toe_measure(diagonal_lebesgue_path(grid, scn.pi), ccr)
     write_measure_csv(Path(out_dir) / "f_terminal.csv", result.f_path.entries[-1])
-    checks = [
-        ("reconstruction", max(r[4] for r in rows), RECONSTRUCTION_GATE),
+    columns = {
+        "reality": [
+            float(np.linalg.norm(q.weights.imag) / (1.0 + np.linalg.norm(q.weights)))
+            for q in result.f_path.entries
+        ],
+        "reconstruction": [r.relative for r in result.solve_reports],
+    }
+    checks = (
+        ("reconstruction", max(columns["reconstruction"]), RECONSTRUCTION_GATE),
         ("quadrature", max(result.quad_errors), QUADRATURE_GATE),
-    ]
-    convergence = ()
+    )
+    convergence = _refine(scn, model, _measure_closure(scn.pi))
     notes = ()
-    if scn.levels >= 3:
-        errors = []
-        for lgrid in _level_grids(scn):
-            lccr = build_ccr_kernel(model, lgrid)
-            lpath = diagonal_lebesgue_path(lgrid, scn.pi)
-            errors.append(
-                (lgrid.steps, lgrid.step, roundtrip_n_residual(lpath, lccr))
-            )
-        convergence = tuple(emit_convergence(errors))
+    if convergence:
         notes = ("convergence error: measure-side closure through the forward map",)
-    return TaskResult(tuple(checks), tuple(rows), convergence, notes)
+    return TaskResult(
+        checks, range(grid.node_count), grid.nodes, columns, convergence, notes
+    )
 
 
 def _run_roundtrip(scn, model, out_dir):
@@ -404,36 +409,13 @@ def _run_roundtrip(scn, model, out_dir):
     s_path = forward_csk_evolution(f_path, ccr)
     qef = qef_from_csk_path(s_path, ccr)
     trip = roundtrip_f_residual(f_path, ccr)
-
-    n_path = diagonal_lebesgue_path(grid, scn.pi)
-    recovered = forward_qef_measure(
-        inverse_toe_measure(n_path, ccr).f_path, ccr
-    )
-    den = max(
-        kernel_weighted_norm(ccr, n_path.entries[u].weights)
-        for u in range(grid.node_count)
-    )
-    rows = []
-    for u in range(grid.node_count):
-        residual, scale = symplectic_residual_raw(s_path.mats[u], ccr.big)
-        gap = kernel_weighted_norm(
-            ccr, recovered.measures[u].weights - n_path.entries[u].weights
-        )
-        rows.append(
-            (
-                u,
-                grid.nodes[u],
-                residual / scale,
-                qef.reality_residuals[u],
-                qef.solve_reports[u].relative,
-                gap / den,
-            )
-        )
     write_measure_csv(Path(out_dir) / "n_terminal.csv", qef.measures[-1])
+    columns = _flow_columns(s_path, ccr, qef)
+    columns["roundtrip"] = _roundtrip_n_gaps(diagonal_lebesgue_path(grid, scn.pi), ccr)
     checks = [
-        ("symplectic", max(r[2] for r in rows), SYMPLECTIC_GATE),
-        ("reality", max(r[3] for r in rows), REALITY_GATE),
-        ("reconstruction", max(r[4] for r in rows), RECONSTRUCTION_GATE),
+        ("symplectic", max(columns["symplectic"]), SYMPLECTIC_GATE),
+        ("reality", max(columns["reality"]), REALITY_GATE),
+        ("reconstruction", max(columns["reconstruction"]), RECONSTRUCTION_GATE),
         ("flow_closure", trip.invariant_residual, FLOW_CLOSURE_GATE),
     ]
     notes = (
@@ -441,22 +423,25 @@ def _run_roundtrip(scn, model, out_dir):
         + _fmt(trip.direct_residual),
         "convergence error: measure-side roundtrip in the kernel-weighted norm",
     )
-    convergence = ()
-    if scn.levels >= 3:
-        # level 0 is already in hand through the per-node column
-        errors = [(grid.steps, grid.step, max(r[5] for r in rows))]
-        for lgrid in _level_grids(scn)[1:]:
-            lccr = build_ccr_kernel(model, lgrid)
-            lpath = diagonal_lebesgue_path(lgrid, scn.pi)
-            errors.append(
-                (lgrid.steps, lgrid.step, roundtrip_n_residual(lpath, lccr))
-            )
-        convergence = tuple(emit_convergence(errors))
-        orders = [row[4] for row in convergence if row[4] is not None]
+    convergence = _refine(
+        scn, model, _measure_closure(scn.pi), level0=max(columns["roundtrip"])
+    )
+    if convergence:
+        orders = [row[4] for row in convergence[1:]]
         lo, hi = ROUNDTRIP_ORDER_WINDOW
         worst = min(orders) if min(orders) < lo else max(orders)
         checks.append(("roundtrip_order", worst, (lo, hi)))
-    return TaskResult(tuple(checks), tuple(rows), convergence, notes)
+    return TaskResult(
+        tuple(checks), range(grid.node_count), grid.nodes, columns, convergence, notes
+    )
+
+
+def _route_gaps(fast, dense):
+    """Per-node relative gap of the rank-structured flow from the dense one."""
+    return [
+        float(np.linalg.norm(f - d) / (1.0 + np.linalg.norm(d)))
+        for f, d in zip(fast.mats, dense.mats)
+    ]
 
 
 def _run_spde(scn, model, out_dir):
@@ -464,60 +449,39 @@ def _run_spde(scn, model, out_dir):
     ccr = build_ccr_kernel(model, grid)
     f_path = corner_atom_path(grid, scn.pi)
     t0 = time.perf_counter()
-    general = _dense_csk_evolution(f_path, ccr)
-    t_general = time.perf_counter() - t0
+    dense = _dense_csk_evolution(f_path, ccr)
+    t_dense = time.perf_counter() - t0
     t0 = time.perf_counter()
     fast = spde_fast_path(model, scn.pi, grid)
     t_fast = time.perf_counter() - t0
-    gaps = [
-        float(
-            np.linalg.norm(fast.mats[u] - general.mats[u])
-            / (1.0 + np.linalg.norm(general.mats[u]))
-        )
-        for u in range(grid.node_count)
-    ]
     qef = qef_from_csk_path(fast, ccr, nodes=[grid.node_count - 1])
-    rows = []
-    for u in range(grid.node_count):
-        residual, scale = symplectic_residual_raw(fast.mats[u], ccr.big)
-        rows.append(
-            (u, grid.nodes[u], residual / scale, float("nan"), gaps[u], float("nan"))
-        )
     write_measure_csv(Path(out_dir) / "n_terminal.csv", qef.measures[-1])
-    checks = [
-        ("symplectic", max(r[2] for r in rows), SYMPLECTIC_GATE),
-        ("spde_agreement", max(gaps), SPDE_AGREEMENT_GATE),
-    ]
+    columns = _flow_columns(fast, ccr)
+    columns["reconstruction"] = _route_gaps(fast, dense)
+    checks = (
+        ("symplectic", max(columns["symplectic"]), SYMPLECTIC_GATE),
+        ("spde_agreement", max(columns["reconstruction"]), SPDE_AGREEMENT_GATE),
+    )
     notes = (
-        "dense exponential seconds: " + _fmt(t_general),
+        "dense exponential seconds: " + _fmt(t_dense),
         "rank-structured seconds: " + _fmt(t_fast),
     )
-    convergence = ()
-    if scn.levels >= 3:
-        errors = []
-        for lgrid in _level_grids(scn):
-            lccr = build_ccr_kernel(model, lgrid)
-            lf = corner_atom_path(lgrid, scn.pi)
-            lgen = _dense_csk_evolution(lf, lccr)
-            lfast = spde_fast_path(model, scn.pi, lgrid)
-            errors.append(
-                (
-                    lgrid.steps,
-                    lgrid.step,
-                    max(
-                        float(
-                            np.linalg.norm(lfast.mats[u] - lgen.mats[u])
-                            / (1.0 + np.linalg.norm(lgen.mats[u]))
-                        )
-                        for u in range(lgrid.node_count)
-                    ),
-                )
+    convergence = _refine(
+        scn,
+        model,
+        lambda g, c: max(
+            _route_gaps(
+                spde_fast_path(model, scn.pi, g),
+                _dense_csk_evolution(corner_atom_path(g, scn.pi), c),
             )
-        convergence = tuple(emit_convergence(errors))
-        notes = notes + (
-            "convergence error: route agreement gap (rounding-limited)",
-        )
-    return TaskResult(tuple(checks), tuple(rows), convergence, notes)
+        ),
+        level0=max(columns["reconstruction"]),
+    )
+    if convergence:
+        notes += ("convergence error: route agreement gap (rounding-limited)",)
+    return TaskResult(
+        checks, range(grid.node_count), grid.nodes, columns, convergence, notes
+    )
 
 
 def _run_laplace(scn, model, out_dir):
@@ -539,19 +503,18 @@ def _run_laplace(scn, model, out_dir):
         width * (0.2 + 0.6 * k / (2 * count - 1)) for k in range(2 * count)
     ]
     masses, condition = laplace_recover_measure(column, model, grid, samples)
-    rows = []
-    worst = 0.0
+    gaps = []
     for l in range(count):
         target = measure.weights[l * n : (l + 1) * n, 0:n]
-        gap = float(
-            np.linalg.norm(masses[l] - target) / (1.0 + np.linalg.norm(target))
+        gaps.append(
+            float(np.linalg.norm(masses[l] - target) / (1.0 + np.linalg.norm(target)))
         )
-        worst = max(worst, gap)
-        rows.append((l, grid.nodes[l], float("nan"), float("nan"), gap, float("nan")))
     write_measure_csv(Path(out_dir) / "laplace_input.csv", measure)
-    checks = [("laplace_recovery", worst, LAPLACE_GATE)]
+    checks = (("laplace_recovery", max(gaps), LAPLACE_GATE),)
     notes = ("vandermonde condition: " + _fmt(condition),)
-    return TaskResult(tuple(checks), tuple(rows), (), notes)
+    return TaskResult(
+        checks, range(count), grid.nodes, {"reconstruction": gaps}, (), notes
+    )
 
 
 def _run_oracle(scn, model, out_dir):
@@ -569,25 +532,23 @@ def _run_oracle(scn, model, out_dir):
         q1 /= max(1.0, np.linalg.norm(q1))
         q2 /= max(1.0, np.linalg.norm(q2))
         cases.append((q1, q2))
-    rows = []
+    keys, times, residuals = [], [], []
     table = [CSV_SCHEMA, "case,cutoff,residual,tolerance,pass"]
-    worst = 0.0
     for d in cutoffs:
         vars_d = build_single_time(scn.theta, d)
         for idx, (q1, q2) in enumerate(cases):
             rep = oracle_bracket_check(vars_d, q1, q2, tol=ORACLE_GATE)
-            worst = max(worst, rep.residual)
             table.append(
                 f"{idx},{d},{_fmt(rep.residual)},{_fmt(rep.tolerance)},"
                 f"{int(rep.passed)}"
             )
-            rows.append(
-                (idx, float(d), float("nan"), float("nan"), rep.residual, float("nan"))
-            )
+            keys.append(idx)
+            times.append(float(d))
+            residuals.append(rep.residual)
     (Path(out_dir) / "oracle_report.csv").write_text(
         "\n".join(table) + "\n", encoding="ascii"
     )
-    checks = [("oracle_bracket", worst, ORACLE_GATE)]
+    checks = [("oracle_bracket", max(residuals), ORACLE_GATE)]
     notes = ()
     if model is not None and scn.steps >= 1 and scn.steps <= 2 and scn.horizon > 0:
         grid = make_grid(scn.horizon, scn.steps)
@@ -597,7 +558,9 @@ def _run_oracle(scn, model, out_dir):
             "discrete vs continuous table gap: " + _fmt(mt.continuum_gap),
             "multitime dimension: " + str(mt.dimension),
         )
-    return TaskResult(tuple(checks), tuple(rows), (), notes)
+    return TaskResult(
+        tuple(checks), keys, times, {"reconstruction": residuals}, (), notes
+    )
 
 
 _RUNNERS = {
@@ -617,11 +580,12 @@ def _check_passes(check):
     return value <= gate
 
 
-def _write_report(out_dir, rows):
-    lines = [CSV_SCHEMA, "node,time,symplectic,reality,reconstruction,roundtrip"]
-    for row in rows:
-        u, t, *rest = row
-        lines.append(f"{u},{_fmt(t)}," + ",".join(_fmt(v) for v in rest))
+def _write_report(out_dir, result):
+    lines = [CSV_SCHEMA, "node,time," + ",".join(REPORT_COLUMNS)]
+    unfilled = [float("nan")] * len(result.report_keys)
+    columns = [result.columns.get(name, unfilled) for name in REPORT_COLUMNS]
+    for key, t, *values in zip(result.report_keys, result.report_times, *columns):
+        lines.append(f"{key},{_fmt(t)}," + ",".join(_fmt(v) for v in values))
     (Path(out_dir) / "report.csv").write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
@@ -685,7 +649,7 @@ def run_scenario(path, output_dir=None, levels=None, seed=None):
         _write_summary(out_dir, scn, (), (), failure=str(exc))
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    _write_report(out_dir, result.report_rows)
+    _write_report(out_dir, result)
     if result.convergence:
         _write_convergence(out_dir, result.convergence)
     _write_summary(out_dir, scn, result.checks, result.notes)

@@ -436,17 +436,13 @@ def qef_from_csk_path(s_path, ccr, nodes=None, solver=None):
     )
 
 
-def forward_qef_measure(f_path, ccr, nodes=None, s_path=None, solver=None):
+def forward_qef_measure(f_path, ccr, nodes=None, solver=None):
     """Measures along a driver path: integrate the kernel flow, extract.
 
     Composition of :func:`forward_csk_evolution` and
-    :func:`qef_from_csk_path`; pass a precomputed s_path to reuse one
-    integration across several extractions.
+    :func:`qef_from_csk_path`.
     """
-    if s_path is None:
-        s_path = forward_csk_evolution(f_path, ccr)
-    elif s_path.grid != f_path.grid:
-        raise ValueError("driver path and kernel path grids differ")
+    s_path = forward_csk_evolution(f_path, ccr)
     return qef_from_csk_path(s_path, ccr, nodes=nodes, solver=solver)
 
 
@@ -568,12 +564,27 @@ class RoundtripReport:
     direct_residual: float
 
 
+def _relative_gaps(ccr, got, want):
+    """Per-node gaps ||got_u - want_u|| over the largest ||want_u||.
+
+    Both norms are kernel-weighted: node masses of singular measures
+    depend on grid alignment at order one, so raw weight distances
+    overstate the gap between equal measures.  When every target
+    vanishes the gaps are returned unscaled.
+    """
+    gaps = []
+    den = 0.0
+    for g, w in zip(got, want):
+        gaps.append(kernel_weighted_norm(ccr, g - w))
+        den = max(den, kernel_weighted_norm(ccr, w))
+    return [gap / den if den > 0.0 else gap for gap in gaps]
+
+
 def roundtrip_f_residual(f_path, ccr, quad_nodes=DEFAULT_QUAD_NODES):
     """Forward a driver path, invert the measures, report both gaps.
 
-    All comparisons are in the kernel-weighted norm: node masses of
-    singular measures depend on grid alignment at order one, so raw
-    weight distances overstate the gap between equal measures.
+    Both are kernel-weighted gaps at the worst node, relative to the
+    largest target norm.
     """
     grid = f_path.grid
     solver = KernelSolver(ccr)
@@ -581,47 +592,47 @@ def roundtrip_f_residual(f_path, ccr, quad_nodes=DEFAULT_QUAD_NODES):
     recovered = staggered_inverse_measures(
         qef.measures, ccr, quad_nodes=quad_nodes, solver=solver
     )
-    num = 0.0
-    den = 0.0
-    for u in range(grid.node_count - 1):
-        target = _midpoint_weights(f_path, u)
-        gap = kernel_weighted_norm(ccr, recovered[u].weights - target)
-        num = max(num, gap)
-        den = max(den, kernel_weighted_norm(ccr, target))
-    direct = num / den if den > 0.0 else num
-
+    direct = max(
+        _relative_gaps(
+            ccr,
+            (m.weights for m in recovered),
+            (_midpoint_weights(f_path, u) for u in range(grid.node_count - 1)),
+        )
+    )
     regen = csk_path_from_midpoints([m.weights for m in recovered], ccr)
     check = qef_from_csk_path(regen, ccr, solver=solver)
-    num = 0.0
-    den = 0.0
-    for u in range(grid.node_count):
-        target = qef.measures[u].weights
-        gap = kernel_weighted_norm(ccr, check.measures[u].weights - target)
-        num = max(num, gap)
-        den = max(den, kernel_weighted_norm(ccr, target))
-    invariant = num / den if den > 0.0 else num
+    invariant = max(
+        _relative_gaps(
+            ccr,
+            (m.weights for m in check.measures),
+            (m.weights for m in qef.measures),
+        )
+    )
     return RoundtripReport(invariant, direct)
 
 
-def roundtrip_n_residual(n_path, ccr, quad_nodes=DEFAULT_QUAD_NODES):
-    """Relative gap of forward(inverse(N)) against N in the weighted norm."""
+def _roundtrip_n_gaps(n_path, ccr, quad_nodes=DEFAULT_QUAD_NODES):
+    """Per-node relative gaps of forward(inverse(N)) against N."""
     solver = KernelSolver(ccr)
     inverse = inverse_toe_measure(n_path, ccr, quad_nodes=quad_nodes, solver=solver)
     qef = forward_qef_measure(inverse.f_path, ccr, solver=solver)
-    num = 0.0
-    den = 0.0
-    for u in range(n_path.grid.node_count):
-        target = n_path.entries[u].weights
-        gap = kernel_weighted_norm(ccr, qef.measures[u].weights - target)
-        num = max(num, gap)
-        den = max(den, kernel_weighted_norm(ccr, target))
-    return num / den if den > 0.0 else num
+    return _relative_gaps(
+        ccr,
+        (m.weights for m in qef.measures),
+        (m.weights for m in n_path.entries),
+    )
+
+
+def roundtrip_n_residual(n_path, ccr, quad_nodes=DEFAULT_QUAD_NODES):
+    """Relative gap of forward(inverse(N)) against N in the weighted norm,
+    at the worst node."""
+    return max(_roundtrip_n_gaps(n_path, ccr, quad_nodes))
 
 
 def t_route_residual(f_path, ccr):
     """Max relative gap between the factorized and integrated T routes."""
     s_path = forward_csk_evolution(f_path, ccr)
-    qef = forward_qef_measure(f_path, ccr, s_path=s_path)
+    qef = qef_from_csk_path(s_path, ccr)
     direct = forward_t_evolution(f_path, ccr, s_path=s_path)
     worst = 0.0
     for u in range(f_path.grid.node_count):

@@ -1,8 +1,17 @@
 import numpy as np
 import pytest
 
-from quadexp import ScenarioError, read_measure_csv
+from quadexp import (
+    OqhoModel,
+    ScenarioError,
+    build_ccr_kernel,
+    corner_atom_path,
+    make_grid,
+    read_measure_csv,
+    t_route_residual,
+)
 from quadexp.cli import (
+    SPDE_AGREEMENT_GATE,
     TASKS,
     bundled_scenario,
     emit_convergence,
@@ -279,3 +288,65 @@ def test_seed_override_changes_oracle_draws(tmp_path):
         assert code == 0
         outs.append((out / "oracle_report.csv").read_text())
     assert outs[0] != outs[1]
+
+
+PI_ROW = "pi = [[0.2, 0.06], [0.06, 0.16]]\n"
+
+
+def oscillator_scenario(tmp_path, head, name="case.scn"):
+    """Scenario on the bundled oscillator model, with T = 1 and N = 4."""
+    model = bundled_scenario("oscillator.mod").read_text(encoding="ascii")
+    return write(tmp_path, head + "T = 1.0\nN = 4\n" + model, name=name)
+
+
+def read_csv_columns(path):
+    """Column name -> list of floats, skipping the schema line."""
+    lines = path.read_text().splitlines()
+    header = lines[1].split(",")
+    rows = [[float(v) for v in line.split(",")] for line in lines[2:]]
+    return {name: [row[i] for row in rows] for i, name in enumerate(header)}
+
+
+def test_forward_convergence_errors_are_t_route_residuals(tmp_path):
+    path = oscillator_scenario(tmp_path, "task = forward\n" + PI_ROW)
+    out = tmp_path / "out"
+    assert run_scenario(path, output_dir=out, levels=3) == 0
+    table = read_csv_columns(out / "convergence.csv")
+    scn = parse_scenario(path)
+    model = OqhoModel(scn.theta, scn.drift, scn.dispersion)
+    expected = []
+    for k in range(3):
+        grid = make_grid(scn.horizon, scn.steps * 2**k)
+        ccr = build_ccr_kernel(model, grid)
+        expected.append(t_route_residual(corner_atom_path(grid, scn.pi), ccr))
+    assert table["steps"] == [4.0, 8.0, 16.0]
+    assert table["error"] == expected
+
+
+def test_spde_convergence_starts_at_the_summary_agreement(tmp_path):
+    path = oscillator_scenario(tmp_path, "task = spde\n" + PI_ROW)
+    out = tmp_path / "out"
+    assert run_scenario(path, output_dir=out, levels=3) == 0
+    errors = read_csv_columns(out / "convergence.csv")["error"]
+    assert len(errors) == 3
+    summary = (out / "summary.txt").read_text()
+    line = next(l for l in summary.splitlines() if l.startswith("check spde_agreement:"))
+    agreement = float(line.split("(", 1)[1].split()[0])
+    assert errors[0] == agreement
+    assert all(err <= SPDE_AGREEMENT_GATE for err in errors)
+
+
+def test_zero_driver_forward_convergence_is_exact(tmp_path):
+    path = oscillator_scenario(tmp_path, "task = forward\n")
+    out = tmp_path / "out"
+    assert run_scenario(path, output_dir=out, levels=3) == 0
+    assert read_csv_columns(out / "convergence.csv")["error"] == [0.0, 0.0, 0.0]
+
+
+def test_roundtrip_with_zero_pi_reports_zero_gaps(tmp_path):
+    path = oscillator_scenario(
+        tmp_path, "task = roundtrip\npi = [[0, 0], [0, 0]]\n"
+    )
+    out = tmp_path / "out"
+    assert run_scenario(path, output_dir=out, levels=1) == 0
+    assert read_csv_columns(out / "report.csv")["roundtrip"] == [0.0] * 5
