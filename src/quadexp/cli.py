@@ -41,7 +41,7 @@ import numpy as np
 
 from .errors import NumericalFailure, ScenarioError
 from .fock import build_single_time, oracle_bracket_check, oracle_multitime_check
-from .lie import symplectic_residual_raw
+from .lie import KernelSolver, symplectic_residual_raw
 from .measures import (
     KernelMeasure,
     build_ccr_kernel,
@@ -51,6 +51,7 @@ from .measures import (
 from .model import OqhoModel, spectral_abscissa
 from .solvers import (
     _dense_csk_evolution,
+    _flow_closure,
     _roundtrip_n_gaps,
     chk_column_function,
     corner_atom_path,
@@ -59,7 +60,6 @@ from .solvers import (
     inverse_toe_measure,
     laplace_recover_measure,
     qef_from_csk_path,
-    roundtrip_f_residual,
     roundtrip_n_residual,
     spde_fast_path,
     t_route_residual,
@@ -407,8 +407,9 @@ def _run_roundtrip(scn, model, out_dir):
     ccr = build_ccr_kernel(model, grid)
     f_path = corner_atom_path(grid, scn.pi)
     s_path = forward_csk_evolution(f_path, ccr)
-    qef = qef_from_csk_path(s_path, ccr)
-    trip = roundtrip_f_residual(f_path, ccr)
+    solver = KernelSolver(ccr)
+    qef = qef_from_csk_path(s_path, ccr, solver=solver)
+    trip = _flow_closure(f_path, ccr, qef, solver)
     write_measure_csv(Path(out_dir) / "n_terminal.csv", qef.measures[-1])
     columns = _flow_columns(s_path, ccr, qef)
     columns["roundtrip"] = _roundtrip_n_gaps(diagonal_lebesgue_path(grid, scn.pi), ccr)

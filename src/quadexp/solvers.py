@@ -40,7 +40,6 @@ from scipy.linalg import expm
 from .errors import NumericalFailure
 from .lie import (
     DEFAULT_BERNOULLI_ORDER,
-    DEFAULT_QUAD_NODES,
     CskMatrix,
     KernelSolver,
     csk_log_near_identity,
@@ -476,19 +475,20 @@ def forward_t_evolution(f_path, ccr, s_path=None):
 
 @dataclass(frozen=True)
 class InverseResult:
-    """Driver path recovered from a measure path, with diagnostics."""
+    """Driver path recovered from a measure path, with diagnostics;
+    quad_errors holds the rounding bound of :func:`ups_superop` per node."""
 
     f_path: MeasurePath
     quad_errors: tuple
     solve_reports: tuple
 
 
-def inverse_toe_measure(n_path, ccr, quad_nodes=DEFAULT_QUAD_NODES, solver=None):
+def inverse_toe_measure(n_path, ccr, solver=None):
     """Recover the driver family from measures and their derivatives.
 
     Node-aligned form of Lambda F_t = Ups(2i ad_{Lambda N_t})(Lambda N'_t):
     the path must carry derivative entries (the diagonal family has
-    exact ones).  Each node costs one quadrature superoperator and one
+    exact ones).  Each node costs one closed-form superoperator and one
     support-restricted kernel solve.
     """
     if n_path.derivative_entries is None:
@@ -505,7 +505,7 @@ def inverse_toe_measure(n_path, ccr, quad_nodes=DEFAULT_QUAD_NODES, solver=None)
     for u in range(grid.node_count):
         h_n = big @ n_path.entries[u].weights
         h_dn = big @ n_path.derivative_entries[u].weights
-        lam_f, err = ups_superop(2j * h_n, h_dn, nodes=quad_nodes)
+        lam_f, err = ups_superop(2j * h_n, h_dn)
         measure, report = solver.solve_measure(lam_f, support_index=u)
         entries.append(measure)
         quad_errors.append(err)
@@ -515,7 +515,7 @@ def inverse_toe_measure(n_path, ccr, quad_nodes=DEFAULT_QUAD_NODES, solver=None)
     )
 
 
-def staggered_inverse_measures(measures, ccr, quad_nodes=DEFAULT_QUAD_NODES, solver=None):
+def staggered_inverse_measures(measures, ccr, solver=None):
     """Canonical driver at step midpoints from consecutive measures.
 
     Uses the staggered second-order pair N(mid) = average and
@@ -541,7 +541,7 @@ def staggered_inverse_measures(measures, ccr, quad_nodes=DEFAULT_QUAD_NODES, sol
         w_hi = measures[u + 1].weights
         h_n = big @ (0.5 * (w_lo + w_hi))
         h_dn = big @ ((w_hi - w_lo) / h)
-        lam_f, _ = ups_superop(2j * h_n, h_dn, nodes=quad_nodes)
+        lam_f, _ = ups_superop(2j * h_n, h_dn)
         measure, _ = solver.solve_measure(lam_f, support_index=u + 1)
         out.append(measure)
     return tuple(out)
@@ -580,18 +580,22 @@ def _relative_gaps(ccr, got, want):
     return [gap / den if den > 0.0 else gap for gap in gaps]
 
 
-def roundtrip_f_residual(f_path, ccr, quad_nodes=DEFAULT_QUAD_NODES):
+def roundtrip_f_residual(f_path, ccr):
     """Forward a driver path, invert the measures, report both gaps.
 
     Both are kernel-weighted gaps at the worst node, relative to the
     largest target norm.
     """
-    grid = f_path.grid
     solver = KernelSolver(ccr)
     qef = forward_qef_measure(f_path, ccr, solver=solver)
-    recovered = staggered_inverse_measures(
-        qef.measures, ccr, quad_nodes=quad_nodes, solver=solver
-    )
+    return _flow_closure(f_path, ccr, qef, solver)
+
+
+def _flow_closure(f_path, ccr, qef, solver):
+    """:func:`roundtrip_f_residual` from the driver's measures qef,
+    extracted at every node."""
+    grid = f_path.grid
+    recovered = staggered_inverse_measures(qef.measures, ccr, solver=solver)
     direct = max(
         _relative_gaps(
             ccr,
@@ -611,10 +615,10 @@ def roundtrip_f_residual(f_path, ccr, quad_nodes=DEFAULT_QUAD_NODES):
     return RoundtripReport(invariant, direct)
 
 
-def _roundtrip_n_gaps(n_path, ccr, quad_nodes=DEFAULT_QUAD_NODES):
+def _roundtrip_n_gaps(n_path, ccr):
     """Per-node relative gaps of forward(inverse(N)) against N."""
     solver = KernelSolver(ccr)
-    inverse = inverse_toe_measure(n_path, ccr, quad_nodes=quad_nodes, solver=solver)
+    inverse = inverse_toe_measure(n_path, ccr, solver=solver)
     qef = forward_qef_measure(inverse.f_path, ccr, solver=solver)
     return _relative_gaps(
         ccr,
@@ -623,10 +627,10 @@ def _roundtrip_n_gaps(n_path, ccr, quad_nodes=DEFAULT_QUAD_NODES):
     )
 
 
-def roundtrip_n_residual(n_path, ccr, quad_nodes=DEFAULT_QUAD_NODES):
+def roundtrip_n_residual(n_path, ccr):
     """Relative gap of forward(inverse(N)) against N in the weighted norm,
     at the worst node."""
-    return max(_roundtrip_n_gaps(n_path, ccr, quad_nodes))
+    return max(_roundtrip_n_gaps(n_path, ccr))
 
 
 def t_route_residual(f_path, ccr):
@@ -648,6 +652,7 @@ class PsiDecomposition:
     corner_block is the mass at (t_u, t_u); for the diagonal family it
     approaches Pi at first order in the step.  Masses are sums of block
     Frobenius norms over the interior, the two edges, and the corner.
+    quad_error is the rounding bound :func:`sinhc_superop` returns.
     """
 
     measure: KernelMeasure
@@ -660,7 +665,7 @@ class PsiDecomposition:
     solve_report: object
 
 
-def qef_psi_measure(n_entry, ndot_entry, ccr, nodes=DEFAULT_QUAD_NODES, solver=None):
+def qef_psi_measure(n_entry, ndot_entry, ccr, solver=None):
     """Evaluate the measure driving exp(phi_N)' and report its structure.
 
     Computes sinhc applied to the adjoint of the measure kernel and
@@ -672,7 +677,7 @@ def qef_psi_measure(n_entry, ndot_entry, ccr, nodes=DEFAULT_QUAD_NODES, solver=N
     big = ccr.big
     h_n = big @ n_entry.weights
     h_dn = big @ ndot_entry.weights
-    lam_m, quad_error = sinhc_superop(2j * h_n, h_dn, nodes=nodes)
+    lam_m, quad_error = sinhc_superop(2j * h_n, h_dn)
     corner = max(n_entry.support_index, ndot_entry.support_index)
     measure, report = solver.solve_measure(lam_m, support_index=corner)
     n = measure.dim

@@ -10,6 +10,7 @@ from quadexp import (
     read_measure_csv,
     t_route_residual,
 )
+from quadexp import cli, solvers
 from quadexp.cli import (
     SPDE_AGREEMENT_GATE,
     TASKS,
@@ -350,3 +351,28 @@ def test_roundtrip_with_zero_pi_reports_zero_gaps(tmp_path):
     out = tmp_path / "out"
     assert run_scenario(path, output_dir=out, levels=1) == 0
     assert read_csv_columns(out / "report.csv")["roundtrip"] == [0.0] * 5
+
+
+def test_roundtrip_task_integrates_and_extracts_its_flow_once(tmp_path, monkeypatch):
+    # On the N = 32 grid: the corner-atom flow and the driver recovered
+    # from the diagonal path are integrated once each; the corner-atom
+    # flow, its regenerated flow and the recovered driver's flow are
+    # extracted once each.  The task's own extraction feeds the
+    # flow-closure check.
+    counts = {"forward_csk_evolution": 0, "qef_from_csk_path": 0}
+    for name in counts:
+        original = getattr(solvers, name)
+
+        def counted(path, *args, _name=name, _original=original, **kwargs):
+            if path.grid.steps == 32:
+                counts[_name] += 1
+            return _original(path, *args, **kwargs)
+
+        monkeypatch.setattr(solvers, name, counted)
+        monkeypatch.setattr(cli, name, counted)
+    out = tmp_path / "out"
+    code = run_scenario(
+        bundled_scenario("atomic_roundtrip.scn"), output_dir=out, levels=1
+    )
+    assert code == 0
+    assert counts == {"forward_csk_evolution": 2, "qef_from_csk_path": 3}

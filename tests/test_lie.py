@@ -12,11 +12,13 @@ from quadexp import (
     KernelMeasure,
     KernelSolver,
     NumericalFailure,
+    OqhoModel,
     bch_product,
     build_ccr_kernel,
     chk_exp,
     csk_log,
     csk_log_near_identity,
+    diagonal_lebesgue_path,
     lambda_product,
     magnus_derivative_check,
     make_grid,
@@ -30,6 +32,7 @@ from quadexp import (
     ups_scalar,
     ups_superop,
 )
+from quadexp.cli import bundled_scenario, parse_scenario
 from quadexp.lie import GREGORY_RADIUS
 
 
@@ -95,25 +98,79 @@ def _adjoint_series(x, y, weights):
     return total
 
 
+def _superop_inputs(rng):
+    """A generic x, and a Jordan block, whose eigenbasis is singular, so
+    the superoperators take the block exponential route."""
+    generic = 0.25 * (rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+    jordan = 0.25 * ((0.6 + 0.4j) * np.eye(4) + np.eye(4, k=1))
+    assert np.linalg.cond(np.linalg.eig(jordan)[1]) > 1e6
+    for x in (generic, jordan):
+        yield x, rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+
+
 def test_ups_superop_matches_adjoint_series(rng):
-    x = 0.25 * (rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
-    y = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     weights = [1.0 / math.factorial(k + 1) for k in range(20)]
-    series = _adjoint_series(x, y, weights)
-    value, err = ups_superop(x, y)
-    assert np.linalg.norm(value - series) <= 1e-12 * (1.0 + np.linalg.norm(series))
-    assert err <= 1e-12 * (1.0 + np.linalg.norm(series))
+    for x, y in _superop_inputs(rng):
+        series = _adjoint_series(x, y, weights)
+        value, err = ups_superop(x, y)
+        scale = 1.0 + np.linalg.norm(series)
+        assert np.linalg.norm(value - series) <= 1e-12 * scale
+        assert err <= 1e-12 * scale
 
 
 def test_sinhc_superop_matches_adjoint_series(rng):
-    x = 0.25 * (rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
-    y = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     weights = [
         1.0 / math.factorial(k + 1) if k % 2 == 0 else 0.0 for k in range(20)
     ]
-    series = _adjoint_series(x, y, weights)
-    value, _ = sinhc_superop(x, y)
-    assert np.linalg.norm(value - series) <= 1e-12 * (1.0 + np.linalg.norm(series))
+    for x, y in _superop_inputs(rng):
+        series = _adjoint_series(x, y, weights)
+        value, _ = sinhc_superop(x, y)
+        assert np.linalg.norm(value - series) <= 1e-12 * (1.0 + np.linalg.norm(series))
+
+
+def _mp_adjoint_series(mp, x, y):
+    """(Ups(ad_x)(y), sinhc(ad_x)(y)) summed in 40 digits.
+
+    Terms ad_x^k(y) / (k+1)! are added until they fall below 1e-45 of
+    ||y||; sinhc keeps the even ones.
+    """
+    def to_numpy(mat):
+        return np.array(
+            [[complex(mat[i, j]) for j in range(mat.cols)] for i in range(mat.rows)]
+        )
+
+    with mp.workdps(40):
+        xm = mp.matrix(x.tolist())
+        term = mp.matrix(y.tolist())
+        floor = mp.mpf(10) ** -45 * mp.mnorm(term, "f")
+        ups, sinhc = term.copy(), term.copy()
+        k = 0
+        while mp.mnorm(term, "f") > floor:
+            k += 1
+            term = (xm * term - term * xm) / (k + 1)
+            ups += term
+            if k % 2 == 0:
+                sinhc += term
+        return to_numpy(ups), to_numpy(sinhc)
+
+
+def test_superops_match_mpmath_on_the_diagonal_path():
+    # every node of the bundled model's diagonal measure path at N = 8:
+    # the error against a 40-digit series must sit inside the returned
+    # rounding bound, and the bound itself at rounding level
+    mp = pytest.importorskip("mpmath")
+    scn = parse_scenario(bundled_scenario("diagonal_inverse.scn"))
+    model = OqhoModel(scn.theta, scn.drift, scn.dispersion)
+    ccr = build_ccr_kernel(model, make_grid(1.0, 8))
+    path = diagonal_lebesgue_path(ccr.grid, scn.pi)
+    for entry, derivative in zip(path.entries, path.derivative_entries):
+        x = 2j * ccr.big @ entry.weights
+        y = ccr.big @ derivative.weights
+        references = _mp_adjoint_series(mp, x, y)
+        for op, reference in zip((ups_superop, sinhc_superop), references):
+            value, bound = op(x, y)
+            assert np.linalg.norm(value - reference) <= bound
+            assert bound <= 1e-14 * np.linalg.norm(reference)
 
 
 def test_superop_commuting_case_is_identity(rng):
