@@ -412,7 +412,9 @@ def _run_roundtrip(scn, model, out_dir):
     trip = _flow_closure(f_path, ccr, qef, solver)
     write_measure_csv(Path(out_dir) / "n_terminal.csv", qef.measures[-1])
     columns = _flow_columns(s_path, ccr, qef)
-    columns["roundtrip"] = _roundtrip_n_gaps(diagonal_lebesgue_path(grid, scn.pi), ccr)
+    columns["roundtrip"] = _roundtrip_n_gaps(
+        diagonal_lebesgue_path(grid, scn.pi), ccr, solver
+    )
     checks = [
         ("symplectic", max(columns["symplectic"]), SYMPLECTIC_GATE),
         ("reality", max(columns["reality"]), REALITY_GATE),

@@ -40,6 +40,7 @@ from .measures import ChkMatrix, KernelMeasure, project_support
 
 __all__ = [
     "CskMatrix",
+    "KernelSolver",
     "ChkSolveReport",
     "MagnusCheckReport",
     "ups_scalar",
@@ -83,7 +84,9 @@ SERIES_SWITCH = 1e-3
 # fraction of the convergence radius 2 pi.
 MHO_RADIUS_FRACTION = 0.9
 
-DEFAULT_BERNOULLI_ORDER = 16
+# Bernoulli series degrees of mho_scalar (below SERIES_SWITCH) and mho_superop.
+MHO_SCALAR_ORDER = 8
+MHO_SUPEROP_ORDER = 16
 
 _TWO_PI = 2.0 * np.pi
 
@@ -147,7 +150,7 @@ def _bernoulli_over_factorial(order):
     return coeffs
 
 
-def mho_scalar(z, order=8):
+def mho_scalar(z):
     """Mho(z) = z/(e^z - 1) = 1/Ups(z), Bernoulli series below the switch.
 
     Defined away from the poles at 2 pi i k, k nonzero; a point closer
@@ -161,7 +164,7 @@ def mho_scalar(z, order=8):
         raise NumericalFailure("mho evaluated too close to a pole 2 pi i k")
     small = np.abs(z) < SERIES_SWITCH
     zs = np.where(small, z, 0.0)
-    coeffs = _bernoulli_over_factorial(order)
+    coeffs = _bernoulli_over_factorial(MHO_SCALAR_ORDER)
     series = np.zeros_like(z)
     power = np.ones_like(z)
     for c in coeffs:
@@ -255,7 +258,7 @@ def sinhc_superop(x, y):
     return _adjoint_function(x, y, sinhc_scalar, symmetric=True)
 
 
-def mho_superop(x, y, order=DEFAULT_BERNOULLI_ORDER):
+def mho_superop(x, y):
     """Mho(ad_x)(y) by the truncated Bernoulli series of ad_x.
 
     Requires the adjoint norm bound 2||x|| to stay below 0.9 * 2 pi so
@@ -269,11 +272,11 @@ def mho_superop(x, y, order=DEFAULT_BERNOULLI_ORDER):
             f"adjoint norm bound {bound:.3e} outside the Bernoulli series "
             f"guard {MHO_RADIUS_FRACTION * _TWO_PI:.3e}"
         )
-    coeffs = _bernoulli_over_factorial(order)
+    coeffs = _bernoulli_over_factorial(MHO_SUPEROP_ORDER)
     term = y
     value = coeffs[0] * term
     last = 0.0
-    for k in range(1, order + 1):
+    for k in range(1, MHO_SUPEROP_ORDER + 1):
         term = x @ term - term @ x
         if coeffs[k] != 0.0:
             contribution = coeffs[k] * term
@@ -326,14 +329,12 @@ def symplectic_residual(csk):
     return symplectic_residual_raw(csk.mat, csk.ccr.big)
 
 
-def chk_exp(chk, ccr, scale=4j):
-    """Matrix exponential of scale * ham as a symplectic kernel.
+def chk_exp(chk, ccr):
+    """Symplectic kernel exp(4i ham), the isomorphism image exp(4i Lambda Q).
 
-    scale = 4i realizes the isomorphism exp(4i Lambda Q); solvers pass
-    their own step factors.  The exponent 1-norm is gated at
-    EXP_NORM_BOUND before expm runs.
+    The exponent 1-norm is gated at EXP_NORM_BOUND before expm runs.
     """
-    exponent = scale * chk.ham
+    exponent = 4j * chk.ham
     size = np.linalg.norm(exponent, 1)
     if size > EXP_NORM_BOUND:
         raise NumericalFailure(

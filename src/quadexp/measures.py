@@ -41,6 +41,7 @@ __all__ = [
     "make_grid",
     "CcrKernel",
     "build_ccr_kernel",
+    "kernel_weighted_norm",
     "KernelMeasure",
     "ChkMatrix",
     "zero_measure",

@@ -39,7 +39,6 @@ from scipy.linalg import expm
 
 from .errors import NumericalFailure
 from .lie import (
-    DEFAULT_BERNOULLI_ORDER,
     CskMatrix,
     KernelSolver,
     csk_log_near_identity,
@@ -358,15 +357,13 @@ class QefForwardResult:
     imaginary when conj(T) T = I, and its series logarithm stays so to
     rounding, so these sit at rounding level on every grid (measured
     1e-17 to 3e-15 at N = 8..128), not at eps times cond(Lambda_big).
-    t_mats[i] holds T as I + (T - I), the offset formed without
-    cancellation.
+    Neither T nor the kernel path is kept: :func:`t_route_residual`
+    forms T from the flow itself.
     """
 
     grid: object
     node_indices: tuple
     measures: tuple
-    t_mats: np.ndarray
-    s_path: CskPath
     reality_residuals: tuple
     solve_reports: tuple
 
@@ -375,6 +372,11 @@ class QefForwardResult:
         if self.node_indices != tuple(range(self.grid.node_count)):
             raise ValueError("n_path needs extraction at every node")
         return MeasurePath(self.grid, self.measures)
+
+
+def _normal_offset(s_u):
+    """T - I = 2i conj(S)^{-1} Im S for T = conj(S)^{-1} S, without cancellation."""
+    return np.linalg.solve(np.conj(s_u), 2j * s_u.imag)
 
 
 def qef_from_csk_path(s_path, ccr, nodes=None, solver=None):
@@ -402,36 +404,20 @@ def qef_from_csk_path(s_path, ccr, nodes=None, solver=None):
         indices = tuple(sorted(set(int(u) for u in nodes)))
         if indices and (indices[0] < 0 or indices[-1] >= count):
             raise ValueError("extraction node outside the grid")
-    size = ccr.big.shape[0]
-    eye = np.eye(size)
-    t_mats = np.empty((len(indices), size, size), dtype=complex)
     measures = []
     reality = []
     reports = []
     anchor = None
-    for slot, u in enumerate(indices):
-        s_u = s_path.mats[u]
-        offset = np.linalg.solve(np.conj(s_u), 2j * s_u.imag)
-        t_mats[slot] = eye + offset
-        chk = csk_log_near_identity(offset, ccr, anchor=anchor)
-        anchor = chk.ham
-        measure, report = solver.solve_measure(chk.ham / 4j, support_index=u)
+    for u in indices:
+        offset = _normal_offset(s_path.mats[u])
+        anchor = csk_log_near_identity(offset, ccr, anchor=anchor).ham
+        measure, report = solver.solve_measure(anchor / 4j, support_index=u)
         measures.append(measure)
         reports.append(report)
-        reality.append(
-            float(
-                np.linalg.norm(measure.weights.imag)
-                / (1.0 + np.linalg.norm(measure.weights))
-            )
-        )
+        w = measure.weights
+        reality.append(float(np.linalg.norm(w.imag) / (1.0 + np.linalg.norm(w))))
     return QefForwardResult(
-        grid,
-        indices,
-        tuple(measures),
-        t_mats,
-        s_path,
-        tuple(reality),
-        tuple(reports),
+        grid, indices, tuple(measures), tuple(reality), tuple(reports)
     )
 
 
@@ -615,9 +601,8 @@ def _flow_closure(f_path, ccr, qef, solver):
     return RoundtripReport(invariant, direct)
 
 
-def _roundtrip_n_gaps(n_path, ccr):
+def _roundtrip_n_gaps(n_path, ccr, solver):
     """Per-node relative gaps of forward(inverse(N)) against N."""
-    solver = KernelSolver(ccr)
     inverse = inverse_toe_measure(n_path, ccr, solver=solver)
     qef = forward_qef_measure(inverse.f_path, ccr, solver=solver)
     return _relative_gaps(
@@ -630,18 +615,24 @@ def _roundtrip_n_gaps(n_path, ccr):
 def roundtrip_n_residual(n_path, ccr):
     """Relative gap of forward(inverse(N)) against N in the weighted norm,
     at the worst node."""
-    return max(_roundtrip_n_gaps(n_path, ccr))
+    return max(_roundtrip_n_gaps(n_path, ccr, KernelSolver(ccr)))
 
 
 def t_route_residual(f_path, ccr):
-    """Max relative gap between the factorized and integrated T routes."""
+    """Max relative gap between the factorized and integrated T routes.
+
+    T_u = I + conj(S_u)^{-1} (2i Im S_u), the matrix whose logarithm
+    :func:`qef_from_csk_path` takes, is formed on the flow itself and
+    compared with :func:`forward_t_evolution`: no logarithm or solve runs.
+    """
     s_path = forward_csk_evolution(f_path, ccr)
-    qef = qef_from_csk_path(s_path, ccr)
     direct = forward_t_evolution(f_path, ccr, s_path=s_path)
+    eye = np.eye(ccr.big.shape[0])
     worst = 0.0
-    for u in range(f_path.grid.node_count):
-        gap = np.linalg.norm(qef.t_mats[u] - direct[u])
-        worst = max(worst, float(gap / (1.0 + np.linalg.norm(qef.t_mats[u]))))
+    for s_u, t_direct in zip(s_path.mats, direct):
+        t_u = eye + _normal_offset(s_u)
+        gap = np.linalg.norm(t_u - t_direct)
+        worst = max(worst, float(gap / (1.0 + np.linalg.norm(t_u))))
     return worst
 
 
@@ -728,7 +719,7 @@ def spde_fast_path(model, pi, grid):
     return csk_path_from_midpoints(_AtomicMidpoints(grid, pi), ccr)
 
 
-def g_path_magnus(f_path, ccr, order=DEFAULT_BERNOULLI_ORDER, solver=None):
+def g_path_magnus(f_path, ccr, solver=None):
     """Integrate the exponent path Y' = (1/2) Mho(4i ad_Y)(Lambda F_t).
 
     Explicit midpoint rule on the stacked kernel Y = Lambda G; the
@@ -756,9 +747,9 @@ def g_path_magnus(f_path, ccr, order=DEFAULT_BERNOULLI_ORDER, solver=None):
     for u in range(count - 1):
         h_f_lo = big @ f_path.entries[u].weights
         h_f_mid = big @ _midpoint_weights(f_path, u)
-        k1, _ = mho_superop(4j * y, h_f_lo, order=order)
+        k1, _ = mho_superop(4j * y, h_f_lo)
         y_half = y + (0.25 * h) * k1  # half step of (1/2) Mho(...)
-        k2, _ = mho_superop(4j * y_half, h_f_mid, order=order)
+        k2, _ = mho_superop(4j * y_half, h_f_mid)
         y = y + (0.5 * h) * k2
         ys.append(y)
         measure, report = solver.solve_measure(y, support_index=u + 1)

@@ -358,9 +358,9 @@ def test_roundtrip_task_integrates_and_extracts_its_flow_once(tmp_path, monkeypa
     # from the diagonal path are integrated once each; the corner-atom
     # flow, its regenerated flow and the recovered driver's flow are
     # extracted once each.  The task's own extraction feeds the
-    # flow-closure check.
-    counts = {"forward_csk_evolution": 0, "qef_from_csk_path": 0}
-    for name in counts:
+    # flow-closure check, and one factorised kernel serves every solve.
+    counts = {"forward_csk_evolution": 0, "qef_from_csk_path": 0, "KernelSolver": 0}
+    for name in ("forward_csk_evolution", "qef_from_csk_path"):
         original = getattr(solvers, name)
 
         def counted(path, *args, _name=name, _original=original, **kwargs):
@@ -370,9 +370,21 @@ def test_roundtrip_task_integrates_and_extracts_its_flow_once(tmp_path, monkeypa
 
         monkeypatch.setattr(solvers, name, counted)
         monkeypatch.setattr(cli, name, counted)
+    factor = solvers.KernelSolver.__init__
+
+    def counted_factor(self, ccr):
+        if ccr.grid.steps == 32:
+            counts["KernelSolver"] += 1
+        factor(self, ccr)
+
+    monkeypatch.setattr(solvers.KernelSolver, "__init__", counted_factor)
     out = tmp_path / "out"
     code = run_scenario(
         bundled_scenario("atomic_roundtrip.scn"), output_dir=out, levels=1
     )
     assert code == 0
-    assert counts == {"forward_csk_evolution": 2, "qef_from_csk_path": 3}
+    assert counts == {
+        "forward_csk_evolution": 2,
+        "qef_from_csk_path": 3,
+        "KernelSolver": 1,
+    }

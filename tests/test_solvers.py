@@ -223,6 +223,31 @@ def test_two_route_agreement_refines_at_second_order(model2, pi2):
     assert 1.5 <= order <= 3.0
 
 
+def test_t_route_check_runs_no_extraction(ccr16, pi2, monkeypatch):
+    # The factorized T is formed from the flow itself: no extraction,
+    # logarithm or kernel solve runs inside the check.
+    zero = {"qef_from_csk_path": 0, "csk_log_near_identity": 0, "solve_measure": 0}
+    counts = dict(zero)
+
+    def counting(name, original):
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+
+        return counted
+
+    for name in ("qef_from_csk_path", "csk_log_near_identity"):
+        monkeypatch.setattr(solvers, name, counting(name, getattr(solvers, name)))
+    monkeypatch.setattr(
+        solvers.KernelSolver,
+        "solve_measure",
+        counting("solve_measure", solvers.KernelSolver.solve_measure),
+    )
+    residual = t_route_residual(corner_atom_path(ccr16.grid, pi2), ccr16)
+    assert 0.0 < residual < 1e-2
+    assert counts == zero
+
+
 def test_roundtrip_atomic_closes_through_the_flow(model2, pi2):
     grid = make_grid(1.0, 16)
     ccr = build_ccr_kernel(model2, grid)
@@ -392,7 +417,7 @@ def test_integrators_hand_over_one_read_only_stack(model2, pi2):
             path.mats[0, 0, 0] = 0.0
 
 
-def test_integrators_peak_memory_stays_near_one_stack(model2, pi2):
+def test_integrators_and_extraction_peak_memory_stay_near_one_stack(model2, pi2):
     grid = make_grid(1.0, 32)
     ccr = build_ccr_kernel(model2, grid)
     f_path = corner_atom_path(grid, pi2)
@@ -409,6 +434,9 @@ def test_integrators_peak_memory_stays_near_one_stack(model2, pi2):
 
     assert peak(forward_csk_evolution, f_path, ccr) <= 1.5 * stack_bytes
     assert peak(spde_fast_path, model2, pi2, grid) <= 1.5 * stack_bytes
+    # all-node extraction keeps the measures and per-node temporaries only
+    s_path = forward_csk_evolution(f_path, ccr)
+    assert peak(qef_from_csk_path, s_path, ccr) <= 1.5 * stack_bytes
 
 
 def test_g_path_zero_driver(ccr16):
