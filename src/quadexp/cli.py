@@ -52,7 +52,9 @@ from .model import OqhoModel, spectral_abscissa
 from .solvers import (
     _dense_csk_evolution,
     _flow_closure,
+    _forward_gaps,
     _roundtrip_n_gaps,
+    _t_route_gap,
     chk_column_function,
     corner_atom_path,
     diagonal_lebesgue_path,
@@ -328,20 +330,21 @@ def _flow_columns(s_path, ccr, qef=None):
     return columns
 
 
-def _refine(scn, model, error, level0=None):
+def _refine(scn, model, error, level0):
     """Convergence rows from the task's error on grids of halved steps.
 
-    error(grid, ccr) is one level's error; level0, when given, is the
-    base-grid error the task already holds.  Below three levels there is
-    no table and the result is ().
+    error(grid, ccr) is one level's error on a refined grid; level0() is
+    the base-grid error, formed from the flow, driver or columns the task
+    already holds.  Below three levels there is no table, nothing is
+    evaluated and the result is ().
     """
     if scn.levels < 3:
         return ()
     errors = []
     for k in range(scn.levels):
         grid = make_grid(scn.horizon, scn.steps * 2**k)
-        if k == 0 and level0 is not None:
-            err = level0
+        if k == 0:
+            err = level0()
         else:
             err = error(grid, build_ccr_kernel(model, grid))
         errors.append((grid.steps, grid.step, err))
@@ -352,7 +355,8 @@ def _run_forward(scn, model, out_dir):
     grid = make_grid(scn.horizon, scn.steps)
     ccr = build_ccr_kernel(model, grid)
     pi = scn.pi if scn.pi is not None else np.zeros((model.dim, model.dim))
-    s_path = forward_csk_evolution(corner_atom_path(grid, pi), ccr)
+    f_path = corner_atom_path(grid, pi)
+    s_path = forward_csk_evolution(f_path, ccr)
     qef = qef_from_csk_path(s_path, ccr)
     write_measure_csv(Path(out_dir) / "n_terminal.csv", qef.measures[-1])
     columns = _flow_columns(s_path, ccr, qef)
@@ -362,7 +366,10 @@ def _run_forward(scn, model, out_dir):
         ("reconstruction", max(columns["reconstruction"]), RECONSTRUCTION_GATE),
     )
     convergence = _refine(
-        scn, model, lambda g, c: t_route_residual(corner_atom_path(g, pi), c)
+        scn,
+        model,
+        lambda g, c: t_route_residual(corner_atom_path(g, pi), c),
+        lambda: _t_route_gap(f_path, ccr, s_path),
     )
     notes = ()
     if convergence:
@@ -380,7 +387,9 @@ def _measure_closure(pi):
 def _run_inverse(scn, model, out_dir):
     grid = make_grid(scn.horizon, scn.steps)
     ccr = build_ccr_kernel(model, grid)
-    result = inverse_toe_measure(diagonal_lebesgue_path(grid, scn.pi), ccr)
+    n_path = diagonal_lebesgue_path(grid, scn.pi)
+    solver = KernelSolver(ccr)
+    result = inverse_toe_measure(n_path, ccr, solver=solver)
     write_measure_csv(Path(out_dir) / "f_terminal.csv", result.f_path.entries[-1])
     columns = {
         "reality": [
@@ -393,7 +402,12 @@ def _run_inverse(scn, model, out_dir):
         ("reconstruction", max(columns["reconstruction"]), RECONSTRUCTION_GATE),
         ("quadrature", max(result.quad_errors), QUADRATURE_GATE),
     )
-    convergence = _refine(scn, model, _measure_closure(scn.pi))
+    convergence = _refine(
+        scn,
+        model,
+        _measure_closure(scn.pi),
+        lambda: max(_forward_gaps(result.f_path, n_path, ccr, solver)),
+    )
     notes = ()
     if convergence:
         notes = ("convergence error: measure-side closure through the forward map",)
@@ -427,7 +441,7 @@ def _run_roundtrip(scn, model, out_dir):
         "convergence error: measure-side roundtrip in the kernel-weighted norm",
     )
     convergence = _refine(
-        scn, model, _measure_closure(scn.pi), level0=max(columns["roundtrip"])
+        scn, model, _measure_closure(scn.pi), lambda: max(columns["roundtrip"])
     )
     if convergence:
         orders = [row[4] for row in convergence[1:]]
@@ -478,7 +492,7 @@ def _run_spde(scn, model, out_dir):
                 _dense_csk_evolution(corner_atom_path(g, scn.pi), c),
             )
         ),
-        level0=max(columns["reconstruction"]),
+        lambda: max(columns["reconstruction"]),
     )
     if convergence:
         notes += ("convergence error: route agreement gap (rounding-limited)",)

@@ -354,6 +354,18 @@ def bracket(q1, q2, ccr):
     return KernelMeasure(ccr.grid, w, max(q1.support_index, q2.support_index))
 
 
+def _live_width(mat):
+    """k with mat[:, k:] exactly zero: one past the last nonzero column.
+
+    Measures at node u are supported in [0, t_u]^2, so every matrix the
+    bridge forms from them (Hamiltonians, offsets, solutions) vanishes
+    exactly beyond column (u + 1) n; routines find that block in their
+    input this way and work on it, k = size being the general case.
+    """
+    nonzero = np.flatnonzero(mat.any(axis=0))
+    return int(nonzero[-1]) + 1 if nonzero.size else 0
+
+
 def kernel_weighted_norm(ccr, weights):
     """Frobenius norm of Lambda W Lambda^T: the measure tested two-sided
     against the smooth commutator kernel.
@@ -361,8 +373,12 @@ def kernel_weighted_norm(ccr, weights):
     Node masses of singular measures depend on grid alignment at O(1),
     so raw weight norms overstate differences between equal measures;
     smoothing both slots against Lambda compares them as distributions.
+    Only the leading k x k block of W beyond which it vanishes enters,
+    as Lambda[:, :k] W[:k, :k] Lambda[:, :k]^T.
     """
-    return float(np.linalg.norm(ccr.big @ weights @ ccr.big.T))
+    k = max(_live_width(weights), _live_width(weights.T))
+    lam = ccr.big[:, :k]
+    return float(np.linalg.norm(lam @ weights[:k, :k] @ lam.T))
 
 
 def is_nonanticipative(q, u):

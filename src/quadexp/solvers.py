@@ -21,6 +21,10 @@ Measures in a path are supported in [0, t_u]^2 at node u; solvers
 restrict their kernel solves to that support and report the truncated
 mass.  Derivative entries, where a path carries them, follow the same
 convention (the diagonal family has the exact corner-atom derivative).
+Through Q -> 4i Lambda Q the support makes S_u the identity beyond its
+first k = (u + 1) n columns, and T_u - I, 4i Lambda N_u and the inverse
+direction's superoperator images zero there, so extraction and the
+inverse direction work on those k columns only.
 
 The integrator detects the structure of each step: the generator is
 nonzero only in the live columns of the midpoint driver, and while
@@ -49,6 +53,7 @@ from .lie import (
 )
 from .measures import (
     KernelMeasure,
+    _live_width,
     atomic_corner_measure,
     build_ccr_kernel,
     diagonal_lebesgue_measure,
@@ -375,8 +380,19 @@ class QefForwardResult:
 
 
 def _normal_offset(s_u):
-    """T - I = 2i conj(S)^{-1} Im S for T = conj(S)^{-1} S, without cancellation."""
-    return np.linalg.solve(np.conj(s_u), 2j * s_u.imag)
+    """T - I = 2i conj(S)^{-1} Im S for T = conj(S)^{-1} S, without cancellation.
+
+    S is the identity beyond its first k columns (found in S), S = [[A, 0],
+    [B, I]], so T - I = [[X_11, 0], [X_21, 0]] with X_11 = 2i conj(A)^{-1}
+    Im A and X_21 = 2i Im B - conj(B) X_11.
+    """
+    size = s_u.shape[0]
+    k = _live_width(s_u - np.eye(size))
+    a, b = s_u[:k, :k], s_u[k:, :k]
+    offset = np.zeros((size, size), dtype=complex)
+    offset[:k, :k] = np.linalg.solve(np.conj(a), 2j * a.imag)
+    offset[k:, :k] = 2j * b.imag - np.conj(b) @ offset[:k, :k]
+    return offset
 
 
 def qef_from_csk_path(s_path, ccr, nodes=None, solver=None):
@@ -388,6 +404,13 @@ def qef_from_csk_path(s_path, ccr, nodes=None, solver=None):
     :func:`csk_log_near_identity` recovers 4i Lambda N_u from it, and the
     kernel solve restricted to [0, t_u]^2 yields N_u.  nodes=None
     extracts at every node; a sparse selection saves the logarithms.
+
+    Each stage works on the live block of its input: S_u is checked to
+    be exactly the identity beyond some k columns (k = (u + 1) n for the
+    flows of nonanticipative drivers, k = size otherwise), the offset,
+    the logarithm and the solve then take O(size^2 k) work in place of
+    O(size^3), and every gate (congruence, reconstruction, anchor, solve
+    residual) still runs on its full-size quantity.
 
     The logarithm anchor is carried from the previously extracted node,
     keeping the branch continuous along the path.
@@ -431,6 +454,22 @@ def forward_qef_measure(f_path, ccr, nodes=None, solver=None):
     return qef_from_csk_path(s_path, ccr, nodes=nodes, solver=solver)
 
 
+def _t_steps(f_path, ccr, s_path):
+    """T_0, T_1, ... of :func:`forward_t_evolution`, one node at a time."""
+    big = ccr.big
+    h = f_path.grid.step
+    t_u = np.eye(big.shape[0], dtype=complex)
+    yield t_u
+    for u in range(f_path.grid.node_count - 1):
+        w_re_mid = 0.5 * (
+            f_path.entries[u].weights.real + f_path.entries[u + 1].weights.real
+        )
+        s_mid = 0.5 * (s_path.mats[u] + s_path.mats[u + 1])
+        rhs = (4j * h) * (big @ w_re_mid) @ s_mid
+        t_u = t_u + np.linalg.solve(np.conj(s_mid), rhs)
+        yield t_u
+
+
 def forward_t_evolution(f_path, ccr, s_path=None):
     """Integrate the normal-ordered kernel directly: conj(S) T' = 4i L (Re F) S.
 
@@ -440,22 +479,12 @@ def forward_t_evolution(f_path, ccr, s_path=None):
     independent cross-check of the factorization in
     :func:`forward_qef_measure`.  Returns the stack of T matrices.
     """
-    grid = f_path.grid
     if s_path is None:
         s_path = forward_csk_evolution(f_path, ccr)
-    big = ccr.big
-    h = grid.step
-    size = big.shape[0]
-    count = grid.node_count
-    t_mats = np.empty((count, size, size), dtype=complex)
-    t_mats[0] = np.eye(size)
-    for u in range(count - 1):
-        w_re_mid = 0.5 * (
-            f_path.entries[u].weights.real + f_path.entries[u + 1].weights.real
-        )
-        s_mid = 0.5 * (s_path.mats[u] + s_path.mats[u + 1])
-        rhs = (4j * h) * (big @ w_re_mid) @ s_mid
-        t_mats[u + 1] = t_mats[u] + np.linalg.solve(np.conj(s_mid), rhs)
+    size = ccr.big.shape[0]
+    t_mats = np.empty((f_path.grid.node_count, size, size), dtype=complex)
+    for u, t_u in enumerate(_t_steps(f_path, ccr, s_path)):
+        t_mats[u] = t_u
     return t_mats
 
 
@@ -604,7 +633,13 @@ def _flow_closure(f_path, ccr, qef, solver):
 def _roundtrip_n_gaps(n_path, ccr, solver):
     """Per-node relative gaps of forward(inverse(N)) against N."""
     inverse = inverse_toe_measure(n_path, ccr, solver=solver)
-    qef = forward_qef_measure(inverse.f_path, ccr, solver=solver)
+    return _forward_gaps(inverse.f_path, n_path, ccr, solver)
+
+
+def _forward_gaps(f_path, n_path, ccr, solver):
+    """:func:`_roundtrip_n_gaps` from the driver f_path already recovered
+    from n_path."""
+    qef = forward_qef_measure(f_path, ccr, solver=solver)
     return _relative_gaps(
         ccr,
         (m.weights for m in qef.measures),
@@ -625,11 +660,15 @@ def t_route_residual(f_path, ccr):
     :func:`qef_from_csk_path` takes, is formed on the flow itself and
     compared with :func:`forward_t_evolution`: no logarithm or solve runs.
     """
-    s_path = forward_csk_evolution(f_path, ccr)
-    direct = forward_t_evolution(f_path, ccr, s_path=s_path)
+    return _t_route_gap(f_path, ccr, forward_csk_evolution(f_path, ccr))
+
+
+def _t_route_gap(f_path, ccr, s_path):
+    """:func:`t_route_residual` on the driver's flow s_path; the
+    integrated T is compared node by node as its recursion runs."""
     eye = np.eye(ccr.big.shape[0])
     worst = 0.0
-    for s_u, t_direct in zip(s_path.mats, direct):
+    for s_u, t_direct in zip(s_path.mats, _t_steps(f_path, ccr, s_path)):
         t_u = eye + _normal_offset(s_u)
         gap = np.linalg.norm(t_u - t_direct)
         worst = max(worst, float(gap / (1.0 + np.linalg.norm(t_u))))

@@ -388,3 +388,27 @@ def test_roundtrip_task_integrates_and_extracts_its_flow_once(tmp_path, monkeypa
         "qef_from_csk_path": 3,
         "KernelSolver": 1,
     }
+
+
+def test_forward_and_inverse_tables_reuse_the_base_grid(tmp_path, monkeypatch):
+    # With three levels the base-grid error comes from the flow or the
+    # driver the task already holds: zero_forward integrates its N = 16
+    # flow once, and diagonal_inverse recovers its N = 24 driver once.
+    base = {"forward_csk_evolution": 16, "inverse_toe_measure": 24}
+    counts = dict.fromkeys(base, 0)
+    for name in base:
+        original = getattr(solvers, name)
+
+        def counted(path, *args, _name=name, _original=original, **kwargs):
+            if path.grid.steps == base[_name]:
+                counts[_name] += 1
+            return _original(path, *args, **kwargs)
+
+        monkeypatch.setattr(solvers, name, counted)
+        monkeypatch.setattr(cli, name, counted)
+    for name in ("zero_forward", "diagonal_inverse"):
+        out = tmp_path / name
+        code = run_scenario(bundled_scenario(f"{name}.scn"), output_dir=out, levels=3)
+        assert code == 0
+        assert len((out / "convergence.csv").read_text().splitlines()) == 5
+    assert counts == {"forward_csk_evolution": 1, "inverse_toe_measure": 1}

@@ -33,7 +33,8 @@ from quadexp import (
     ups_superop,
 )
 from quadexp.cli import bundled_scenario, parse_scenario
-from quadexp.lie import GREGORY_RADIUS
+from quadexp import lie
+from quadexp.lie import GREGORY_RADIUS, _ups_divided_difference
 
 
 # Reference series, kept local to the tests: 40 Taylor terms bound the
@@ -163,14 +164,113 @@ def test_superops_match_mpmath_on_the_diagonal_path():
     model = OqhoModel(scn.theta, scn.drift, scn.dispersion)
     ccr = build_ccr_kernel(model, make_grid(1.0, 8))
     path = diagonal_lebesgue_path(ccr.grid, scn.pi)
-    for entry, derivative in zip(path.entries, path.derivative_entries):
+    n = ccr.dim
+    for u, (entry, derivative) in enumerate(
+        zip(path.entries, path.derivative_entries)
+    ):
         x = 2j * ccr.big @ entry.weights
         y = ccr.big @ derivative.weights
         references = _mp_adjoint_series(mp, x, y)
         for op, reference in zip((ups_superop, sinhc_superop), references):
             value, bound = op(x, y)
+            # node u is computed on its first (u + 1) n columns; the
+            # border rows below them come from the divided differences
+            assert not value[:, (u + 1) * n :].any()
             assert np.linalg.norm(value - reference) <= bound
             assert bound <= 1e-14 * np.linalg.norm(reference)
+
+
+def test_superop_border_rows_match_mpmath(rng):
+    # inputs [[a, 0], [b, 0]] with a zero (as at node 0), generic with
+    # eigenvalue gaps beyond the unit disk, and a Jordan block, whose
+    # eigenbasis is singular, so the block exponential route runs
+    mp = pytest.importorskip("mpmath")
+    size, k = 10, 4
+    blocks = (
+        np.zeros((k, k)),
+        0.8 * (rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))),
+        0.25 * ((0.6 + 0.4j) * np.eye(k) + np.eye(k, k=1)),
+    )
+    for a in blocks:
+        x = np.zeros((size, size), dtype=complex)
+        x[:k, :k] = a
+        border = rng.normal(size=(size - k, k)) + 1j * rng.normal(size=(size - k, k))
+        x[k:, :k] = 0.3 * border
+        y = np.zeros((size, size), dtype=complex)
+        y[:, :k] = rng.normal(size=(size, k)) + 1j * rng.normal(size=(size, k))
+        references = _mp_adjoint_series(mp, x, y)
+        for op, reference in zip((ups_superop, sinhc_superop), references):
+            value, bound = op(x, y)
+            assert not value[:, k:].any()
+            assert np.linalg.norm(value - reference) <= bound
+            assert bound <= 1e-13 * np.linalg.norm(reference)
+
+
+def test_bridge_linear_algebra_stays_on_the_live_block(model2, pi2, monkeypatch):
+    # At node u the superoperators diagonalize a k_u x k_u block,
+    # k_u = (u + 1) n, and extraction takes no exponential wider than
+    # the 2 k_u of a block exponential.
+    from quadexp import corner_atom_path, forward_csk_evolution, qef_from_csk_path
+
+    seen = []
+
+    def spy(fn):
+        def wrapped(mat, *args, **kwargs):
+            seen.append(mat.shape[0])
+            return fn(mat, *args, **kwargs)
+
+        return wrapped
+
+    monkeypatch.setattr(np.linalg, "eig", spy(np.linalg.eig))
+    monkeypatch.setattr(lie, "expm", spy(lie.expm))
+    ccr = build_ccr_kernel(model2, make_grid(1.0, 16))
+    path = diagonal_lebesgue_path(ccr.grid, pi2)
+    s_path = forward_csk_evolution(corner_atom_path(ccr.grid, pi2), ccr)
+    for u in range(ccr.grid.node_count):
+        k = (u + 1) * ccr.dim
+        x = 2j * ccr.big @ path.entries[u].weights
+        y = ccr.big @ path.derivative_entries[u].weights
+        for op in (ups_superop, sinhc_superop):
+            seen.clear()
+            op(x, y)
+            assert seen == [k], (u, seen)
+        seen.clear()
+        qef_from_csk_path(s_path, ccr, nodes=[u])
+        assert all(m <= 2 * k for m in seen), (u, seen)
+
+
+def test_ups_series_matches_block_exponential(rng):
+    # the reconstruction check's Ups(H_11), up to the largest 1-norm the
+    # Gregory series admits, against the block exponential [[H, I], [0, 0]]
+    k = 6
+    for norm in (0.0, 0.05, 1.1):
+        h = rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
+        h *= norm / np.linalg.norm(h, 1)
+        block = np.zeros((2 * k, 2 * k), dtype=complex)
+        block[:k, :k] = h
+        block[:k, k:] = np.eye(k)
+        reference = expm(block)[:k, k:]
+        gap = np.linalg.norm(lie._ups_series(h) - reference)
+        assert gap <= 1e-15 * np.linalg.norm(reference)
+
+
+def test_ups_divided_difference_matches_mpmath():
+    # inside the unit disk, outside it, and coincident points (Ups')
+    mp = pytest.importorskip("mpmath")
+    points = (0.0, 1e-9, 0.3 + 0.2j, -0.8j, 0.99, 1.5 - 0.5j, -3.0 + 2.0j, 4j)
+    z1, z2 = (np.array(p) for p in zip(*[(a, b) for a in points for b in points]))
+    value = _ups_divided_difference(z1, z2)
+    with mp.workdps(40):
+        def ups(z):
+            return (mp.exp(z) - 1) / z if z != 0 else mp.mpf(1)
+
+        for got, a, b in zip(value, z1, z2):
+            p, q = mp.mpc(a), mp.mpc(b)
+            if p == q:
+                ref = (mp.exp(p) - ups(p)) / p if p != 0 else mp.mpf(1) / 2
+            else:
+                ref = (ups(p) - ups(q)) / (p - q)
+            assert abs(got - complex(ref)) <= 1e-15 * abs(complex(ref)), (a, b)
 
 
 def test_superop_commuting_case_is_identity(rng):
@@ -324,6 +424,19 @@ def test_kernel_solver_roundtrip(ccr8, rng):
     assert report.relative <= 1e-12
     assert report.truncated_mass <= 1e-12
     assert np.isfinite(report.condition)
+
+
+def test_kernel_solver_residual_counts_border_rows(ccr8, rng):
+    # the solve runs on the live columns of ham; rows below the support
+    # block still enter the residual, which matches the full product
+    solver = KernelSolver(ccr8)
+    q = random_measure(rng, ccr8.grid, ccr8.dim, support=3)
+    ham = ccr8.big @ q.weights
+    ham[10:, :8] += 1e-9 * rng.normal(size=(ham.shape[0] - 10, 8))
+    measure, report = solver.solve_measure(ham, support_index=3)
+    full = np.linalg.norm(ccr8.big @ measure.weights - ham)
+    assert report.residual == pytest.approx(full, rel=1e-12)
+    assert report.residual >= 1e-10
 
 
 def test_kernel_solver_absolute_floor(ccr8):

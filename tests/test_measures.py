@@ -164,6 +164,16 @@ def test_kernel_weighted_norm_properties(ccr16, pi2):
     assert kernel_weighted_norm(ccr16, 3.0 * q.weights) == pytest.approx(3.0 * base)
 
 
+def test_kernel_weighted_norm_reads_the_live_block(ccr16):
+    # the norm is formed on the block the measure is supported in; the
+    # full product Lambda W Lambda^T is the reference
+    rng = np.random.default_rng(5)
+    for support in (0, 6, ccr16.grid.steps):
+        w = random_measure(rng, ccr16.grid, 2, support=support).weights
+        full = np.linalg.norm(ccr16.big @ w @ ccr16.big.T)
+        assert kernel_weighted_norm(ccr16, w) == pytest.approx(full, rel=1e-13)
+
+
 def test_csv_roundtrip(tmp_path, grid16):
     rng = np.random.default_rng(23)
     q = random_measure(rng, grid16, 2, support=6)

@@ -437,6 +437,73 @@ def test_integrators_and_extraction_peak_memory_stay_near_one_stack(model2, pi2)
     # all-node extraction keeps the measures and per-node temporaries only
     s_path = forward_csk_evolution(f_path, ccr)
     assert peak(qef_from_csk_path, s_path, ccr) <= 1.5 * stack_bytes
+    # the T-route check holds the flow and compares T node by node
+    assert peak(t_route_residual, f_path, ccr) <= 1.5 * stack_bytes
+
+
+def _n16_flows(model2, pi2):
+    """The corner-atom flow, the flow of the driver recovered from the
+    diagonal path, the regenerated flow of the corner-atom roundtrip and
+    the dense reference flow, at N = 16."""
+    grid = make_grid(1.0, 16)
+    ccr = build_ccr_kernel(model2, grid)
+    f_path = corner_atom_path(grid, pi2)
+    corner = forward_csk_evolution(f_path, ccr)
+    recovered = inverse_toe_measure(diagonal_lebesgue_path(grid, pi2), ccr).f_path
+    qef = qef_from_csk_path(corner, ccr)
+    staggered = staggered_inverse_measures(qef.measures, ccr)
+    flows = {
+        "corner-atom": corner,
+        "recovered driver": forward_csk_evolution(recovered, ccr),
+        "regenerated": csk_path_from_midpoints([m.weights for m in staggered], ccr),
+        "dense": _dense_csk_evolution(f_path, ccr),
+    }
+    return ccr, flows
+
+
+def test_flows_are_the_identity_beyond_the_live_block(model2, pi2):
+    # S_u = [[A, 0], [B, I]] with A of size (u + 1) n: exactly, not to rounding
+    ccr, flows = _n16_flows(model2, pi2)
+    eye = np.eye(ccr.big.shape[0])
+    for name, s_path in flows.items():
+        for u, s_u in enumerate(s_path.mats):
+            k = (u + 1) * ccr.dim
+            assert np.array_equal(s_u[:, k:], eye[:, k:]), (name, u)
+
+
+def _full_size_measure(s_u, ccr, u):
+    """Extraction written out on full size x size matrices: the offset
+    solve, the Gregory series of 2 atanh(Z) and the kernel solve, then
+    symmetrization and projection onto [0, t_u]^2."""
+    eye = np.eye(s_u.shape[0])
+    offset = np.linalg.solve(np.conj(s_u), 2j * s_u.imag)
+    z = np.linalg.solve(2.0 * eye + offset, offset)
+    z2 = z @ z
+    term, acc, degree = z, z.copy(), 1
+    while np.linalg.norm(term) > 1e-20 * (1.0 + np.linalg.norm(acc)):
+        term = term @ z2
+        degree += 2
+        acc = acc + term / degree
+    raw = np.linalg.solve(ccr.big, 2.0 * acc / 4j)
+    weights = 0.5 * (raw + raw.T)
+    edge = (u + 1) * ccr.dim
+    weights[:, edge:] = 0.0
+    weights[edge:, :] = 0.0
+    return weights
+
+
+def test_block_extraction_matches_full_size_formulas(model2, pi2):
+    # each flow, the dense reference included, is extracted at every
+    # node on its live block and agrees with the full-size computation
+    ccr, flows = _n16_flows(model2, pi2)
+    extracted = {name: qef_from_csk_path(s_path, ccr) for name, s_path in flows.items()}
+    for name, s_path in flows.items():
+        for u, measure in enumerate(extracted[name].measures):
+            reference = _full_size_measure(s_path.mats[u], ccr, u)
+            assert np.abs(measure.weights - reference).max() <= 1e-14, (name, u)
+    pairs = zip(extracted["corner-atom"].measures, extracted["dense"].measures)
+    for got, want in pairs:
+        assert np.abs(got.weights - want.weights).max() <= 1e-14
 
 
 def test_g_path_zero_driver(ccr16):
