@@ -16,14 +16,17 @@ from quadexp import (
     bch_product,
     build_ccr_kernel,
     chk_exp,
+    corner_atom_path,
     csk_log,
     csk_log_near_identity,
     diagonal_lebesgue_path,
+    forward_csk_evolution,
     lambda_product,
     magnus_derivative_check,
     make_grid,
     mho_scalar,
     mho_superop,
+    qef_from_csk_path,
     random_measure,
     random_model,
     sinhc_scalar,
@@ -34,7 +37,7 @@ from quadexp import (
 )
 from quadexp.cli import bundled_scenario, parse_scenario
 from quadexp import lie
-from quadexp.lie import GREGORY_RADIUS, _ups_divided_difference
+from quadexp.lie import GREGORY_RADIUS
 
 
 # Reference series, kept local to the tests: 40 Taylor terms bound the
@@ -210,8 +213,6 @@ def test_bridge_linear_algebra_stays_on_the_live_block(model2, pi2, monkeypatch)
     # At node u the superoperators diagonalize a k_u x k_u block,
     # k_u = (u + 1) n, and extraction takes no exponential wider than
     # the 2 k_u of a block exponential.
-    from quadexp import corner_atom_path, forward_csk_evolution, qef_from_csk_path
-
     seen = []
 
     def spy(fn):
@@ -259,7 +260,7 @@ def test_ups_divided_difference_matches_mpmath():
     mp = pytest.importorskip("mpmath")
     points = (0.0, 1e-9, 0.3 + 0.2j, -0.8j, 0.99, 1.5 - 0.5j, -3.0 + 2.0j, 4j)
     z1, z2 = (np.array(p) for p in zip(*[(a, b) for a in points for b in points]))
-    value = _ups_divided_difference(z1, z2)
+    value = lie._ups_divided_difference(z1, z2)
     with mp.workdps(40):
         def ups(z):
             return (mp.exp(z) - 1) / z if z != 0 else mp.mpf(1)
