@@ -44,7 +44,7 @@ import numpy as np
 from scipy.linalg import expm, logm, lu_factor, lu_solve
 
 from .errors import NumericalFailure
-from .measures import ChkMatrix, KernelMeasure, _live_width, project_support
+from .measures import ChkMatrix, KernelMeasure, _live_width, _support_scan, _zero_beyond
 
 __all__ = [
     "CskMatrix",
@@ -507,9 +507,10 @@ def _ups_series(h):
 
     With r = ||h||_1 the tail after degree d is at most
     r^(d+1) / (d+2)! / (1 - r/(d+3)); terms stop once r^(d+1) / (d+2)!
-    falls below eps/4.  The Gregory series keeps ||H||_1 below
+    falls below eps/4.  Its two callers bound the radius: the Gregory
+    series of :func:`csk_log_near_identity` keeps ||H||_1 below
     2 atanh(GREGORY_RADIUS) < 1.1, where at most 18 terms are needed and
-    none cancels.
+    none cancels, and the integrator's step gate keeps ||M_CC||_1 <= 1.
     """
     eps = np.finfo(float).eps
     radius = float(np.linalg.norm(h, 1)) if h.size else 0.0
@@ -518,10 +519,11 @@ def _ups_series(h):
     while tail > 0.25 * eps:
         coeffs.append(coeffs[-1] / (len(coeffs) + 1))
         tail *= radius / (len(coeffs) + 1)
-    acc = coeffs[-1] * np.eye(h.shape[0], dtype=complex)
+    k = h.shape[0]
+    acc = coeffs[-1] * np.eye(k, dtype=complex)
     for coeff in reversed(coeffs[:-1]):
         acc = h @ acc
-        acc[np.diag_indices_from(acc)] += coeff
+        acc.flat[:: k + 1] += coeff
     return acc
 
 
@@ -696,15 +698,19 @@ class KernelSolver:
         relative residual exceeds SOLVE_RELATIVE_TOL.
         """
         ham = np.asarray(ham)
+        n = self.ccr.dim
         k = _live_width(ham)
         raw = np.zeros(ham.shape, dtype=complex)
         raw[:, :k] = self.solve_raw(ham[:, :k])
         asymmetry = float(np.linalg.norm(raw - raw.T))
-        measure = KernelMeasure(self.ccr.grid, raw)
+        w = 0.5 * (raw + raw.T)
+        live = -(-k // n) * n  # whole nodes covering the k live columns
+        support = _support_scan(w[:live, :live], n)
         truncated = 0.0
         if support_index is not None:
-            measure, truncated = project_support(measure, support_index)
-        w = measure.weights
+            support = min(support_index, support)
+            truncated = _zero_beyond(w, n * (support_index + 1))
+        measure = KernelMeasure(self.ccr.grid, w, support)
         c = _live_width(w)
         residual = float(np.hypot(
             np.linalg.norm(self.ccr.big[:, :c] @ w[:c, :c] - ham[:, :c]),

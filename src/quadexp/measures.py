@@ -396,17 +396,20 @@ def is_nonanticipative(q, u):
     return worst <= SUPPORT_TOL
 
 
+def _zero_beyond(w, edge):
+    """Zero rows and columns of w from edge on, in place; returns the norm removed."""
+    if edge >= w.shape[0]:
+        return 0.0
+    tail = np.linalg.norm(w[:, edge:]) ** 2 + np.linalg.norm(w[edge:, :edge]) ** 2
+    w[:, edge:] = 0.0
+    w[edge:, :] = 0.0
+    return float(np.sqrt(tail))
+
+
 def project_support(q, u):
     """Zero all blocks outside [0..u]^2; returns (measure, truncated mass)."""
-    n = q.dim
-    edge = n * (u + 1)
     w = q.weights.copy()
-    truncated = 0.0
-    if edge < w.shape[0]:
-        tail = np.linalg.norm(w[:, edge:]) ** 2 + np.linalg.norm(w[edge:, :edge]) ** 2
-        truncated = float(np.sqrt(tail))
-        w[:, edge:] = 0.0
-        w[edge:, :] = 0.0
+    truncated = _zero_beyond(w, q.dim * (u + 1))
     return KernelMeasure(q.grid, w, min(u, q.support_index)), truncated
 
 

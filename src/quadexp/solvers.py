@@ -27,11 +27,10 @@ direction's superoperator images zero there, so extraction and the
 inverse direction work on those k columns only.
 
 The integrator detects the structure of each step: the generator is
-nonzero only in the live columns of the midpoint driver, and while
-those are at most half the kernel size the exponential acts as a
-low-rank update on them (rank 2n for the atomic driver
-F_t = delta_{(t,t)} Pi, which :func:`spde_fast_path` integrates), with
-the dense exponential kept for the wider steps.
+nonzero only in the live columns of the midpoint driver, and the
+exponential acts as a low-rank update on them at every step (rank 2n
+for the atomic driver F_t = delta_{(t,t)} Pi, which
+:func:`spde_fast_path` integrates), never as a dense exponential.
 """
 
 from __future__ import annotations
@@ -45,6 +44,7 @@ from .errors import NumericalFailure
 from .lie import (
     CskMatrix,
     KernelSolver,
+    _ups_series,
     csk_log_near_identity,
     mho_superop,
     sinhc_superop,
@@ -250,15 +250,6 @@ class _AtomicMidpoints:
         return weights
 
 
-def _ups_matrix(m):
-    """Ups(m) = integral_0^1 e^{s m} ds via the block exponential."""
-    k = m.shape[0]
-    block = np.zeros((2 * k, 2 * k), dtype=complex)
-    block[:k, :k] = m
-    block[:k, k:] = np.eye(k)
-    return expm(block)[:k, k:]
-
-
 def _check_step_norm(exponent):
     step_norm = np.linalg.norm(exponent, 1)
     if step_norm > STEP_NORM_BOUND:
@@ -266,43 +257,6 @@ def _check_step_norm(exponent):
             f"step exponent 1-norm {step_norm:.3e} exceeds "
             f"{STEP_NORM_BOUND}; refine the grid"
         )
-
-
-def _midpoint_stack(mid_weights, ccr, dense):
-    """Stack S_0 .. S_N of the midpoint rule; dense takes expm at every step."""
-    grid = ccr.grid
-    big = ccr.big
-    h = grid.step
-    size = big.shape[0]
-    count = grid.node_count
-    if len(mid_weights) != count - 1:
-        raise ValueError("need one midpoint weight matrix per step")
-    mats = np.empty((count, size, size), dtype=complex)
-    mats[0] = np.eye(size)
-    for u in range(count - 1):
-        weights = mid_weights[u]
-        if weights.shape != (size, size):
-            raise ValueError(f"midpoint weights {u} do not match the kernel")
-        cols = None if dense else np.flatnonzero(weights.any(axis=0))
-        if cols is None or 2 * cols.size > size:
-            exponent = 2j * h * (big @ weights)
-            _check_step_norm(exponent)
-            mats[u + 1] = expm(exponent) @ mats[u]
-        elif cols.size == 0:
-            mats[u + 1] = mats[u]
-        else:
-            block = weights[:, cols]
-            rows = np.flatnonzero(block.any(axis=1))
-            block = block[rows]
-            m_cols = (2j * h) * (big[:, rows] @ block)
-            _check_step_norm(m_cols)
-            # form the update in the slot and add S_u there: no size^2 temporaries
-            np.matmul(
-                m_cols, _ups_matrix(m_cols[cols]) @ mats[u][cols], out=mats[u + 1]
-            )
-            mats[u + 1] += mats[u]
-    mats.setflags(write=False)
-    return CskPath(grid, ccr, mats)
 
 
 def csk_path_from_midpoints(mid_weights, ccr):
@@ -317,19 +271,45 @@ def csk_path_from_midpoints(mid_weights, ccr):
 
     M is nonzero only in the live column set C of W, the columns
     holding any nonzero entry.  With M_C the columns C of M and M_CC its
-    rows C, the identity exp(M) = I + M_C Ups(M_CC) P_C^T gives
+    rows C, exp(M) = I + M_C Ups(M_CC) P_C^T holds for any C, so every
+    step is
 
-        S_{u+1} = S_u + M_C Ups(M_CC) S_u[C, :],
+        S_{u+1} = S_u + M_C Ups(M_CC) S_u[C, :k],
 
-    which costs O(size^2 |C| + |C|^3) against O(size^3) for the dense
-    exponential.  The step takes it when 2 |C| <= size, copies S_u when
-    C is empty, and otherwise forms expm(M) @ S_u.  M_C is formed from
-    the nonzero rows of W[:, C] only.  The atomic driver of
-    :func:`spde_fast_path` has |C| = 2n at every step; drivers recovered
-    by :func:`inverse_toe_measure` are supported in [0, t_{u+1}]^2 and
-    switch to the dense step halfway along the path.
+    Ups by :func:`lie._ups_series` (the gate keeps ||M_CC||_1 <= 1), and
+    an empty C copies S_u.  k, the largest C[-1] + 1 so far, is the live
+    width: S_u - I vanishes beyond column k, as no update reaches past
+    it.  A step costs O(size |C| k + |C|^3), with M_C formed from the
+    nonzero rows of W[:, C] only: |C| = 2n for the atomic driver of
+    :func:`spde_fast_path`, and |C| = k for drivers recovered by
+    :func:`inverse_toe_measure`, supported in [0, t_{u+1}]^2.
     """
-    return _midpoint_stack(mid_weights, ccr, dense=False)
+    grid = ccr.grid
+    big = ccr.big
+    h = grid.step
+    size = big.shape[0]
+    count = grid.node_count
+    if len(mid_weights) != count - 1:
+        raise ValueError("need one midpoint weight matrix per step")
+    mats = np.empty((count, size, size), dtype=complex)
+    mats[0] = np.eye(size)
+    k = 0
+    for u in range(count - 1):
+        weights = mid_weights[u]
+        if weights.shape != (size, size):
+            raise ValueError(f"midpoint weights {u} do not match the kernel")
+        mats[u + 1] = mats[u]
+        cols = np.flatnonzero(weights.any(axis=0))
+        if cols.size == 0:
+            continue
+        block = weights[:, cols]
+        rows = np.flatnonzero(block.any(axis=1))
+        m_cols = (2j * h) * (big[:, rows] @ block[rows])
+        _check_step_norm(m_cols)
+        k = max(k, int(cols[-1]) + 1)
+        mats[u + 1, :, :k] += m_cols @ (_ups_series(m_cols[cols]) @ mats[u, cols, :k])
+    mats.setflags(write=False)
+    return CskPath(grid, ccr, mats)
 
 
 def forward_csk_evolution(f_path, ccr):
@@ -348,7 +328,12 @@ def _dense_csk_evolution(f_path, ccr):
     """Reference for :func:`forward_csk_evolution`: expm(M) @ S_u at every step."""
     if f_path.grid != ccr.grid:
         raise ValueError("path and kernel grids differ")
-    return _midpoint_stack(_MidpointWeights(f_path), ccr, dense=True)
+    mats = [np.eye(ccr.big.shape[0], dtype=complex)]
+    for weights in _MidpointWeights(f_path):
+        exponent = 2j * ccr.grid.step * (ccr.big @ weights)
+        _check_step_norm(exponent)
+        mats.append(expm(exponent) @ mats[-1])
+    return CskPath(ccr.grid, ccr, np.array(mats))
 
 
 @dataclass(frozen=True)
@@ -488,6 +473,14 @@ def forward_t_evolution(f_path, ccr, s_path=None):
     return t_mats
 
 
+def _kernel_product(ccr, weights):
+    """Lambda W for symmetric W, as Lambda[:, :k] W[:k, :k] on its live block."""
+    k = _live_width(weights)
+    ham = np.zeros(weights.shape, dtype=complex)
+    ham[:, :k] = ccr.big[:, :k] @ weights[:k, :k]
+    return ham
+
+
 @dataclass(frozen=True)
 class InverseResult:
     """Driver path recovered from a measure path, with diagnostics;
@@ -513,13 +506,12 @@ def inverse_toe_measure(n_path, ccr, solver=None):
         raise ValueError("path and kernel grids differ")
     if solver is None:
         solver = KernelSolver(ccr)
-    big = ccr.big
     entries = []
     quad_errors = []
     reports = []
     for u in range(grid.node_count):
-        h_n = big @ n_path.entries[u].weights
-        h_dn = big @ n_path.derivative_entries[u].weights
+        h_n = _kernel_product(ccr, n_path.entries[u].weights)
+        h_dn = _kernel_product(ccr, n_path.derivative_entries[u].weights)
         lam_f, err = ups_superop(2j * h_n, h_dn)
         measure, report = solver.solve_measure(lam_f, support_index=u)
         entries.append(measure)
@@ -548,14 +540,13 @@ def staggered_inverse_measures(measures, ccr, solver=None):
     if solver is None:
         solver = KernelSolver(ccr)
     grid = ccr.grid
-    big = ccr.big
     h = grid.step
     out = []
     for u in range(grid.node_count - 1):
         w_lo = measures[u].weights
         w_hi = measures[u + 1].weights
-        h_n = big @ (0.5 * (w_lo + w_hi))
-        h_dn = big @ ((w_hi - w_lo) / h)
+        h_n = _kernel_product(ccr, 0.5 * (w_lo + w_hi))
+        h_dn = _kernel_product(ccr, (w_hi - w_lo) / h)
         lam_f, _ = ups_superop(2j * h_n, h_dn)
         measure, _ = solver.solve_measure(lam_f, support_index=u + 1)
         out.append(measure)
@@ -704,9 +695,8 @@ def qef_psi_measure(n_entry, ndot_entry, ccr, solver=None):
     """
     if solver is None:
         solver = KernelSolver(ccr)
-    big = ccr.big
-    h_n = big @ n_entry.weights
-    h_dn = big @ ndot_entry.weights
+    h_n = _kernel_product(ccr, n_entry.weights)
+    h_dn = _kernel_product(ccr, ndot_entry.weights)
     lam_m, quad_error = sinhc_superop(2j * h_n, h_dn)
     corner = max(n_entry.support_index, ndot_entry.support_index)
     measure, report = solver.solve_measure(lam_m, support_index=corner)
@@ -743,11 +733,10 @@ def spde_fast_path(model, pi, grid):
 
     Checks that Pi is symmetric, builds the kernel, and integrates the
     atomic midpoint weights with :func:`csk_path_from_midpoints`.  Each
-    weight has 2n live columns, so every step is the rank-2n column
-    step, O(size^2 n) = O(N^2 n^3) in place of the O(N^3 n^3) dense
-    exponential.  The weights are formed one step at a time, so the
-    result equals forward_csk_evolution(corner_atom_path(grid, pi), ccr)
-    bit for bit without building the N + 1 dense driver entries.
+    weight has 2n live columns, so every step is a rank-2n update costing
+    O(size k n) <= O(N^2 n^3).  The weights are formed one step at a
+    time, so the result equals forward_csk_evolution(corner_atom_path(
+    grid, pi), ccr) bit for bit without building the N + 1 driver entries.
     """
     pi = np.asarray(pi, dtype=float)
     if pi.shape != (model.dim, model.dim):

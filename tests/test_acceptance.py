@@ -276,7 +276,7 @@ def test_criterion_09_spde_fast_path_agrees_and_wins():
     ccr = build_ccr_kernel(model, grid)
 
     # the rank-structured path is timed against the dense exponential
-    # step; the general integrator takes the column step here as well
+    # reference; the general integrator takes the same live-column step
     start = time.perf_counter()
     dense = _dense_csk_evolution(corner_atom_path(grid, PI), ccr)
     dense_time = time.perf_counter() - start

@@ -105,8 +105,8 @@ def test_forward_flow_is_symplectic_at_n256(model2, pi2):
 
 
 def test_step_norm_gate_reports_refinement(ccr16, rng):
-    # the atomic driver takes the column step, a full-support one the
-    # dense step; the gate trips on both
+    # the gate trips on the atomic driver (|C| = 2n), on a full-support
+    # driver (|C| = size) and on the dense reference
     huge = corner_atom_path(ccr16.grid, 1e4 * np.eye(2))
     with pytest.raises(NumericalFailure, match="refine"):
         forward_csk_evolution(huge, ccr16)
@@ -340,53 +340,85 @@ def test_spde_fast_path_matches_general(model2, pi2):
         spde_fast_path(model2, np.eye(3), grid)
 
 
-def _count_steps(monkeypatch):
-    """Patch the solver exponentials; returns [column steps, dense steps]."""
-    counts = [0, 0]
-    ups, dense = solvers._ups_matrix, solvers.expm
-
-    def counted_ups(m):
-        counts[0] += 1
-        return ups(m)
-
-    def counted_expm(m):
-        counts[1] += 1
-        return dense(m)
-
-    monkeypatch.setattr(solvers, "_ups_matrix", counted_ups)
-    monkeypatch.setattr(solvers, "expm", counted_expm)
-    return counts
-
-
-def test_recovered_driver_takes_both_steps(model2, pi2, monkeypatch):
+def test_recovered_driver_matches_the_dense_reference(model2, pi2):
     # drivers recovered by the inverse map fill [0, t_{u+1}]^2, so the
-    # live columns pass half the kernel size midway through the path
+    # live columns grow to the full kernel size along the path
     grid = make_grid(1.0, 16)
     ccr = build_ccr_kernel(model2, grid)
     f_path = inverse_toe_measure(diagonal_lebesgue_path(grid, pi2), ccr).f_path
-    reference = _dense_csk_evolution(f_path, ccr)
-    counts = _count_steps(monkeypatch)
     s_path = forward_csk_evolution(f_path, ccr)
-    column_steps = counts[0]
-    dense_steps = counts[1] - column_steps  # Ups goes through expm as well
-    assert column_steps > 0 and dense_steps > 0
-    assert column_steps + dense_steps == grid.steps
-    assert _max_node_gap(s_path, reference) <= 1e-12
+    assert _max_node_gap(s_path, _dense_csk_evolution(f_path, ccr)) <= 1e-12
     assert s_path.validate() <= 1e-10
 
 
-def test_full_support_driver_takes_the_dense_step(ccr16, rng, monkeypatch):
+def test_full_support_driver_matches_the_exponential_loop(ccr16, rng):
     grid = ccr16.grid
     mids = [
         random_measure(rng, grid, 2, scale=0.02).weights for _ in range(grid.steps)
     ]
-    counts = _count_steps(monkeypatch)
     s_path = csk_path_from_midpoints(mids, ccr16)
-    assert counts == [0, grid.steps]
     mats = [np.eye(ccr16.big.shape[0])]
     for w in mids:
         mats.append(expm(2j * grid.step * (ccr16.big @ w)) @ mats[-1])
-    assert np.array_equal(s_path.mats, np.array(mats))
+    # every column is live at every step; the gap (2.7e-15 measured) is
+    # mostly the Pade loop's own: against 40 digits it is 2.9e-15 off,
+    # the series step 4.4e-16
+    gap = np.abs(s_path.mats - np.array(mats)).max()
+    assert gap <= 1e-14, gap
+
+
+def test_integrator_takes_no_dense_exponential(model2, pi2, rng, monkeypatch):
+    grid = make_grid(1.0, 16)
+    ccr = build_ccr_kernel(model2, grid)
+    recovered = inverse_toe_measure(diagonal_lebesgue_path(grid, pi2), ccr).f_path
+    drivers = (
+        solvers._MidpointWeights(corner_atom_path(grid, pi2)),
+        solvers._MidpointWeights(recovered),
+        [random_measure(rng, grid, 2, scale=0.02).weights] * grid.steps,
+    )
+    calls = []
+    monkeypatch.setattr(solvers, "expm", lambda m: calls.append(m) or expm(m))
+    for mids in drivers:
+        csk_path_from_midpoints(mids, ccr)
+    assert calls == []
+
+
+def _mp_step_reference(mp, mid_weights, ccr):
+    """The midpoint flow with each step taken as mp.expm(M_u) S_u in 40
+    digits, from the float generator M_u = 2i h Lambda W_u the integrator
+    forms on the live columns C of W_u."""
+    size = ccr.big.shape[0]
+    with mp.workdps(40):
+        s_mp = mp.eye(size)
+        mats = [np.eye(size, dtype=complex)]
+        for w in mid_weights:
+            cols = np.flatnonzero(w.any(axis=0))
+            rows = np.flatnonzero(w[:, cols].any(axis=1))
+            m = np.zeros((size, size), dtype=complex)
+            m[:, cols] = (2j * ccr.grid.step) * (ccr.big[:, rows] @ w[rows][:, cols])
+            s_mp = mp.expm(mp.matrix(m.tolist())) * s_mp
+            rows_out = [[complex(s_mp[i, j]) for j in range(size)] for i in range(size)]
+            mats.append(np.array(rows_out))
+    return mats
+
+
+def test_live_column_steps_match_a_40_digit_exponential(model2, pi2):
+    # The N = 8 recovered-driver flow, in step order and reversed: the
+    # reversed order narrows C after a full-width step, so the update
+    # must reach the running live width k rather than C's own.
+    mp = pytest.importorskip("mpmath")
+    grid = make_grid(1.0, 8)
+    ccr = build_ccr_kernel(model2, grid)
+    recovered = inverse_toe_measure(diagonal_lebesgue_path(grid, pi2), ccr).f_path
+    mids = list(solvers._MidpointWeights(recovered))
+    for order in (mids, mids[::-1]):
+        s_path = csk_path_from_midpoints(order, ccr)
+        reference = _mp_step_reference(mp, order, ccr)
+        error = max(
+            float(np.linalg.norm(got - want) / np.linalg.norm(want))
+            for got, want in zip(s_path.mats, reference)
+        )
+        assert error <= 1e-15, error
 
 
 def test_integrators_hand_over_one_read_only_stack(model2, pi2):
