@@ -68,7 +68,7 @@ from .fock import (
     VariableSet,
     antisymmetric_remainder,
     build_single_time,
-    low_level_projector,
+    low_levels,
     make_mode,
     oracle_bracket_check,
     oracle_multitime_check,

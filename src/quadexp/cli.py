@@ -63,7 +63,6 @@ from .solvers import (
     laplace_recover_measure,
     qef_from_csk_path,
     roundtrip_n_residual,
-    spde_fast_path,
     t_route_residual,
 )
 
@@ -266,6 +265,8 @@ def _validate_scenario(scn, path):
     if scn.pi is not None:
         if scn.pi.shape[0] != scn.pi.shape[1]:
             raise ScenarioError(f"{path}: pi must be square")
+        if scn.theta is not None and scn.pi.shape != scn.theta.shape:
+            raise ScenarioError(f"{path}: pi and theta differ in size")
         if np.linalg.norm(scn.pi - scn.pi.T) > 1e-12 * (1 + np.linalg.norm(scn.pi)):
             raise ScenarioError(f"{path}: pi must be symmetric")
     if scn.cutoff < 8:
@@ -461,6 +462,12 @@ def _route_gaps(fast, dense):
     ]
 
 
+def _route_gap(f_path, ccr):
+    """Largest node gap between the two routes' flows of one driver."""
+    fast = forward_csk_evolution(f_path, ccr)
+    return max(_route_gaps(fast, _dense_csk_evolution(f_path, ccr)))
+
+
 def _run_spde(scn, model, out_dir):
     grid = make_grid(scn.horizon, scn.steps)
     ccr = build_ccr_kernel(model, grid)
@@ -469,7 +476,7 @@ def _run_spde(scn, model, out_dir):
     dense = _dense_csk_evolution(f_path, ccr)
     t_dense = time.perf_counter() - t0
     t0 = time.perf_counter()
-    fast = spde_fast_path(model, scn.pi, grid)
+    fast = forward_csk_evolution(f_path, ccr)
     t_fast = time.perf_counter() - t0
     qef = qef_from_csk_path(fast, ccr, nodes=[grid.node_count - 1])
     write_measure_csv(Path(out_dir) / "n_terminal.csv", qef.measures[-1])
@@ -486,12 +493,7 @@ def _run_spde(scn, model, out_dir):
     convergence = _refine(
         scn,
         model,
-        lambda g, c: max(
-            _route_gaps(
-                spde_fast_path(model, scn.pi, g),
-                _dense_csk_evolution(corner_atom_path(g, scn.pi), c),
-            )
-        ),
+        lambda g, c: _route_gap(corner_atom_path(g, scn.pi), c),
         lambda: max(columns["reconstruction"]),
     )
     if convergence:

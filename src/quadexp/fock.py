@@ -7,8 +7,9 @@ canonical pairs realizing a target commutator table, and the bracket
 identity for quadratic forms is checked by dense matrix commutators.
 
 Truncation breaks the CCRs only at the top of the ladder, so every
-comparison is projected onto low Fock levels, with a margin of two
-levels per quadratic-form application.
+comparison is made on the kept low Fock levels, with a margin of two
+levels per quadratic-form application.  The projection onto them is an
+index set: only the kept rows and columns of each commutator are formed.
 """
 
 from dataclasses import dataclass
@@ -27,7 +28,7 @@ __all__ = [
     "MultitimeReport",
     "build_single_time",
     "make_mode",
-    "low_level_projector",
+    "low_levels",
     "quadratic_form_matrix",
     "antisymmetric_remainder",
     "oracle_bracket_check",
@@ -71,10 +72,9 @@ class TruncatedMode:
                 1.0 + np.linalg.norm(mat)
             ):
                 raise ValueError("mode matrices must be Hermitian")
-        low = low_level_projector((self.cutoff,), margin=2)
-        comm = self.position @ self.momentum - self.momentum @ self.position
-        defect = low @ (comm - 1j * np.eye(self.cutoff)) @ low
-        if np.linalg.norm(defect) > CCR_DEFECT_TOL:
+        keep = low_levels((self.cutoff,), margin=2)
+        comm = _commutator_block(self.position, self.momentum, keep)
+        if np.linalg.norm(comm - 1j * np.eye(keep.size)) > CCR_DEFECT_TOL:
             raise ValueError("projected [q, p] deviates from i I")
 
 
@@ -86,17 +86,33 @@ def make_mode(cutoff):
     return TruncatedMode(int(cutoff), q, p)
 
 
-def low_level_projector(cutoffs, margin):
-    """Projector onto levels below cutoff - margin in every factor."""
-    factors = []
+def low_levels(cutoffs, margin):
+    """Indices of the product levels below cutoff - margin in every factor."""
+    mask = np.ones(1, dtype=bool)
     for d in cutoffs:
-        keep = np.zeros(d)
-        keep[: max(d - margin, 0)] = 1.0
-        factors.append(np.diag(keep))
-    out = factors[0]
-    for f in factors[1:]:
-        out = np.kron(out, f)
-    return out
+        mask = np.outer(mask, np.arange(d) < d - margin).ravel()
+    return np.flatnonzero(mask)
+
+
+def _commutator_block(x, y, keep):
+    """Entries of P [x, y] P on the kept levels, from their rows and columns only."""
+    return x[keep] @ y[:, keep] - y[keep] @ x[:, keep]
+
+
+def _table_gaps(variables, table, keep):
+    """Yield (a, b, gap): the kept-level norm of [X_a, X_b] - 2i table[a, b] I.
+
+    Every ordered pair is covered with one commutator per unordered pair:
+    for a < b, C = [X_a, X_b] is compared with table[a, b] and -C with
+    table[b, a]; a diagonal pair compares 0 with its table entry.
+    """
+    eye = np.eye(keep.size)
+    for a, x in enumerate(variables):
+        yield a, a, float(np.linalg.norm(2j * table[a, a] * eye))
+        for b in range(a + 1, len(variables)):
+            comm = _commutator_block(x, variables[b], keep)
+            yield a, b, float(np.linalg.norm(comm - 2j * table[a, b] * eye))
+            yield b, a, float(np.linalg.norm(-comm - 2j * table[b, a] * eye))
 
 
 def _embed(op, slot, cutoffs):
@@ -113,7 +129,7 @@ class VariableSet:
 
     variables[a] acts on the full product space; ccr_target is the real
     antisymmetric matrix with [X_a, X_b] = 2i ccr_target[a, b] I on low
-    levels.  ccr_residual() measures the projected deviation.
+    levels.  ccr_residual() measures the deviation on the kept levels.
     """
 
     modes: tuple
@@ -128,24 +144,13 @@ class VariableSet:
     def cutoffs(self):
         return tuple(mode.cutoff for mode in self.modes)
 
-    def projector(self, margin):
-        return low_level_projector(self.cutoffs, margin)
+    def low_levels(self, margin):
+        return low_levels(self.cutoffs, margin)
 
     def ccr_residual(self):
-        """Max projected norm of [X_a, X_b] - 2i theta_ab I, margin 2."""
-        low = self.projector(2)
-        eye = np.eye(self.dimension)
-        worst = 0.0
-        k = len(self.variables)
-        for a in range(k):
-            for b in range(a + 1, k):
-                comm = (
-                    self.variables[a] @ self.variables[b]
-                    - self.variables[b] @ self.variables[a]
-                )
-                gap = low @ (comm - 2j * self.ccr_target[a, b] * eye) @ low
-                worst = max(worst, float(np.linalg.norm(gap)))
-        return worst
+        """Max kept-level norm of [X_a, X_b] - 2i theta_ab I, margin 2."""
+        gaps = _table_gaps(self.variables, self.ccr_target, self.low_levels(2))
+        return max(gap for _, _, gap in gaps)
 
 
 def _positive_schur_blocks(theta):
@@ -168,6 +173,33 @@ def _positive_schur_blocks(theta):
     return z, np.asarray(scales)
 
 
+def _combine(row, ops):
+    """The operator sum_b row[b] ops[b]."""
+    return sum(c * op for c, op in zip(row, ops))
+
+
+def _canonical_pairs(modes):
+    """(q_1, p_1, q_2, p_2, ...) of the modes, embedded in their tensor product."""
+    cutoffs = tuple(mode.cutoff for mode in modes)
+    dim = int(np.prod(cutoffs))
+    if dim > DIMENSION_BUDGET:
+        raise NumericalFailure(
+            f"tensor dimension {dim} exceeds the budget {DIMENSION_BUDGET}"
+        )
+    return [
+        _embed(op, slot, cutoffs)
+        for slot, mode in enumerate(modes)
+        for op in (mode.position, mode.momentum)
+    ]
+
+
+def _realize(theta, canon):
+    """Variables L canon with table theta, L = Z diag(sqrt(2 v_k) I_2)."""
+    z, scales = _positive_schur_blocks(theta)
+    lmap = z * np.repeat(np.sqrt(2.0 * scales), 2)
+    return [_combine(row, canon) for row in lmap]
+
+
 def build_single_time(theta, cutoff):
     """Variables with commutator table [X, X^T] = 2i theta from ladder pairs.
 
@@ -183,24 +215,9 @@ def build_single_time(theta, cutoff):
         raise ValueError("commutator table must be square of even size")
     if np.linalg.norm(theta + theta.T) > 1e-12 * (1.0 + np.linalg.norm(theta)):
         raise ValueError("commutator table must be antisymmetric")
-    z, scales = _positive_schur_blocks(theta)
-    pairs = n // 2
-    modes = tuple(make_mode(cutoff) for _ in range(pairs))
-    dim = int(np.prod([cutoff] * pairs))
-    if dim > DIMENSION_BUDGET:
-        raise NumericalFailure(
-            f"tensor dimension {dim} exceeds the budget {DIMENSION_BUDGET}"
-        )
-    cutoffs = tuple(cutoff for _ in range(pairs))
-    canon = []
-    for k in range(pairs):
-        canon.append(_embed(modes[k].position, k, cutoffs))
-        canon.append(_embed(modes[k].momentum, k, cutoffs))
-    lmap = z @ np.diag(np.repeat(np.sqrt(2.0 * scales), 2))
-    variables = tuple(
-        sum(lmap[a, b] * canon[b] for b in range(n)) for a in range(n)
-    )
-    return VariableSet(modes, variables, theta)
+    modes = tuple(make_mode(cutoff) for _ in range(n // 2))
+    variables = _realize(theta, _canonical_pairs(modes))
+    return VariableSet(modes, tuple(variables), theta)
 
 
 def quadratic_form_matrix(vars, q):
@@ -211,15 +228,17 @@ def quadratic_form_matrix(vars, q):
         raise ValueError("form matrix size does not match the variable count")
     if np.linalg.norm(q - q.T) > 1e-12 * (1.0 + np.linalg.norm(q)):
         raise ValueError("form matrix must be symmetric")
-    out = np.zeros((vars.dimension, vars.dimension), dtype=complex)
-    for a in range(k):
-        row = sum(q[a, b] * vars.variables[b] for b in range(k))
-        out += vars.variables[a] @ row
-    return out
+    return _form(vars, q)
+
+
+def _form(vars, q):
+    """Operator X^T q X, one row of q at a time."""
+    ops = vars.variables
+    return sum(x @ _combine(row, ops) for x, row in zip(ops, q))
 
 
 def antisymmetric_remainder(vars, q_anti):
-    """Projected gap of X^T q X from its scalar value i <theta, q>.
+    """Kept-level gap of X^T q X from its scalar value i <theta, q>.
 
     An antisymmetric kernel contributes only through the commutators, so
     its quadratic form collapses to the scalar i sum theta_ab q_ab times
@@ -228,20 +247,16 @@ def antisymmetric_remainder(vars, q_anti):
     q_anti = np.asarray(q_anti, dtype=complex)
     if np.linalg.norm(q_anti + q_anti.T) > 1e-12 * (1.0 + np.linalg.norm(q_anti)):
         raise ValueError("remainder check expects an antisymmetric matrix")
-    k = len(vars.variables)
-    out = np.zeros((vars.dimension, vars.dimension), dtype=complex)
-    for a in range(k):
-        row = sum(q_anti[a, b] * vars.variables[b] for b in range(k))
-        out += vars.variables[a] @ row
+    keep = vars.low_levels(4)
+    block = _form(vars, q_anti)[np.ix_(keep, keep)]
     scalar = 1j * np.sum(vars.ccr_target * q_anti)
-    low = vars.projector(4)
-    gap = low @ (out - scalar * np.eye(vars.dimension)) @ low
+    gap = block - scalar * np.eye(keep.size)
     return float(np.linalg.norm(gap)), complex(scalar)
 
 
 @dataclass(frozen=True)
 class BracketReport:
-    """Projected residual of one bracket identity check."""
+    """Kept-level residual of one bracket identity check."""
 
     residual: float
     tolerance: float
@@ -252,7 +267,7 @@ class BracketReport:
 def oracle_bracket_check(vars, q1, q2, tol=1e-8):
     """Check [X^T Q1 X, X^T Q2 X] = X^T 4i(Q1 theta Q2 - Q2 theta Q1) X.
 
-    Both sides are dense operators; the difference is projected onto
+    Both sides are dense operators; the difference is formed only on
     levels at least four below the cutoff in every mode, since each
     quadratic form reaches two levels up.
     """
@@ -267,8 +282,8 @@ def oracle_bracket_check(vars, q1, q2, tol=1e-8):
     # the combination is symmetric for symmetric inputs; symmetrize so
     # quadratic_form_matrix accepts it at rounding level
     phi_combo = quadratic_form_matrix(vars, 0.5 * (combo + combo.T))
-    low = vars.projector(4)
-    gap = low @ ((phi1 @ phi2 - phi2 @ phi1) - phi_combo) @ low
+    keep = vars.low_levels(4)
+    gap = _commutator_block(phi1, phi2, keep) - phi_combo[np.ix_(keep, keep)]
     residual = float(np.linalg.norm(gap))
     return BracketReport(residual, float(tol), residual <= tol, min(vars.cutoffs))
 
@@ -329,71 +344,29 @@ def oracle_multitime_check(model, grid, cutoff=8, noise_cutoff=8, tol=1e-8):
     if count > 3:
         raise ValueError("multitime oracle is restricted to grids with N <= 2")
     steps = count - 1
-    pairs = n // 2 + steps * (m // 2)
     dims = [cutoff] * (n // 2) + [noise_cutoff] * (steps * (m // 2))
-    dim = int(np.prod(dims))
-    if dim > DIMENSION_BUDGET:
-        raise NumericalFailure(
-            f"tensor dimension {dim} exceeds the budget {DIMENSION_BUDGET}"
-        )
-
-    # assemble canonical pairs mode by mode, then map blocks separately:
-    # system block realizes theta, each noise block realizes h J
-    z_sys, s_sys = _positive_schur_blocks(model.theta)
-    j_small = symplectic_j(m)
-    z_noise, s_noise = _positive_schur_blocks(grid.step * j_small)
     modes = tuple(make_mode(d) for d in dims)
-    cutoffs = tuple(d for d in dims)
-    canon = []
-    for k in range(pairs):
-        canon.append(_embed(modes[k].position, k, cutoffs))
-        canon.append(_embed(modes[k].momentum, k, cutoffs))
+    canon = _canonical_pairs(modes)
 
-    def _mapped(zmat, scales, offset, size):
-        lmap = zmat @ np.diag(np.repeat(np.sqrt(2.0 * scales), 2))
-        return [
-            sum(lmap[a, b] * canon[offset + b] for b in range(size))
-            for a in range(size)
-        ]
-
-    x_nodes = [_mapped(z_sys, s_sys, 0, n)]
-    noises = [
-        _mapped(z_noise, s_noise, n + u * m, m) for u in range(steps)
-    ]
-    e_step = expm(grid.step * model.drift)
+    table, _, e_step = _discrete_table(model, grid)
+    # the system block realizes theta, each noise block realizes h J
+    x_nodes = [_realize(model.theta, canon[:n])]
+    propagate = np.hstack([e_step, model.dispersion])
     for u in range(steps):
-        nxt = []
-        for a in range(n):
-            op = np.zeros((dim, dim), dtype=complex)
-            for b in range(n):
-                op += e_step[a, b] * x_nodes[u][b]
-            for b in range(m):
-                op += model.dispersion[a, b] * noises[u][b]
-            nxt.append(op)
-        x_nodes.append(nxt)
+        pairs = canon[n + u * m : n + (u + 1) * m]
+        noise = _realize(grid.step * symplectic_j(m), pairs)
+        x_nodes.append([_combine(row, x_nodes[u] + noise) for row in propagate])
+    flat = [op for node in x_nodes for op in node]
 
-    table, thetas, _ = _discrete_table(model, grid)
-    low = low_level_projector(cutoffs, 2)
-    eye = np.eye(dim)
     scale = 1.0 + float(np.abs(table).max())
     worst = 0.0
     equal_time = 0.0
-    for j in range(count):
-        for k in range(count):
-            for a in range(n):
-                for b in range(n):
-                    comm = (
-                        x_nodes[j][a] @ x_nodes[k][b]
-                        - x_nodes[k][b] @ x_nodes[j][a]
-                    )
-                    target = 2j * table[j * n + a, k * n + b]
-                    gap = float(np.linalg.norm(low @ (comm - target * eye) @ low))
-                    worst = max(worst, gap / scale)
-                    if j == k:
-                        equal_time = max(equal_time, gap / scale)
+    for a, b, gap in _table_gaps(flat, table, low_levels(dims, 2)):
+        worst = max(worst, gap / scale)
+        if a // n == b // n:
+            equal_time = max(equal_time, gap / scale)
 
     # bracket identity on the grid, against the discrete table
-    flat = [op for node in x_nodes for op in node]
     flat_set = VariableSet(modes, tuple(flat), table)
     rng = np.random.default_rng(0)
     q1 = rng.standard_normal((count * n, count * n))
@@ -414,5 +387,5 @@ def oracle_multitime_check(model, grid, cutoff=8, noise_cutoff=8, tol=1e-8):
         continuum_gap,
         float(tol),
         passed,
-        dim,
+        flat_set.dimension,
     )

@@ -458,14 +458,16 @@ def read_measure_csv(path):
         raise ScenarioError(f"{path}: missing or unsupported schema header")
     if len(lines) < 3 or not lines[1].startswith("# grid "):
         raise ScenarioError(f"{path}: missing grid sidecar line")
-    fields = dict(
-        item.split("=", 1) for item in lines[1][len("# grid ") :].split()
-    )
     try:
+        fields = dict(
+            item.split("=", 1) for item in lines[1][len("# grid ") :].split()
+        )
         grid = TimeGrid(float(fields["T"]), int(fields["N"]))
         n = int(fields["n"])
     except (KeyError, ValueError) as exc:
         raise ScenarioError(f"{path}: malformed grid sidecar") from exc
+    if n < 1:
+        raise ScenarioError(f"{path}: grid sidecar needs n >= 1")
     if lines[2] != "j,k,row,col,re,im":
         raise ScenarioError(f"{path}: unexpected column header {lines[2]!r}")
     size = n * grid.node_count

@@ -119,6 +119,11 @@ def test_parse_model_file_indirection(tmp_path):
             + "pi = [[1, 2, 3], [4, 5, 6]]\n",
             "square",
         ),
+        (
+            GOOD.replace("task = forward", "task = spde")
+            + "pi = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]\n",
+            "differ in size",
+        ),
     ],
 )
 def test_parse_rejects_bad_scenarios(tmp_path, text, match):

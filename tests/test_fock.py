@@ -4,9 +4,11 @@ import pytest
 from quadexp import (
     NumericalFailure,
     TruncatedMode,
+    VariableSet,
     antisymmetric_remainder,
     build_single_time,
-    low_level_projector,
+    fock,
+    low_levels,
     make_grid,
     make_mode,
     oracle_bracket_check,
@@ -23,8 +25,9 @@ def test_mode_ccr_projected_exact_but_top_defect():
     # Unprojected, the truncation dumps a defect of size d - 1 on the
     # top level; below it the canonical commutator is exact.
     assert abs(defect[11, 11]) == pytest.approx(12.0, rel=1e-12)
-    low = low_level_projector((12,), margin=2)
-    assert np.linalg.norm(low @ defect @ low) <= 1e-12
+    keep = low_levels((12,), margin=2)
+    assert np.array_equal(keep, np.arange(10))
+    assert np.linalg.norm(defect[np.ix_(keep, keep)]) <= 1e-12
 
 
 def test_mode_validation():
@@ -36,12 +39,23 @@ def test_mode_validation():
 
 
 def test_projector_masks_top_levels():
-    low = low_level_projector((4, 3), margin=1)
-    diag = np.diag(low)
-    assert low.shape == (12, 12)
-    # kron of diag(1,1,1,0) and diag(1,1,0)
-    expected = np.kron([1, 1, 1, 0], [1, 1, 0])
-    assert np.array_equal(diag, expected)
+    keep = low_levels((4, 3), margin=1)
+    # the nonzero diagonal of kron(diag(1,1,1,0), diag(1,1,0))
+    expected = np.flatnonzero(np.kron([1, 1, 1, 0], [1, 1, 0]))
+    assert np.array_equal(keep, expected)
+
+
+def test_commutator_block_matches_the_dense_projected_commutator(rng):
+    # reference: the dense sandwich P [x, y] P with the kron projector
+    low = np.diag(np.kron([1.0, 1.0, 1.0, 0.0], [1.0, 1.0, 0.0]))
+    x = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))
+    y = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))
+    dense = low @ (x @ y - y @ x) @ low
+    keep = low_levels((4, 3), margin=1)
+    block = fock._commutator_block(x, y, keep)
+    assert np.abs(block - dense[np.ix_(keep, keep)]).max() <= 1e-14
+    dense[np.ix_(keep, keep)] = 0.0
+    assert np.abs(dense).max() == 0.0
 
 
 def test_single_time_canonical_scaling_gives_number_operator():
@@ -51,8 +65,8 @@ def test_single_time_canonical_scaling_gives_number_operator():
     d = 12
     vars_set = build_single_time(0.5 * symplectic_j(2), d)
     ham = quadratic_form_matrix(vars_set, 0.5 * np.eye(2))
-    low = low_level_projector((d,), margin=2)
-    projected = low @ ham @ low
+    keep = low_levels((d,), margin=2)
+    projected = ham[np.ix_(keep, keep)]
     for level in range(d - 2):
         assert projected[level, level].real == pytest.approx(level + 0.5, abs=1e-12)
         assert abs(projected[level, level].imag) <= 1e-12
@@ -134,6 +148,19 @@ def test_bracket_identity_random_pairs(rng):
         assert report.residual <= 1e-10
 
 
+def test_bracket_check_fails_on_a_shifted_table(rng):
+    theta = 0.5 * symplectic_j(2)
+    true_set = build_single_time(theta, 12)
+    off = theta + 1e-3 * symplectic_j(2)
+    shifted = VariableSet(true_set.modes, true_set.variables, off)
+    q1 = rng.normal(size=(2, 2))
+    q1 = 0.5 * (q1 + q1.T)
+    q2 = rng.normal(size=(2, 2))
+    q2 = 0.5 * (q2 + q2.T)
+    assert oracle_bracket_check(true_set, q1, q2).passed
+    assert not oracle_bracket_check(shifted, q1, q2).passed
+
+
 def test_bracket_check_needs_cutoff_eight():
     vars_set = build_single_time(0.5 * symplectic_j(2), 4)
     with pytest.raises(ValueError, match="at least 8"):
@@ -178,6 +205,34 @@ def test_multitime_continuum_gap_shrinks_with_step(model2):
         report = oracle_multitime_check(model2, make_grid(horizon, 1))
         gaps.append(report.continuum_gap)
     assert gaps[1] < gaps[0]
+
+
+@pytest.mark.parametrize(
+    "entry,same_node",
+    [((2, 0), False), ((0, 3), False), ((2, 3), True)],
+    ids=["later-earlier", "earlier-later", "same-node"],
+)
+def test_multitime_oracle_catches_a_shifted_table_entry(
+    model2, monkeypatch, entry, same_node
+):
+    # (2, 0) sits in the j > k block of the N = 1 table, (0, 3) in the
+    # j < k block and (2, 3) inside node 1's own block; the table check
+    # must see each entry, not only one of each antisymmetric pair.
+    grid = make_grid(0.5, 1)
+    assert oracle_multitime_check(model2, grid).passed
+    discrete_table = fock._discrete_table
+
+    def shifted(model, grid):
+        table, thetas, e_step = discrete_table(model, grid)
+        table = table.copy()
+        table[entry] += 1e-6
+        return table, thetas, e_step
+
+    monkeypatch.setattr(fock, "_discrete_table", shifted)
+    report = oracle_multitime_check(model2, grid)
+    assert not report.passed
+    assert report.table_residual > report.tolerance
+    assert (report.equal_time_residual > report.tolerance) == same_node
 
 
 def test_multitime_oracle_guards(model2):

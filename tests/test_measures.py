@@ -196,6 +196,10 @@ def test_csv_rejects_malformed(tmp_path):
     bad.write_text("# schema=1\n# grid T=1 N=4 n=2\n0,0,0,0,notafloat,0\n")
     with pytest.raises(ScenarioError):
         read_measure_csv(bad)
+    for sidecar in ("# grid T=8 N=4 n", "# grid T=8 N=4 n=0"):
+        bad.write_text(f"# schema=1\n{sidecar}\nj,k,row,col,re,im\n")
+        with pytest.raises(ScenarioError, match="grid sidecar"):
+            read_measure_csv(bad)
 
 
 def test_zero_entries_skipped_in_csv(tmp_path, grid16, pi2):
