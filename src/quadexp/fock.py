@@ -220,21 +220,31 @@ def build_single_time(theta, cutoff):
     return VariableSet(modes, tuple(variables), theta)
 
 
-def quadratic_form_matrix(vars, q):
-    """Operator of the quadratic form X^T q X, q complex symmetric."""
+def _symmetric_form(vars, q):
+    """q as a complex array, checked to be symmetric and sized to the variables."""
     q = np.asarray(q, dtype=complex)
     k = len(vars.variables)
     if q.shape != (k, k):
         raise ValueError("form matrix size does not match the variable count")
     if np.linalg.norm(q - q.T) > 1e-12 * (1.0 + np.linalg.norm(q)):
         raise ValueError("form matrix must be symmetric")
-    return _form(vars, q)
+    return q
 
 
-def _form(vars, q):
-    """Operator X^T q X, one row of q at a time."""
+def quadratic_form_matrix(vars, q):
+    """Operator of the quadratic form X^T q X, q complex symmetric."""
+    return _form(vars, _symmetric_form(vars, q))
+
+
+def _form(vars, q, rows=slice(None), cols=slice(None)):
+    """Rows and columns of the operator X^T q X, one row of q at a time.
+
+    rows and cols index the product levels; by default the whole operator
+    is formed.
+    """
     ops = vars.variables
-    return sum(x @ _combine(row, ops) for x, row in zip(ops, q))
+    right = [op[:, cols] for op in ops]
+    return sum(x[rows] @ _combine(row, right) for x, row in zip(ops, q))
 
 
 def antisymmetric_remainder(vars, q_anti):
@@ -248,7 +258,7 @@ def antisymmetric_remainder(vars, q_anti):
     if np.linalg.norm(q_anti + q_anti.T) > 1e-12 * (1.0 + np.linalg.norm(q_anti)):
         raise ValueError("remainder check expects an antisymmetric matrix")
     keep = vars.low_levels(4)
-    block = _form(vars, q_anti)[np.ix_(keep, keep)]
+    block = _form(vars, q_anti, rows=keep, cols=keep)
     scalar = 1j * np.sum(vars.ccr_target * q_anti)
     gap = block - scalar * np.eye(keep.size)
     return float(np.linalg.norm(gap)), complex(scalar)
@@ -267,23 +277,25 @@ class BracketReport:
 def oracle_bracket_check(vars, q1, q2, tol=1e-8):
     """Check [X^T Q1 X, X^T Q2 X] = X^T 4i(Q1 theta Q2 - Q2 theta Q1) X.
 
-    Both sides are dense operators; the difference is formed only on
-    levels at least four below the cutoff in every mode, since each
-    quadratic form reaches two levels up.
+    The difference is formed only on levels at least four below the
+    cutoff in every mode, since each quadratic form reaches two levels up.
+    Only the rows and columns the kept block reads are formed: the kept
+    rows and the kept columns of each form, and the kept block of the
+    right-hand side.
     """
     if min(vars.cutoffs) < 8:
         raise ValueError("bracket check needs mode cutoffs of at least 8")
-    phi1 = quadratic_form_matrix(vars, q1)
-    phi2 = quadratic_form_matrix(vars, q2)
+    q1 = _symmetric_form(vars, q1)
+    q2 = _symmetric_form(vars, q2)
     theta = vars.ccr_target
-    q1 = np.asarray(q1, dtype=complex)
-    q2 = np.asarray(q2, dtype=complex)
     combo = 4j * (q1 @ theta @ q2 - q2 @ theta @ q1)
-    # the combination is symmetric for symmetric inputs; symmetrize so
-    # quadratic_form_matrix accepts it at rounding level
-    phi_combo = quadratic_form_matrix(vars, 0.5 * (combo + combo.T))
+    # the combination is symmetric for symmetric inputs; symmetrize the
+    # rounding away
+    combo = 0.5 * (combo + combo.T)
     keep = vars.low_levels(4)
-    gap = _commutator_block(phi1, phi2, keep) - phi_combo[np.ix_(keep, keep)]
+    bracket = _form(vars, q1, rows=keep) @ _form(vars, q2, cols=keep)
+    bracket -= _form(vars, q2, rows=keep) @ _form(vars, q1, cols=keep)
+    gap = bracket - _form(vars, combo, rows=keep, cols=keep)
     residual = float(np.linalg.norm(gap))
     return BracketReport(residual, float(tol), residual <= tol, min(vars.cutoffs))
 

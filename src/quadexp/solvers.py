@@ -789,26 +789,54 @@ def g_path_magnus(f_path, ccr, solver=None):
 def chk_column_function(model, q, block_col):
     """Continuous-time column t -> (Lambda Q)(t, {t_k}) of a measure's CHK.
 
-    Evaluates sum_l Lambda(t - t_l) W[l, k] at arbitrary t, which is the
-    function whose two-sided Laplace transform the recovery routine
-    samples.
-    """
-    from .model import ccr_two_point
+    Evaluates C(t) = sum_l Lambda(t - t_l) W_l, W_l = W[l, block_col], at
+    arbitrary t, which is the function whose two-sided Laplace transform
+    the recovery routine samples.  The kernel is a stationary Markov
+    chain, so with E = e^{hA} the masses fold into two recursions, run
+    once at construction:
 
+      U_j = E U_{j-1} + Theta W_j,   U_{-1} = 0,
+      V_j = W_j + E^T V_{j+1},       V_{N+1} = 0.
+
+    On [t_j, t_{j+1}) the column is then
+    e^{(t - t_j) A} U_j + Theta e^{(t_{j+1} - t) A^T} V_{j+1}; for t < 0 only
+    the second term applies (j = -1, t_0 = 0), and for t >= T only the
+    first (j = N).  Each evaluation costs at most two n x n exponentials,
+    whatever the node count.
+
+    Raises ValueError unless block_col is an integer in [0, N + 1).
+    """
     grid = q.grid
     n = q.dim
     count = grid.node_count
+    if not isinstance(block_col, (int, np.integer)) or not 0 <= block_col < count:
+        raise ValueError(
+            f"block_col must be an integer in [0, {count}), got {block_col!r}"
+        )
     nodes = grid.nodes
-    blocks = [
-        q.weights[l * n : (l + 1) * n, block_col * n : (block_col + 1) * n]
-        for l in range(count)
-    ]
+    drift = model.drift
+    theta = model.theta
+    e_step = expm(grid.step * drift)
+    masses = np.asarray(
+        q.weights[:, block_col * n : (block_col + 1) * n], dtype=complex
+    ).reshape(count, n, n)
+    forward = [theta @ masses[0]]
+    for w in masses[1:]:
+        forward.append(e_step @ forward[-1] + theta @ w)
+    backward = [np.zeros((n, n), dtype=complex)]
+    for w in masses[::-1]:
+        backward.append(w + e_step.T @ backward[-1])
+    backward.reverse()
 
     def column(t):
-        acc = np.zeros((n, n), dtype=complex)
-        for l in range(count):
-            acc = acc + ccr_two_point(model, t - nodes[l]) @ blocks[l]
-        return acc
+        t = float(t)
+        j = int(np.searchsorted(nodes, t, side="right")) - 1
+        value = np.zeros((n, n), dtype=complex)
+        if j >= 0:
+            value += expm((t - nodes[j]) * drift) @ forward[j]
+        if j < count - 1:
+            value += theta @ expm((nodes[j + 1] - t) * drift).T @ backward[j + 1]
+        return value
 
     return column
 
@@ -821,7 +849,9 @@ def laplace_recover_measure(column, model, grid, s_samples, tol=1e-9):
     expose the moment sums sum_l e^{-s t_l} W_l, and solves the
     resulting Vandermonde-type system for the masses.  Conditioning
     deteriorates quickly with the node count; the condition number is
-    reported and a value beyond 1e12 raises.
+    reported and a value beyond 1e12 raises.  tol is the absolute and
+    relative quadrature tolerance and sets the tail truncation; it must be
+    positive, else NumericalFailure is raised.
 
     Returns (masses, condition) with masses of shape (N+1, n, n).
     """
@@ -829,6 +859,8 @@ def laplace_recover_measure(column, model, grid, s_samples, tol=1e-9):
 
     from .model import laplace_lambda, laplace_point, spectral_abscissa
 
+    if not tol > 0.0:
+        raise NumericalFailure("quadrature tolerance must be positive")
     s_samples = [complex(s) for s in s_samples]
     count = grid.node_count
     if len(s_samples) < count:

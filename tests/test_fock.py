@@ -161,6 +161,45 @@ def test_bracket_check_fails_on_a_shifted_table(rng):
     assert not oracle_bracket_check(shifted, q1, q2).passed
 
 
+def _dense_bracket_residual(vars_set, q1, q2):
+    """Kept-level norm of [phi1, phi2] - phi_combo, from full operators."""
+    phi1 = quadratic_form_matrix(vars_set, q1)
+    phi2 = quadratic_form_matrix(vars_set, q2)
+    theta = vars_set.ccr_target
+    combo = 4j * (q1 @ theta @ q2 - q2 @ theta @ q1)
+    phi_combo = quadratic_form_matrix(vars_set, 0.5 * (combo + combo.T))
+    low = np.ix_(vars_set.low_levels(4), vars_set.low_levels(4))
+    gap = (phi1 @ phi2 - phi2 @ phi1)[low] - phi_combo[low]
+    return float(np.linalg.norm(gap))
+
+
+@pytest.mark.parametrize("shift", [0.0, 1e-3], ids=["true", "shifted"])
+@pytest.mark.parametrize("pairs,cutoff", [(1, 12), (1, 24), (2, 8)])
+def test_bracket_check_matches_the_dense_operator_reference(rng, shift, pairs, cutoff):
+    k = 2 * pairs
+    raw = rng.normal(size=(k, k))
+    theta = 0.1 * (raw - raw.T) + symplectic_j(k)
+    true_set = build_single_time(theta, cutoff)
+    vars_set = VariableSet(
+        true_set.modes, true_set.variables, theta + shift * symplectic_j(k)
+    )
+    q1 = rng.normal(size=(k, k))
+    q1 = 0.5 * (q1 + q1.T)
+    q2 = rng.normal(size=(k, k))
+    q2 = 0.5 * (q2 + q2.T)
+    report = oracle_bracket_check(vars_set, q1, q2)
+    assert abs(report.residual - _dense_bracket_residual(vars_set, q1, q2)) <= 1e-14
+    assert report.passed == (shift == 0.0)
+
+
+def test_bracket_check_validates_both_forms():
+    vars_set = build_single_time(0.5 * symplectic_j(2), 8)
+    with pytest.raises(ValueError, match="symmetric"):
+        oracle_bracket_check(vars_set, np.eye(2), np.array([[0.0, 1.0], [0.0, 0.0]]))
+    with pytest.raises(ValueError, match="size"):
+        oracle_bracket_check(vars_set, np.zeros((3, 3)), np.eye(2))
+
+
 def test_bracket_check_needs_cutoff_eight():
     vars_set = build_single_time(0.5 * symplectic_j(2), 4)
     with pytest.raises(ValueError, match="at least 8"):

@@ -13,6 +13,7 @@ from quadexp import (
     atom_measure,
     atomic_corner_measure,
     build_ccr_kernel,
+    build_from_energy_coupling,
     chk_column_function,
     corner_atom_path,
     csk_path_from_midpoints,
@@ -29,6 +30,7 @@ from quadexp import (
     qef_from_csk_path,
     qef_psi_measure,
     random_measure,
+    random_model,
     roundtrip_f_residual,
     roundtrip_n_residual,
     spde_fast_path,
@@ -37,8 +39,10 @@ from quadexp import (
     t_route_residual,
     zero_measure,
 )
+from quadexp import model as model_module
 from quadexp import solvers
 from quadexp.cli import bundled_scenario, parse_scenario
+from quadexp.model import ccr_two_point
 from quadexp.solvers import _dense_csk_evolution
 
 
@@ -604,6 +608,124 @@ def _laplace_demo_model():
         np.array([[-0.5, 0.3], [-0.3, -0.5]]),
         np.eye(2),
     )
+
+
+def _laplace_scenario_measure(grid, pi):
+    """Block column 0 of the laplace task's measure: masses (l + 1) pi / (N + 1)."""
+    n = pi.shape[0]
+    count = grid.node_count
+    w = np.zeros((n * count, n * count))
+    for l in range(count):
+        w[l * n : (l + 1) * n, 0:n] = pi * (l + 1) / count
+        w[0:n, l * n : (l + 1) * n] = (pi * (l + 1) / count).T
+    return KernelMeasure(grid, w)
+
+
+def _column_sum(model, q, col, t):
+    """sum_l Lambda(t - t_l) W[l, col], one two-point kernel per node."""
+    return sum(
+        ccr_two_point(model, t - t_l) @ q.block(l, col)
+        for l, t_l in enumerate(q.grid.nodes)
+    )
+
+
+def _column_scale(model, q, col, t):
+    """sum_l |Lambda(t - t_l)| |W[l, col]|, the size of the sum's terms."""
+    return sum(
+        np.linalg.norm(ccr_two_point(model, t - t_l)) * np.linalg.norm(q.block(l, col))
+        for l, t_l in enumerate(q.grid.nodes)
+    )
+
+
+@pytest.mark.parametrize("which", ["readme", "random4"])
+def test_chk_column_matches_the_node_sum(which):
+    if which == "readme":
+        model = build_from_energy_coupling(
+            theta=np.array([[0.0, 0.5], [-0.5, 0.0]]),
+            energy=np.eye(2),
+            coupling=np.eye(2),
+        )
+    else:
+        model = random_model(np.random.default_rng(3), n=4, m=2)
+    grid = make_grid(2.0, 8)
+    q = random_measure(np.random.default_rng(5), grid, model.dim)
+    off_nodes = np.linspace(0.01, 1.99, 13)
+    outside = [-3.0, -0.1, -1e-9, 2.0 + 1e-9, 2.1, 5.0]
+    for col in (0, 3, 8):
+        column = chk_column_function(model, q, col)
+        for t in [*grid.nodes, *off_nodes, *outside]:
+            gap = np.abs(column(t) - _column_sum(model, q, col, t)).max()
+            assert gap <= 1e-13 * _column_scale(model, q, col, t), (col, t)
+
+
+def test_chk_column_matches_mpmath():
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 40
+    model = _laplace_demo_model()
+    grid = make_grid(8.0, 4)
+    q = _laplace_scenario_measure(grid, np.array([[0.2, 0.06], [0.06, 0.16]]))
+    column = chk_column_function(model, q, 0)
+    drift = mp.matrix(model.drift.tolist())
+    theta = mp.matrix(model.theta.tolist())
+
+    def relative_error(t):
+        exact = mp.zeros(2, 2)
+        for l, t_l in enumerate(grid.nodes):
+            tau = mp.mpf(t) - mp.mpf(t_l)
+            if tau >= 0:
+                lam = mp.expm(tau * drift) * theta
+            else:
+                lam = theta * mp.expm(-tau * drift.T)
+            exact += lam * mp.matrix(q.block(l, 0).real.tolist())
+        exact = np.array(exact.tolist(), dtype=complex)
+        return np.abs(column(t) - exact).max() / _column_scale(model, q, 0, t)
+
+    inside = max(relative_error(t) for t in np.linspace(0.0, 8.0, 41))
+    beyond = np.linspace(0.5, 60.0, 12)
+    tails = max(relative_error(t) for t in np.concatenate([-beyond, 8.0 + beyond]))
+    # the N + 1-exponential node sum measures 8.2e-15 and 6.5e-13 here
+    assert inside <= 8.2e-15
+    assert tails <= 2 * 6.5e-13
+
+
+@pytest.mark.parametrize("steps", [4, 32])
+def test_chk_column_takes_at_most_two_exponentials_per_point(monkeypatch, steps):
+    calls = []
+
+    def counted(a):
+        calls.append(a.shape)
+        return expm(a)
+
+    # the column's own exponentials, and any it takes through the model
+    monkeypatch.setattr(solvers, "expm", counted)
+    monkeypatch.setattr(model_module, "expm", counted)
+    model = _laplace_demo_model()
+    grid = make_grid(8.0, steps)
+    q = random_measure(np.random.default_rng(2), grid, 2)
+    column = chk_column_function(model, q, 1)
+    for t in [-5.0, *grid.nodes, 0.3, 3.3, 7.9, 8.0, 20.0]:
+        calls.clear()
+        column(t)
+        assert len(calls) <= 2
+        assert all(shape == (2, 2) for shape in calls)
+
+
+@pytest.mark.parametrize("block_col", [5, -1, 1.5, "0", None])
+def test_chk_column_rejects_a_bad_block_column(block_col):
+    grid = make_grid(8.0, 4)
+    q = KernelMeasure(grid, np.zeros((10, 10)))
+    with pytest.raises(ValueError, match=r"\[0, 5\)"):
+        chk_column_function(_laplace_demo_model(), q, block_col)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-9])
+def test_laplace_recovery_rejects_a_nonpositive_tolerance(tol):
+    model = _laplace_demo_model()
+    grid = make_grid(8.0, 2)
+    column = chk_column_function(model, KernelMeasure(grid, np.zeros((6, 6))), 0)
+    samples = [0.1 * (k + 1) for k in range(6)]
+    with pytest.raises(NumericalFailure, match="tolerance must be positive"):
+        laplace_recover_measure(column, model, grid, samples, tol=tol)
 
 
 def test_laplace_recovery_of_atom_masses(pi2):
