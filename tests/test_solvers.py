@@ -660,7 +660,6 @@ def test_chk_column_matches_the_node_sum(which):
 
 def test_chk_column_matches_mpmath():
     mp = pytest.importorskip("mpmath")
-    mp.mp.dps = 40
     model = _laplace_demo_model()
     grid = make_grid(8.0, 4)
     q = _laplace_scenario_measure(grid, np.array([[0.2, 0.06], [0.06, 0.16]]))
@@ -669,15 +668,16 @@ def test_chk_column_matches_mpmath():
     theta = mp.matrix(model.theta.tolist())
 
     def relative_error(t):
-        exact = mp.zeros(2, 2)
-        for l, t_l in enumerate(grid.nodes):
-            tau = mp.mpf(t) - mp.mpf(t_l)
-            if tau >= 0:
-                lam = mp.expm(tau * drift) * theta
-            else:
-                lam = theta * mp.expm(-tau * drift.T)
-            exact += lam * mp.matrix(q.block(l, 0).real.tolist())
-        exact = np.array(exact.tolist(), dtype=complex)
+        with mp.workdps(40):
+            exact = mp.zeros(2, 2)
+            for l, t_l in enumerate(grid.nodes):
+                tau = mp.mpf(t) - mp.mpf(t_l)
+                if tau >= 0:
+                    lam = mp.expm(tau * drift) * theta
+                else:
+                    lam = theta * mp.expm(-tau * drift.T)
+                exact += lam * mp.matrix(q.block(l, 0).real.tolist())
+            exact = np.array(exact.tolist(), dtype=complex)
         return np.abs(column(t) - exact).max() / _column_scale(model, q, 0, t)
 
     inside = max(relative_error(t) for t in np.linspace(0.0, 8.0, 41))
