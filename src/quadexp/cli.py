@@ -41,7 +41,7 @@ import numpy as np
 
 from .errors import NumericalFailure, ScenarioError
 from .fock import build_single_time, oracle_bracket_check, oracle_multitime_check
-from .lie import KernelSolver, symplectic_residual_raw
+from .lie import KernelSolver
 from .measures import (
     KernelMeasure,
     build_ccr_kernel,
@@ -318,13 +318,10 @@ class TaskResult:
     notes: tuple = ()
 
 
-def _flow_columns(s_path, ccr, qef=None):
+def _flow_columns(s_path, qef=None):
     """Symplectic column of a kernel flow, plus the reality and
     reconstruction columns of an extraction at every node when given."""
-    columns = {"symplectic": []}
-    for mat in s_path.mats:
-        residual, scale = symplectic_residual_raw(mat, ccr.big)
-        columns["symplectic"].append(residual / scale)
+    columns = {"symplectic": s_path.residuals()}
     if qef is not None:
         columns["reality"] = list(qef.reality_residuals)
         columns["reconstruction"] = [r.relative for r in qef.solve_reports]
@@ -360,7 +357,7 @@ def _run_forward(scn, model, out_dir):
     s_path = forward_csk_evolution(f_path, ccr)
     qef = qef_from_csk_path(s_path, ccr)
     write_measure_csv(Path(out_dir) / "n_terminal.csv", qef.measures[-1])
-    columns = _flow_columns(s_path, ccr, qef)
+    columns = _flow_columns(s_path, qef)
     checks = (
         ("symplectic", max(columns["symplectic"]), SYMPLECTIC_GATE),
         ("reality", max(columns["reality"]), REALITY_GATE),
@@ -426,7 +423,7 @@ def _run_roundtrip(scn, model, out_dir):
     qef = qef_from_csk_path(s_path, ccr, solver=solver)
     trip = _flow_closure(f_path, ccr, qef, solver)
     write_measure_csv(Path(out_dir) / "n_terminal.csv", qef.measures[-1])
-    columns = _flow_columns(s_path, ccr, qef)
+    columns = _flow_columns(s_path, qef)
     columns["roundtrip"] = _roundtrip_n_gaps(
         diagonal_lebesgue_path(grid, scn.pi), ccr, solver
     )
@@ -480,7 +477,7 @@ def _run_spde(scn, model, out_dir):
     t_fast = time.perf_counter() - t0
     qef = qef_from_csk_path(fast, ccr, nodes=[grid.node_count - 1])
     write_measure_csv(Path(out_dir) / "n_terminal.csv", qef.measures[-1])
-    columns = _flow_columns(fast, ccr)
+    columns = _flow_columns(fast)
     columns["reconstruction"] = _route_gaps(fast, dense)
     checks = (
         ("symplectic", max(columns["symplectic"]), SYMPLECTIC_GATE),

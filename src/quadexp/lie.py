@@ -28,8 +28,9 @@ bridge passes here vanish beyond their first k = (u + 1) n columns
 (Hamiltonians, offsets, right-hand sides) or equal the identity there
 (symplectic kernels).  The superoperators, the near-identity logarithm,
 the congruence residual and the kernel solve find that k in their own
-input and work on the k live columns, diagonalizing or exponentiating
-k x k blocks only; a dense input is the case k = size.
+input (a kernel path hands its stored live block to the residual) and
+work on the k live columns, diagonalizing or exponentiating k x k
+blocks only; a dense input is the case k = size.
 
 Everything here is grid-level linear algebra; the time direction lives
 in the solver module.
@@ -404,7 +405,8 @@ class CskMatrix:
     """Stacked complex symplectic kernel S with its commutator kernel.
 
     Construction verifies the congruence S Lambda S^T = Lambda within
-    SYMPLECTIC_TOL * (1 + ||Lambda|| ||S||^2); the exponential of any
+    SYMPLECTIC_TOL * (1 + ||Lambda|| ||S||^2), raising NumericalFailure
+    otherwise, a non-finite S included; the exponential of any
     Hamiltonian kernel satisfies it exactly in exact arithmetic.
     """
 
@@ -418,29 +420,45 @@ class CskMatrix:
             raise ValueError("matrix shape does not match the kernel")
         mat.setflags(write=False)
         object.__setattr__(self, "mat", mat)
-        residual, scale = symplectic_residual_raw(mat, self.ccr.big)
-        if residual > SYMPLECTIC_TOL * scale:
-            raise NumericalFailure(
-                f"symplectic residual {residual:.3e} exceeds "
-                f"{SYMPLECTIC_TOL:.0e} * {scale:.3e}"
-            )
+        _check_symplectic(*symplectic_residual_raw(mat, self.ccr.big))
+
+
+def _check_symplectic(residual, scale):
+    """Raise NumericalFailure unless residual <= SYMPLECTIC_TOL * scale;
+    a NaN or infinite residual trips the gate."""
+    if not residual <= SYMPLECTIC_TOL * scale:
+        raise NumericalFailure(
+            f"symplectic residual {residual:.3e} exceeds "
+            f"{SYMPLECTIC_TOL:.0e} * {scale:.3e}"
+        )
 
 
 def symplectic_residual_raw(mat, big):
     """(||S Lambda S^T - Lambda||_F, 1 + ||Lambda||_F ||S||_F^2).
 
-    S = I + X with X zero beyond its first k columns (k found in S; a
-    kernel at node u is the identity beyond column (u + 1) n), so with
-    M = X Lambda[:k, :] and Lambda antisymmetric the residual is
-    M - M^T + M[:, :k] X[:, :k]^T, an O(size^2 k) evaluation.
+    S is the identity beyond its first k columns, k found in S (a kernel
+    at node u is the identity beyond column (u + 1) n); the residual is
+    taken on those columns by :func:`_symplectic_residual_live`.
     """
-    offset = mat - np.eye(mat.shape[0])
-    k = _live_width(offset)
-    live = offset[:, :k]
-    m = live @ big[:k, :]
-    residual = np.linalg.norm(m - m.T + m[:, :k] @ live.T)
-    scale = 1.0 + np.linalg.norm(big) * np.linalg.norm(mat) ** 2
-    return float(residual), float(scale)
+    k = _live_width(mat - np.eye(mat.shape[0]))
+    return _symplectic_residual_live(mat[:, :k], big, np.linalg.norm(mat))
+
+
+def _symplectic_residual_live(live, big, norm):
+    """:func:`symplectic_residual_raw` from live = S[:, :k], beyond which S
+    is the identity, and norm = ||S||_F.
+
+    With X = S - I, zero beyond column k, M = X[:, :k] Lambda[:k, :] and
+    Lambda antisymmetric, the residual is M - M^T + M[:, :k] X[:, :k]^T,
+    an O(size^2 k) evaluation.
+    """
+    k = live.shape[1]
+    offset = live - np.eye(*live.shape)
+    m = offset @ big[:k, :]
+    residual = m - m.T
+    residual += m[:, :k] @ offset.T
+    scale = 1.0 + np.linalg.norm(big) * norm**2
+    return float(np.linalg.norm(residual)), float(scale)
 
 
 def symplectic_residual(csk):

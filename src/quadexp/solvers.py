@@ -24,7 +24,11 @@ convention (the diagonal family has the exact corner-atom derivative).
 Through Q -> 4i Lambda Q the support makes S_u the identity beyond its
 first k = (u + 1) n columns, and T_u - I, 4i Lambda N_u and the inverse
 direction's superoperator images zero there, so extraction and the
-inverse direction work on those k columns only.
+inverse direction work on those k columns only.  A kernel path stores
+just those columns, S_u[:, :k] per node (:class:`LiveColumns`), about
+half of N + 1 dense matrices; its readers (extraction, the congruence
+gates) take the block and its width from the path, and a full node is
+built only when a caller indexes one.
 
 The integrator detects the structure of each step: the generator is
 nonzero only in the live columns of the midpoint driver, and the
@@ -35,6 +39,7 @@ for the atomic driver F_t = delta_{(t,t)} Pi, which
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,11 +49,12 @@ from .errors import NumericalFailure
 from .lie import (
     CskMatrix,
     KernelSolver,
+    _check_symplectic,
+    _symplectic_residual_live,
     _ups_series,
     csk_log_near_identity,
     mho_superop,
     sinhc_superop,
-    symplectic_residual_raw,
     ups_superop,
 )
 from .measures import (
@@ -137,60 +143,140 @@ class MeasurePath:
         return self.entries[0].dim
 
 
+class LiveColumns:
+    """Read-only stack of kernel path nodes, each kept as its live columns.
+
+    Node u of a kernel path is the identity beyond its first k_u
+    columns, so only the block S_u[:, :k_u] is stored, in a read-only
+    array that aliases no caller memory.  The stack reads as a sequence
+    of size x size nodes: len(), integer and negative indexing,
+    iteration and shape, with item u built on access as the identity
+    with its first k_u columns replaced.  :meth:`live` returns the
+    stored block itself, and nbytes counts the stored blocks, each once.
+
+    A block that is read-only and owns its memory is kept as is (the
+    integrator hands its blocks over this way, and an unchanged node
+    shares its predecessor's); any other is copied.
+    """
+
+    def __init__(self, blocks, size):
+        self._blocks = tuple(map(_read_only, blocks))
+        self._size = size
+
+    @classmethod
+    def from_dense(cls, stack):
+        """Compress a (count, size, size) stack: each node is scanned once
+        for its live width and those columns are copied."""
+        size = stack.shape[-1]
+        eye = np.eye(size)
+        return cls((mat[:, : _live_width(mat - eye)] for mat in stack), size)
+
+    def __len__(self):
+        return len(self._blocks)
+
+    def __getitem__(self, u):
+        block = self.live(u)
+        mat = np.eye(self._size, dtype=complex)
+        mat[:, : block.shape[1]] = block
+        mat.setflags(write=False)
+        return mat
+
+    def __iter__(self):
+        return (self[u] for u in range(len(self)))
+
+    @property
+    def shape(self):
+        return (len(self._blocks), self._size, self._size)
+
+    @property
+    def nbytes(self):
+        return sum({id(block): block.nbytes for block in self._blocks}.values())
+
+    def live(self, u):
+        """The stored block S_u[:, :k_u]."""
+        return self._blocks[operator.index(u)]
+
+
+def _read_only(block):
+    if block.flags.writeable or not block.flags.owndata:
+        block = block.copy()
+        block.setflags(write=False)
+    return block
+
+
 @dataclass(frozen=True)
 class CskPath:
     """Stack of symplectic kernels S_{t_u} along the grid.
 
-    mats[u] is the flat matrix at node u.  Entries are stored raw so
-    that fast solvers are not forced through per-node validation; the
-    terminal entry is checked at construction and :meth:`validate`
-    re-checks every node on demand.
-
-    mats is always read-only and never aliases memory a caller can
-    write.  A stack that is already read-only and owns its memory is
-    adopted as is (the integrators hand over their fresh stacks this
-    way, so each path exists once); any other array is copied.
+    mats is a :class:`LiveColumns` stack: node u keeps only its live
+    block S_u[:, :k_u], which mats.live(u) returns, and mats[u] builds
+    the full matrix on access.  The integrators hand over the blocks
+    they write; any other stack (a dense (N + 1, size, size) array, as
+    the reference integrator and tests pass) is scanned once and
+    compressed, never adopted.  Entries are stored raw so that fast
+    solvers are not forced through per-node validation; the terminal
+    entry is checked at construction and :meth:`validate` re-checks
+    every node on demand, both from the stored widths.
     """
 
     grid: object
     ccr: object
-    mats: np.ndarray
+    mats: LiveColumns
 
     def __post_init__(self):
-        mats = np.asarray(self.mats, dtype=complex)
-        if mats.shape != (self.grid.node_count, *self.ccr.big.shape):
+        mats = self.mats
+        shape = (self.grid.node_count, *self.ccr.big.shape)
+        if not isinstance(mats, LiveColumns):
+            mats = np.asarray(mats, dtype=complex)
+            if mats.shape == shape:
+                mats = LiveColumns.from_dense(mats)
+        if mats.shape != shape:
             raise ValueError("matrix stack shape does not match grid and kernel")
-        if mats.flags.writeable or not mats.flags.owndata:
-            mats = mats.copy()
-            mats.setflags(write=False)
         object.__setattr__(self, "mats", mats)
         # terminal gate; full sweeps go through validate()
-        self.entry(self.grid.steps)
+        _check_symplectic(*self._residual(self.grid.steps))
 
     def entry(self, u):
         """Node u as a validated CskMatrix."""
         return CskMatrix(self.grid, self.mats[u], self.ccr)
 
+    def _residual(self, u):
+        # ||S_u||_F is taken on the full node, so the value is the one
+        # symplectic_residual_raw gives to the last bit
+        norm = np.linalg.norm(self.mats[u])
+        return _symplectic_residual_live(self.mats.live(u), self.ccr.big, norm)
+
+    def residuals(self):
+        """Relative symplectic residual of every node, residual / scale of
+        :func:`lie.symplectic_residual_raw`."""
+        return [r / scale for r, scale in map(self._residual, range(len(self.mats)))]
+
     def validate(self):
-        """Max relative symplectic residual over all nodes."""
-        worst = 0.0
-        for u in range(self.grid.node_count):
-            residual, scale = symplectic_residual_raw(self.mats[u], self.ccr.big)
-            worst = max(worst, residual / scale)
-        return worst
+        """Max relative symplectic residual over all nodes; NaN when any
+        node's residual is not a number."""
+        return float(np.max(self.residuals()))
 
 
 def corner_atom_path(grid, pi, profile=None):
     """Driver family F_u = profile(t_u) * (point mass Pi at (t_u, t_u)).
 
-    profile defaults to the constant 1; it must return real scalars so
-    the path stays in the real measure class.
+    profile defaults to the constant 1; it must return finite real
+    scalars so the path stays in the real measure class, and any other
+    value (complex, NaN, infinite, an array) raises ValueError.
     """
     entries = []
     for u, t in enumerate(grid.nodes):
-        factor = 1.0 if profile is None else float(profile(t))
+        factor = 1.0 if profile is None else _profile_factor(profile, t)
         entries.append(atomic_corner_measure(grid, u, factor * np.asarray(pi, float)))
     return MeasurePath(grid, tuple(entries))
+
+
+def _profile_factor(profile, t):
+    value = profile(t)
+    array = np.asarray(value)
+    if array.ndim or array.dtype.kind not in "biuf" or not np.isfinite(array):
+        raise ValueError(f"profile({t!r}) must be a finite real scalar, got {value!r}")
+    return float(array)
 
 
 def diagonal_lebesgue_path(grid, pi):
@@ -252,7 +338,9 @@ class _AtomicMidpoints:
 
 def _check_step_norm(exponent):
     step_norm = np.linalg.norm(exponent, 1)
-    if step_norm > STEP_NORM_BOUND:
+    if not np.isfinite(step_norm):
+        raise NumericalFailure(f"step exponent 1-norm is {step_norm}")
+    if not step_norm <= STEP_NORM_BOUND:
         raise NumericalFailure(
             f"step exponent 1-norm {step_norm:.3e} exceeds "
             f"{STEP_NORM_BOUND}; refine the grid"
@@ -277,39 +365,52 @@ def csk_path_from_midpoints(mid_weights, ccr):
         S_{u+1} = S_u + M_C Ups(M_CC) S_u[C, :k],
 
     Ups by :func:`lie._ups_series` (the gate keeps ||M_CC||_1 <= 1), and
-    an empty C copies S_u.  k, the largest C[-1] + 1 so far, is the live
-    width: S_u - I vanishes beyond column k, as no update reaches past
-    it.  A step costs O(size |C| k + |C|^3), with M_C formed from the
-    nonzero rows of W[:, C] only: |C| = 2n for the atomic driver of
-    :func:`spde_fast_path`, and |C| = k for drivers recovered by
+    an empty C leaves S_u as it is.  k, the largest C[-1] + 1 so far, is
+    the live width: S_u - I vanishes beyond column k, as no update
+    reaches past it.  A step costs O(size |C| k + |C|^3), with M_C formed
+    from the nonzero rows of W[:, C] only: |C| = 2n for the atomic driver
+    of :func:`spde_fast_path`, and |C| = k for drivers recovered by
     :func:`inverse_toe_measure`, supported in [0, t_{u+1}]^2.
+
+    Only the live block S_u[:, :k] of each node is written and kept (see
+    :class:`LiveColumns`): step u pads the block of S_u with identity
+    columns to the new width and applies the update to that, so the
+    path holds sum_u size k_u entries, about half of N + 1 dense
+    matrices, and no (N + 1) x size^2 stack is ever allocated.
     """
-    grid = ccr.grid
-    big = ccr.big
-    h = grid.step
-    size = big.shape[0]
-    count = grid.node_count
-    if len(mid_weights) != count - 1:
+    if len(mid_weights) != ccr.grid.node_count - 1:
         raise ValueError("need one midpoint weight matrix per step")
-    mats = np.empty((count, size, size), dtype=complex)
-    mats[0] = np.eye(size)
+    blocks = _live_blocks(mid_weights, ccr)
+    return CskPath(ccr.grid, ccr, LiveColumns(blocks, ccr.big.shape[0]))
+
+
+def _live_blocks(mid_weights, ccr):
+    """S_0[:, :k_0], S_1[:, :k_1], ... of :func:`csk_path_from_midpoints`,
+    each read-only; the step temporaries are gone once the last is out."""
+    big = ccr.big
+    h = ccr.grid.step
+    size = big.shape[0]
+    eye = np.eye(size)
+    live = np.empty((size, 0), dtype=complex)
+    live.setflags(write=False)
+    yield live
     k = 0
-    for u in range(count - 1):
+    for u in range(len(mid_weights)):
         weights = mid_weights[u]
         if weights.shape != (size, size):
             raise ValueError(f"midpoint weights {u} do not match the kernel")
-        mats[u + 1] = mats[u]
         cols = np.flatnonzero(weights.any(axis=0))
-        if cols.size == 0:
-            continue
-        block = weights[:, cols]
-        rows = np.flatnonzero(block.any(axis=1))
-        m_cols = (2j * h) * (big[:, rows] @ block[rows])
-        _check_step_norm(m_cols)
-        k = max(k, int(cols[-1]) + 1)
-        mats[u + 1, :, :k] += m_cols @ (_ups_series(m_cols[cols]) @ mats[u, cols, :k])
-    mats.setflags(write=False)
-    return CskPath(grid, ccr, mats)
+        if cols.size:
+            block = weights[:, cols]
+            rows = np.flatnonzero(block.any(axis=1))
+            m_cols = (2j * h) * (big[:, rows] @ block[rows])
+            _check_step_norm(m_cols)
+            width = max(k, int(cols[-1]) + 1)
+            live = np.hstack((live, eye[:, k:width]))
+            live += m_cols @ (_ups_series(m_cols[cols]) @ live[cols])
+            live.setflags(write=False)
+            k = width
+        yield live
 
 
 def forward_csk_evolution(f_path, ccr):
@@ -325,7 +426,8 @@ def forward_csk_evolution(f_path, ccr):
 
 
 def _dense_csk_evolution(f_path, ccr):
-    """Reference for :func:`forward_csk_evolution`: expm(M) @ S_u at every step."""
+    """Reference for :func:`forward_csk_evolution`: expm(M) @ S_u at every
+    step, on dense matrices; the path compresses the finished stack."""
     if f_path.grid != ccr.grid:
         raise ValueError("path and kernel grids differ")
     mats = [np.eye(ccr.big.shape[0], dtype=complex)]
@@ -364,16 +466,15 @@ class QefForwardResult:
         return MeasurePath(self.grid, self.measures)
 
 
-def _normal_offset(s_u):
+def _normal_offset(live):
     """T - I = 2i conj(S)^{-1} Im S for T = conj(S)^{-1} S, without cancellation.
 
-    S is the identity beyond its first k columns (found in S), S = [[A, 0],
-    [B, I]], so T - I = [[X_11, 0], [X_21, 0]] with X_11 = 2i conj(A)^{-1}
-    Im A and X_21 = 2i Im B - conj(B) X_11.
+    live = S[:, :k] is S up to its identity columns, S = [[A, 0], [B, I]],
+    so T - I = [[X_11, 0], [X_21, 0]] with X_11 = 2i conj(A)^{-1} Im A and
+    X_21 = 2i Im B - conj(B) X_11.
     """
-    size = s_u.shape[0]
-    k = _live_width(s_u - np.eye(size))
-    a, b = s_u[:k, :k], s_u[k:, :k]
+    size, k = live.shape
+    a, b = live[:k], live[k:]
     offset = np.zeros((size, size), dtype=complex)
     offset[:k, :k] = np.linalg.solve(np.conj(a), 2j * a.imag)
     offset[k:, :k] = 2j * b.imag - np.conj(b) @ offset[:k, :k]
@@ -390,15 +491,17 @@ def qef_from_csk_path(s_path, ccr, nodes=None, solver=None):
     kernel solve restricted to [0, t_u]^2 yields N_u.  nodes=None
     extracts at every node; a sparse selection saves the logarithms.
 
-    Each stage works on the live block of its input: S_u is checked to
-    be exactly the identity beyond some k columns (k = (u + 1) n for the
-    flows of nonanticipative drivers, k = size otherwise), the offset,
-    the logarithm and the solve then take O(size^2 k) work in place of
-    O(size^3), and every gate (congruence, reconstruction, anchor, solve
-    residual) still runs on its full-size quantity.
+    Each stage works on the live block of its input: the path stores
+    S_u as its first k columns, beyond which it is the identity (k =
+    (u + 1) n for the flows of nonanticipative drivers, k = size
+    otherwise), the offset, the logarithm and the solve then take
+    O(size^2 k) work in place of O(size^3), and every gate
+    (congruence, reconstruction, anchor, solve residual) still runs on
+    its full-size quantity.
 
     The logarithm anchor is carried from the previously extracted node,
-    keeping the branch continuous along the path.
+    keeping the branch continuous along the path.  Raises ValueError
+    unless every requested node is an integer in [0, N + 1).
     """
     grid = s_path.grid
     if grid != ccr.grid:
@@ -409,15 +512,18 @@ def qef_from_csk_path(s_path, ccr, nodes=None, solver=None):
     if nodes is None:
         indices = tuple(range(count))
     else:
+        for u in nodes:
+            if not isinstance(u, (int, np.integer)) or not 0 <= u < count:
+                raise ValueError(
+                    f"extraction nodes must be integers in [0, {count}), got {u!r}"
+                )
         indices = tuple(sorted(set(int(u) for u in nodes)))
-        if indices and (indices[0] < 0 or indices[-1] >= count):
-            raise ValueError("extraction node outside the grid")
     measures = []
     reality = []
     reports = []
     anchor = None
     for u in indices:
-        offset = _normal_offset(s_path.mats[u])
+        offset = _normal_offset(s_path.mats.live(u))
         anchor = csk_log_near_identity(offset, ccr, anchor=anchor).ham
         measure, report = solver.solve_measure(anchor / 4j, support_index=u)
         measures.append(measure)
@@ -659,8 +765,8 @@ def _t_route_gap(f_path, ccr, s_path):
     integrated T is compared node by node as its recursion runs."""
     eye = np.eye(ccr.big.shape[0])
     worst = 0.0
-    for s_u, t_direct in zip(s_path.mats, _t_steps(f_path, ccr, s_path)):
-        t_u = eye + _normal_offset(s_u)
+    for u, t_direct in enumerate(_t_steps(f_path, ccr, s_path)):
+        t_u = eye + _normal_offset(s_path.mats.live(u))
         gap = np.linalg.norm(t_u - t_direct)
         worst = max(worst, float(gap / (1.0 + np.linalg.norm(t_u))))
     return worst

@@ -42,6 +42,7 @@ from quadexp import (
 from quadexp import model as model_module
 from quadexp import solvers
 from quadexp.cli import bundled_scenario, parse_scenario
+from quadexp.lie import CskMatrix, _ups_series
 from quadexp.model import ccr_two_point
 from quadexp.solvers import _dense_csk_evolution
 
@@ -121,6 +122,47 @@ def test_step_norm_gate_reports_refinement(ccr16, rng):
         csk_path_from_midpoints([full] * ccr16.grid.steps, ccr16)
 
 
+def test_gates_trip_on_non_finite_values(ccr16, pi2):
+    # a NaN compares false with any bound, so each gate must test that
+    # the value lies within it rather than that it exceeds it
+    grid = ccr16.grid
+    size = ccr16.big.shape[0]
+    for bad in (np.nan, np.inf):
+        weights = np.full((size, size), bad)
+        with pytest.raises(NumericalFailure, match="step exponent"):
+            csk_path_from_midpoints([weights] * grid.steps, ccr16)
+        with pytest.raises(NumericalFailure, match="symplectic residual"):
+            CskMatrix(grid, np.full((size, size), bad, dtype=complex), ccr16)
+    flow = forward_csk_evolution(corner_atom_path(grid, pi2), ccr16)
+    stack = np.array(list(flow.mats))
+    stack[grid.steps, 0, 0] = np.nan
+    with pytest.raises(NumericalFailure, match="symplectic residual"):
+        CskPath(grid, ccr16, stack)
+
+
+def test_validate_reports_a_non_finite_node(ccr16, pi2):
+    grid = ccr16.grid
+    flow = forward_csk_evolution(corner_atom_path(grid, pi2), ccr16)
+    assert 0.0 < flow.validate() <= 1e-12
+    stack = np.array(list(flow.mats))
+    stack[5, 0, 0] = np.nan
+    path = CskPath(grid, ccr16, stack)  # the terminal gate passes
+    assert np.isnan(path.residuals()[5])
+    assert np.isnan(path.validate())
+
+
+def test_corner_atom_path_rejects_a_non_real_profile(grid16, pi2):
+    for value in (1j, 1.0 + 0j, np.complex128(2.0), np.nan, np.inf, -np.inf,
+                  np.array([1.0, 2.0]), "1", None):
+        with pytest.raises(ValueError, match="finite real scalar"):
+            corner_atom_path(grid16, pi2, profile=lambda t, v=value: v)
+    plain = corner_atom_path(grid16, pi2, profile=lambda t: 2.0)
+    for value in (2, np.float64(2.0), np.int64(2), np.array(2.0)):
+        path = corner_atom_path(grid16, pi2, profile=lambda t, v=value: v)
+        for got, want in zip(path.entries, plain.entries):
+            assert np.array_equal(got.weights, want.weights)
+
+
 def test_forward_measures_are_real_and_nonanticipative(ccr16, pi2):
     qef = forward_qef_measure(corner_atom_path(ccr16.grid, pi2), ccr16)
     for u, q in zip(qef.node_indices, qef.measures):
@@ -141,6 +183,16 @@ def test_sparse_extraction_matches_full(ccr16, pi2):
         assert gap <= 1e-9 * (1.0 + np.linalg.norm(full.measures[u].weights))
     with pytest.raises(ValueError, match="node"):
         qef_from_csk_path(s_path, ccr16, nodes=[99])
+
+
+def test_extraction_rejects_a_non_integer_node(ccr16, pi2):
+    # 1.7 used to be truncated to node 1
+    s_path = forward_csk_evolution(corner_atom_path(ccr16.grid, pi2), ccr16)
+    for node in (1.7, 1.0, -1, 17, "3", None):
+        with pytest.raises(ValueError, match=r"integers in \[0, 17\)"):
+            qef_from_csk_path(s_path, ccr16, nodes=[4, node])
+    qef = qef_from_csk_path(s_path, ccr16, nodes=[np.int64(4), 4])
+    assert qef.node_indices == (4,)
 
 
 def _mp_terminal_measure(mp, s, big):
@@ -426,6 +478,8 @@ def test_live_column_steps_match_a_40_digit_exponential(model2, pi2):
 
 
 def test_integrators_hand_over_one_read_only_stack(model2, pi2):
+    # every path keeps read-only live blocks that alias no caller memory;
+    # a dense stack is compressed to the same blocks, never adopted
     grid = make_grid(1.0, 8)
     ccr = build_ccr_kernel(model2, grid)
     f_path = corner_atom_path(grid, pi2)
@@ -434,23 +488,36 @@ def test_integrators_hand_over_one_read_only_stack(model2, pi2):
         0.5 * (f_path.entries[u].weights + f_path.entries[u + 1].weights)
         for u in range(grid.steps)
     ]
-    assert np.array_equal(general.mats, csk_path_from_midpoints(mids, ccr).mats)
-
-    # caller memory is copied, whether writable or a read-only view of it
-    stack = general.mats.copy()
+    stack = np.array([general.mats[u] for u in range(grid.node_count)])
     view = stack[:]
     view.setflags(write=False)
-    adopted = [CskPath(grid, ccr, stack), CskPath(grid, ccr, view)]
+    compressed = [CskPath(grid, ccr, stack), CskPath(grid, ccr, view)]
     stack[grid.steps] += 1.0
-    for path in adopted:
-        assert not np.shares_memory(path.mats, stack)
-        assert np.array_equal(path.mats, general.mats)
-
     fast = spde_fast_path(model2, pi2, grid)
-    for path in (general, fast, *adopted):
-        assert not path.mats.flags.writeable
-        with pytest.raises(ValueError):
-            path.mats[0, 0, 0] = 0.0
+    paths = (general, csk_path_from_midpoints(mids, ccr), fast, *compressed)
+    for path in paths:
+        assert path.mats.shape == (grid.node_count, *ccr.big.shape)
+        assert path.mats.nbytes == general.mats.nbytes
+        for u in range(grid.node_count):
+            block = path.mats.live(u)
+            assert np.array_equal(block, general.mats.live(u))
+            assert np.array_equal(path.mats[u], general.mats[u])
+            assert not np.shares_memory(block, stack)
+            assert not block.flags.writeable
+            with pytest.raises(ValueError):
+                block[...] = 0.0
+            with pytest.raises(ValueError):
+                path.mats[u][0, 0] = 0.0
+    # a read-only per-node sequence: negative indices and iteration, no slices
+    assert np.array_equal(general.mats[-1], general.mats[grid.steps])
+    # iteration sees the nodes as they were, not the stack edited since
+    same = [np.array_equal(a, b) for a, b in zip(general.mats, stack)]
+    assert same == [True] * grid.steps + [False]
+    assert len(list(general.mats)) == len(general.mats) == grid.node_count
+    with pytest.raises(TypeError):
+        general.mats[1:3]
+    with pytest.raises(IndexError):
+        general.mats[grid.node_count]
 
 
 def test_integrators_and_extraction_peak_memory_stay_near_one_stack(model2, pi2):
@@ -480,26 +547,108 @@ def test_integrators_and_extraction_peak_memory_stay_near_one_stack(model2, pi2)
 def _n16_flows(model2, pi2):
     """The corner-atom flow, the flow of the driver recovered from the
     diagonal path, the regenerated flow of the corner-atom roundtrip and
-    the dense reference flow, at N = 16."""
+    the dense reference flow, at N = 16, with the midpoint weights each
+    was integrated from."""
     grid = make_grid(1.0, 16)
     ccr = build_ccr_kernel(model2, grid)
     f_path = corner_atom_path(grid, pi2)
     corner = forward_csk_evolution(f_path, ccr)
     recovered = inverse_toe_measure(diagonal_lebesgue_path(grid, pi2), ccr).f_path
     qef = qef_from_csk_path(corner, ccr)
-    staggered = staggered_inverse_measures(qef.measures, ccr)
+    staggered = [m.weights for m in staggered_inverse_measures(qef.measures, ccr)]
     flows = {
         "corner-atom": corner,
         "recovered driver": forward_csk_evolution(recovered, ccr),
-        "regenerated": csk_path_from_midpoints([m.weights for m in staggered], ccr),
+        "regenerated": csk_path_from_midpoints(staggered, ccr),
         "dense": _dense_csk_evolution(f_path, ccr),
     }
-    return ccr, flows
+    mids = {
+        "corner-atom": list(solvers._MidpointWeights(f_path)),
+        "recovered driver": list(solvers._MidpointWeights(recovered)),
+        "regenerated": staggered,
+        "dense": list(solvers._MidpointWeights(f_path)),
+    }
+    return ccr, flows, mids
+
+
+def _dense_update_loop(mids, ccr):
+    """The integrator's live-column update on a dense (N + 1, size, size)
+    stack: S_{u+1} = S_u, then S_{u+1}[:, :k] += M_C Ups(M_CC) S_u[C, :k]."""
+    size = ccr.big.shape[0]
+    mats = np.empty((len(mids) + 1, size, size), dtype=complex)
+    mats[0] = np.eye(size)
+    k = 0
+    for u, w in enumerate(mids):
+        mats[u + 1] = mats[u]
+        cols = np.flatnonzero(w.any(axis=0))
+        if cols.size == 0:
+            continue
+        rows = np.flatnonzero(w[:, cols].any(axis=1))
+        m_cols = (2j * ccr.grid.step) * (ccr.big[:, rows] @ w[:, cols][rows])
+        k = max(k, int(cols[-1]) + 1)
+        mats[u + 1, :, :k] += m_cols @ (_ups_series(m_cols[cols]) @ mats[u, cols, :k])
+    return mats
+
+
+def _dense_expm_loop(mids, ccr):
+    """expm(M_u) @ S_u on dense matrices, as the reference integrator steps."""
+    mats = [np.eye(ccr.big.shape[0], dtype=complex)]
+    for w in mids:
+        mats.append(expm(2j * ccr.grid.step * (ccr.big @ w)) @ mats[-1])
+    return mats
+
+
+def test_live_columns_equal_the_dense_stack_loops(model2, pi2):
+    # storing the live blocks changes no bit: each node equals the same
+    # arithmetic run on a dense stack
+    ccr, flows, mids = _n16_flows(model2, pi2)
+    for name, s_path in flows.items():
+        loop = _dense_expm_loop if name == "dense" else _dense_update_loop
+        reference = loop(mids[name], ccr)
+        assert len(s_path.mats) == len(reference)
+        for u, want in enumerate(reference):
+            assert np.array_equal(s_path.mats[u], want), (name, u)
+
+
+def test_corner_atom_flow_stores_its_live_columns_only(model2, pi2):
+    # N = 32: node u keeps size x k_u entries, k_0 = 0 and k_u = (u + 1) n
+    grid = make_grid(1.0, 32)
+    ccr = build_ccr_kernel(model2, grid)
+    size, n = ccr.big.shape[0], ccr.dim
+    widths = [0] + [(u + 1) * n for u in range(1, grid.node_count)]
+    for s_path in (
+        forward_csk_evolution(corner_atom_path(grid, pi2), ccr),
+        spde_fast_path(model2, pi2, grid),
+    ):
+        assert [s_path.mats.live(u).shape for u in range(grid.node_count)] == [
+            (size, k) for k in widths
+        ]
+        assert s_path.mats.nbytes == sum(size * k * 16 for k in widths)
+
+
+def test_integrators_peak_memory_stays_below_one_dense_stack(model2, pi2):
+    # the live blocks hold about half a dense stack, and no stack is formed
+    grid = make_grid(1.0, 32)
+    ccr = build_ccr_kernel(model2, grid)
+    f_path = corner_atom_path(grid, pi2)
+    size = ccr.big.shape[0]
+    stack_bytes = grid.node_count * size * size * 16
+    for fn, args in (
+        (forward_csk_evolution, (f_path, ccr)),
+        (spde_fast_path, (model2, pi2, grid)),
+    ):
+        tracemalloc.start()
+        try:
+            fn(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.75 * stack_bytes, (fn.__name__, peak / stack_bytes)
 
 
 def test_flows_are_the_identity_beyond_the_live_block(model2, pi2):
     # S_u = [[A, 0], [B, I]] with A of size (u + 1) n: exactly, not to rounding
-    ccr, flows = _n16_flows(model2, pi2)
+    ccr, flows, _ = _n16_flows(model2, pi2)
     eye = np.eye(ccr.big.shape[0])
     for name, s_path in flows.items():
         for u, s_u in enumerate(s_path.mats):
@@ -531,7 +680,7 @@ def _full_size_measure(s_u, ccr, u):
 def test_block_extraction_matches_full_size_formulas(model2, pi2):
     # each flow, the dense reference included, is extracted at every
     # node on its live block and agrees with the full-size computation
-    ccr, flows = _n16_flows(model2, pi2)
+    ccr, flows, _ = _n16_flows(model2, pi2)
     extracted = {name: qef_from_csk_path(s_path, ccr) for name, s_path in flows.items()}
     for name, s_path in flows.items():
         for u, measure in enumerate(extracted[name].measures):
