@@ -508,9 +508,9 @@ def test_integrators_hand_over_one_read_only_stack(model2, pi2):
                 block[...] = 0.0
             with pytest.raises(ValueError):
                 path.mats[u][0, 0] = 0.0
-    # a read-only per-node sequence: negative indices and iteration, no slices
+    # negative indices and iteration read the nodes as stored, not the
+    # caller's stack edited since; slices are not supported
     assert np.array_equal(general.mats[-1], general.mats[grid.steps])
-    # iteration sees the nodes as they were, not the stack edited since
     same = [np.array_equal(a, b) for a, b in zip(general.mats, stack)]
     assert same == [True] * grid.steps + [False]
     assert len(list(general.mats)) == len(general.mats) == grid.node_count
