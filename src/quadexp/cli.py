@@ -41,7 +41,6 @@ import numpy as np
 
 from .errors import NumericalFailure, ScenarioError
 from .fock import build_single_time, oracle_bracket_check, oracle_multitime_check
-from .lie import KernelSolver
 from .measures import (
     KernelMeasure,
     build_ccr_kernel,
@@ -134,7 +133,7 @@ class Scenario:
 
 
 def _parse_matrix(text, where):
-    """Bracketed row list -> real matrix; rejects ragged or empty rows."""
+    """Bracketed row list -> finite real matrix; rejects ragged or empty rows."""
     text = text.strip()
     if not (text.startswith("[[") and text.endswith("]]")):
         raise ScenarioError(f"{where}: matrix literal must look like [[a, b], [c, d]]")
@@ -151,7 +150,10 @@ def _parse_matrix(text, where):
     width = len(rows[0])
     if any(len(row) != width for row in rows):
         raise ScenarioError(f"{where}: ragged matrix rows")
-    return np.asarray(rows, dtype=float)
+    matrix = np.asarray(rows, dtype=float)
+    if not np.isfinite(matrix).all():
+        raise ScenarioError(f"{where}: non-finite matrix entry")
+    return matrix
 
 
 def _parse_pairs(path):
@@ -386,8 +388,7 @@ def _run_inverse(scn, model, out_dir):
     grid = make_grid(scn.horizon, scn.steps)
     ccr = build_ccr_kernel(model, grid)
     n_path = diagonal_lebesgue_path(grid, scn.pi)
-    solver = KernelSolver(ccr)
-    result = inverse_toe_measure(n_path, ccr, solver=solver)
+    result = inverse_toe_measure(n_path, ccr)
     write_measure_csv(Path(out_dir) / "f_terminal.csv", result.f_path.entries[-1])
     columns = {
         "reality": [
@@ -404,7 +405,7 @@ def _run_inverse(scn, model, out_dir):
         scn,
         model,
         _measure_closure(scn.pi),
-        lambda: max(_forward_gaps(result.f_path, n_path, ccr, solver)),
+        lambda: max(_forward_gaps(result.f_path, n_path, ccr)),
     )
     notes = ()
     if convergence:
@@ -419,13 +420,12 @@ def _run_roundtrip(scn, model, out_dir):
     ccr = build_ccr_kernel(model, grid)
     f_path = corner_atom_path(grid, scn.pi)
     s_path = forward_csk_evolution(f_path, ccr)
-    solver = KernelSolver(ccr)
-    qef = qef_from_csk_path(s_path, ccr, solver=solver)
-    trip = _flow_closure(f_path, ccr, qef, solver)
+    qef = qef_from_csk_path(s_path, ccr)
+    trip = _flow_closure(f_path, ccr, qef)
     write_measure_csv(Path(out_dir) / "n_terminal.csv", qef.measures[-1])
     columns = _flow_columns(s_path, qef)
     columns["roundtrip"] = _roundtrip_n_gaps(
-        diagonal_lebesgue_path(grid, scn.pi), ccr, solver
+        diagonal_lebesgue_path(grid, scn.pi), ccr
     )
     checks = [
         ("symplectic", max(columns["symplectic"]), SYMPLECTIC_GATE),

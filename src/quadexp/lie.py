@@ -21,7 +21,8 @@ the calculus both directions need:
     symplectic kernel preserving the commutator kernel congruence
     S Lambda S^T = Lambda, and the anchored matrix logarithm (with a
     cancellation-free series for kernels near the identity) plus
-    least-squares kernel solve inverting it back to a measure.
+    least-squares kernel solve inverting it back to a measure, through
+    the factorization the commutator kernel owns (ccr.solver, built once).
 
 Measures at node u are supported in [0, t_u]^2, so the matrices the
 bridge passes here vanish beyond their first k = (u + 1) n columns
@@ -46,6 +47,7 @@ from scipy.linalg import expm, logm, lu_factor, lu_solve
 
 from .errors import NumericalFailure
 from .measures import ChkMatrix, KernelMeasure, _live_width, _support_scan, _zero_beyond
+from .measures import lambda_product
 
 __all__ = [
     "CskMatrix",
@@ -441,23 +443,25 @@ def symplectic_residual_raw(mat, big):
     taken on those columns by :func:`_symplectic_residual_live`.
     """
     k = _live_width(mat - np.eye(mat.shape[0]))
-    return _symplectic_residual_live(mat[:, :k], big, np.linalg.norm(mat))
+    return _symplectic_residual_live(mat[:, :k], big)
 
 
-def _symplectic_residual_live(live, big, norm):
+def _symplectic_residual_live(live, big):
     """:func:`symplectic_residual_raw` from live = S[:, :k], beyond which S
-    is the identity, and norm = ||S||_F.
+    is the identity.
 
     With X = S - I, zero beyond column k, M = X[:, :k] Lambda[:k, :] and
     Lambda antisymmetric, the residual is M - M^T + M[:, :k] X[:, :k]^T,
-    an O(size^2 k) evaluation.
+    an O(size^2 k) evaluation.  Each of the size - k identity columns
+    adds 1 to ||S||_F^2, so the scale needs no full node either.
     """
-    k = live.shape[1]
-    offset = live - np.eye(*live.shape)
+    size, k = live.shape
+    offset = live - np.eye(size, k)
     m = offset @ big[:k, :]
     residual = m - m.T
     residual += m[:, :k] @ offset.T
-    scale = 1.0 + np.linalg.norm(big) * norm**2
+    norm2 = np.linalg.norm(live) ** 2 + (size - k)
+    scale = 1.0 + np.linalg.norm(big) * norm2
     return float(np.linalg.norm(residual)), float(scale)
 
 
@@ -650,7 +654,7 @@ def csk_log_near_identity(offset, ccr, anchor=None):
     ham[:, :k] = 2.0 * (z @ _gregory_factor(z11, radius))
     # exp(H) - S = H Ups(H) - X, whose columns beyond k vanish
     residual = np.linalg.norm(ham[:, :k] @ _ups_series(ham[:k, :k]) - live)
-    if residual > LOG_RECONSTRUCTION_TOL * max(np.linalg.norm(csk.mat), 1.0):
+    if not residual <= LOG_RECONSTRUCTION_TOL * max(np.linalg.norm(csk.mat), 1.0):
         raise NumericalFailure("logarithm failed to reconstruct its input")
     if anchor_mat is not None:
         wide = max(k, _live_width(anchor_mat))
@@ -676,13 +680,14 @@ class ChkSolveReport:
 
 
 class KernelSolver:
-    """Cached factorization of a stacked commutator kernel.
+    """Factorization of a stacked commutator kernel, owned by the kernel.
 
-    The kernel is fixed per grid and model while solvers call for many
-    right-hand sides, so the LU factorization and condition number are
-    computed once.  A rank-deficient kernel (for example when B J B^T
-    is singular) is detected through the condition estimate and falls
-    back to least squares, whose residual then reports the failure.
+    ccr.solver builds it on first use and keeps it, so the condition
+    number and LU factors of a kernel are computed once however many
+    right-hand sides the bridge solves for.  A rank-deficient kernel (for
+    example when B J B^T is singular) is detected through the condition
+    estimate and falls back to least squares, whose residual then
+    reports the failure.
 
     Right-hand sides of the bridge vanish beyond their first k columns
     (4i Lambda N for N supported in [0, t_u]^2, k = (u + 1) n), and so
@@ -712,10 +717,13 @@ class KernelSolver:
         from Lambda[:, :c] W[:c, :c], whose rows beyond c check the
         consistency of the solve.
 
-        Returns (KernelMeasure, ChkSolveReport); raises when the final
-        relative residual exceeds SOLVE_RELATIVE_TOL.
+        Returns (KernelMeasure, ChkSolveReport); raises NumericalFailure
+        when ham is not finite or the final residual is not within
+        SOLVE_RELATIVE_TOL of ||ham|| (plus SOLVE_ABSOLUTE_TOL).
         """
         ham = np.asarray(ham)
+        if not np.isfinite(ham).all():
+            raise NumericalFailure("kernel solve: the Hamiltonian is not finite")
         n = self.ccr.dim
         k = _live_width(ham)
         raw = np.zeros(ham.shape, dtype=complex)
@@ -728,24 +736,23 @@ class KernelSolver:
         if support_index is not None:
             support = min(support_index, support)
             truncated = _zero_beyond(w, n * (support_index + 1))
-        measure = KernelMeasure(self.ccr.grid, w, support)
         c = _live_width(w)
         residual = float(np.hypot(
             np.linalg.norm(self.ccr.big[:, :c] @ w[:c, :c] - ham[:, :c]),
             np.linalg.norm(ham[:, c:]),
         ))
         ham_norm = float(np.linalg.norm(ham))
-        relative = residual / ham_norm if ham_norm > 0.0 else 0.0
-        report = ChkSolveReport(
-            residual, relative, self.condition, asymmetry, truncated
-        )
-        if residual > ham_norm * SOLVE_RELATIVE_TOL + SOLVE_ABSOLUTE_TOL:
+        if not residual <= ham_norm * SOLVE_RELATIVE_TOL + SOLVE_ABSOLUTE_TOL:
             raise NumericalFailure(
                 f"kernel solve residual {residual:.3e} exceeds "
                 f"{SOLVE_RELATIVE_TOL:.0e} relative to {ham_norm:.3e} "
                 f"(condition {self.condition:.3e})"
             )
-        return measure, report
+        relative = residual / ham_norm if ham_norm > 0.0 else 0.0
+        report = ChkSolveReport(
+            residual, relative, self.condition, asymmetry, truncated
+        )
+        return KernelMeasure(self.ccr.grid, w, support), report
 
 
 def bch_product(q1, q2, ccr):
@@ -756,15 +763,13 @@ def bch_product(q1, q2, ccr):
     term of the expansion) and the kernel solve.  Returns
     (KernelMeasure, ChkSolveReport).
     """
-    from .measures import lambda_product  # local to avoid cycle at import
-
     s1 = chk_exp(lambda_product(ccr, q1), ccr)
     s2 = chk_exp(lambda_product(ccr, q2), ccr)
     product = CskMatrix(ccr.grid, s1.mat @ s2.mat, ccr)
     anchor = 4j * (ccr.big @ (q1.weights + q2.weights))
     ham = csk_log(product, anchor=anchor)
     support = max(q1.support_index, q2.support_index)
-    return KernelSolver(ccr).solve_measure(ham.ham / 4j, support_index=support)
+    return ccr.solver.solve_measure(ham.ham / 4j, support_index=support)
 
 
 # ---------------------------------------------------------------------------

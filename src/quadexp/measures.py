@@ -30,6 +30,7 @@ split off rather than stored.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -106,7 +107,8 @@ class CcrKernel:
     big is the real n(N+1) square matrix with block (j, k) equal to
     Lambda(t_j - t_k).  Kernel antisymmetry Lambda(-tau) = -Lambda(tau)^T
     makes big antisymmetric as a flat matrix, and block (j, j) equals
-    Theta for every j.
+    Theta for every j.  The kernel owns its factorization, :attr:`solver`,
+    built on first use and shared by every later solve against it.
     """
 
     grid: TimeGrid
@@ -130,25 +132,29 @@ class CcrKernel:
         n = self.dim
         return self.big[j * n : (j + 1) * n, k * n : (k + 1) * n]
 
+    @cached_property
+    def solver(self):
+        """The :class:`lie.KernelSolver` of this kernel, factorized once."""
+        from .lie import KernelSolver  # lie imports this module
+
+        return KernelSolver(self)
+
 
 def build_ccr_kernel(model, grid):
     """Assemble the stacked kernel for a model on a grid.
 
-    Uses ccr_two_point for each nonnegative lag and fills negative lags
-    by the antisymmetry relation, so flat antisymmetry holds exactly.
+    Uses ccr_two_point for each nonnegative lag d = j - k and fills
+    negative lags by the antisymmetry relation, block (j, k) =
+    -Lambda(t_k - t_j)^T, so flat antisymmetry holds exactly.
     """
     n = model.dim
     count = grid.node_count
     h = grid.step
-    lags = [ccr_two_point(model, d * h) for d in range(count)]
-    big = np.zeros((n * count, n * count))
-    for j in range(count):
-        for k in range(count):
-            if j >= k:
-                blockval = lags[j - k]
-            else:
-                blockval = -lags[k - j].T
-            big[j * n : (j + 1) * n, k * n : (k + 1) * n] = blockval
+    lags = np.array([ccr_two_point(model, d * h) for d in range(count)])
+    d = np.subtract.outer(np.arange(count), np.arange(count))
+    blocks = lags[abs(d)]
+    blocks = np.where((d >= 0)[:, :, None, None], blocks, -blocks.swapaxes(2, 3))
+    big = blocks.swapaxes(1, 2).reshape(n * count, n * count)
     return CcrKernel(grid, big)
 
 
@@ -183,6 +189,11 @@ class KernelMeasure:
             raise ValueError("weights must be a square matrix")
         if w.shape[0] % self.grid.node_count != 0:
             raise ValueError("weights size is not a multiple of the node count")
+        bad = w[~np.isfinite(w)]
+        if bad.size:
+            raise ValueError(
+                f"weights must be finite, got {bad.size} entries such as {bad[0]}"
+            )
         w = 0.5 * (w + w.T)
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
@@ -253,16 +264,25 @@ def atom_measure(grid, j, k, block):
     return KernelMeasure(grid, w, max(j, k))
 
 
+def _check_pi(pi):
+    """pi as a float array; raises ValueError unless it is finite and symmetric."""
+    pi = np.asarray(pi, dtype=float)
+    if not np.isfinite(pi).all():
+        raise ValueError(f"pi must be finite, got {pi.tolist()}")
+    if np.linalg.norm(pi - pi.T) > 1e-12 * (1.0 + np.linalg.norm(pi)):
+        raise ValueError("pi must be symmetric")
+    return pi
+
+
 def diagonal_lebesgue_measure(grid, u, pi):
     """Diagonal measure mu([0, t_u] cap A cap B) Pi, trapezoidal masses.
 
     Places w_j Pi at (t_j, t_j) for j = 0..u with trapezoid weights
     (h/2, h, ..., h, h/2), an order h^2 discretization of the continuum
-    diagonal; u = 0 gives the zero measure.  Pi must be real symmetric.
+    diagonal; u = 0 gives the zero measure.  Pi must be finite, real and
+    symmetric.
     """
-    pi = np.asarray(pi, dtype=float)
-    if np.linalg.norm(pi - pi.T) > 1e-12 * (1.0 + np.linalg.norm(pi)):
-        raise ValueError("pi must be symmetric")
+    pi = _check_pi(pi)
     n = pi.shape[0]
     count = grid.node_count
     if not 0 <= u < count:
@@ -277,11 +297,8 @@ def diagonal_lebesgue_measure(grid, u, pi):
 
 
 def atomic_corner_measure(grid, u, pi):
-    """Unit point mass Pi at the corner (t_u, t_u); Pi real symmetric."""
-    pi = np.asarray(pi, dtype=float)
-    if np.linalg.norm(pi - pi.T) > 1e-12 * (1.0 + np.linalg.norm(pi)):
-        raise ValueError("pi must be symmetric")
-    return atom_measure(grid, u, u, pi)
+    """Unit point mass Pi at the corner (t_u, t_u); Pi finite real symmetric."""
+    return atom_measure(grid, u, u, _check_pi(pi))
 
 
 def random_measure(rng, grid, dim, support=None, complex_entries=True, scale=1.0):
@@ -483,6 +500,8 @@ def read_measure_csv(path):
             re, im = float(parts[4]), float(parts[5])
         except ValueError as exc:
             raise ScenarioError(f"{path}:{lineno}: malformed entry") from exc
+        if not np.isfinite([re, im]).all():
+            raise ScenarioError(f"{path}:{lineno}: non-finite entry")
         if not (0 <= j < grid.node_count and 0 <= k < grid.node_count):
             raise ScenarioError(f"{path}:{lineno}: node index out of range")
         if not (0 <= row < n and 0 <= col < n):

@@ -19,7 +19,8 @@ to rounding while node masses converge at second order.
 
 Measures in a path are supported in [0, t_u]^2 at node u; solvers
 restrict their kernel solves to that support and report the truncated
-mass.  Derivative entries, where a path carries them, follow the same
+mass.  Every solve runs through ccr.solver, the factorization the
+commutator kernel owns, so each kernel is factorized at most once.  Derivative entries, where a path carries them, follow the same
 convention (the diagonal family has the exact corner-atom derivative).
 Through Q -> 4i Lambda Q the support makes S_u the identity beyond its
 first k = (u + 1) n columns, and T_u - I, 4i Lambda N_u and the inverse
@@ -48,7 +49,6 @@ from scipy.linalg import expm
 from .errors import NumericalFailure
 from .lie import (
     CskMatrix,
-    KernelSolver,
     _check_symplectic,
     _symplectic_residual_live,
     _ups_series,
@@ -59,6 +59,7 @@ from .lie import (
 )
 from .measures import (
     KernelMeasure,
+    _check_pi,
     _live_width,
     atomic_corner_measure,
     build_ccr_kernel,
@@ -241,10 +242,7 @@ class CskPath:
         return CskMatrix(self.grid, self.mats[u], self.ccr)
 
     def _residual(self, u):
-        # ||S_u||_F is taken on the full node, so the value is the one
-        # symplectic_residual_raw gives to the last bit
-        norm = np.linalg.norm(self.mats[u])
-        return _symplectic_residual_live(self.mats.live(u), self.ccr.big, norm)
+        return _symplectic_residual_live(self.mats.live(u), self.ccr.big)
 
     def residuals(self):
         """Relative symplectic residual of every node, residual / scale of
@@ -481,7 +479,7 @@ def _normal_offset(live):
     return offset
 
 
-def qef_from_csk_path(s_path, ccr, nodes=None, solver=None):
+def qef_from_csk_path(s_path, ccr, nodes=None):
     """Quadratic-exponential measures extracted from a computed kernel path.
 
     For each requested node the normal-ordering factorization
@@ -506,8 +504,6 @@ def qef_from_csk_path(s_path, ccr, nodes=None, solver=None):
     grid = s_path.grid
     if grid != ccr.grid:
         raise ValueError("path and kernel grids differ")
-    if solver is None:
-        solver = KernelSolver(ccr)
     count = grid.node_count
     if nodes is None:
         indices = tuple(range(count))
@@ -525,7 +521,7 @@ def qef_from_csk_path(s_path, ccr, nodes=None, solver=None):
     for u in indices:
         offset = _normal_offset(s_path.mats.live(u))
         anchor = csk_log_near_identity(offset, ccr, anchor=anchor).ham
-        measure, report = solver.solve_measure(anchor / 4j, support_index=u)
+        measure, report = ccr.solver.solve_measure(anchor / 4j, support_index=u)
         measures.append(measure)
         reports.append(report)
         w = measure.weights
@@ -535,14 +531,14 @@ def qef_from_csk_path(s_path, ccr, nodes=None, solver=None):
     )
 
 
-def forward_qef_measure(f_path, ccr, nodes=None, solver=None):
+def forward_qef_measure(f_path, ccr, nodes=None):
     """Measures along a driver path: integrate the kernel flow, extract.
 
     Composition of :func:`forward_csk_evolution` and
     :func:`qef_from_csk_path`.
     """
     s_path = forward_csk_evolution(f_path, ccr)
-    return qef_from_csk_path(s_path, ccr, nodes=nodes, solver=solver)
+    return qef_from_csk_path(s_path, ccr, nodes=nodes)
 
 
 def _t_steps(f_path, ccr, s_path):
@@ -561,7 +557,7 @@ def _t_steps(f_path, ccr, s_path):
         yield t_u
 
 
-def forward_t_evolution(f_path, ccr, s_path=None):
+def forward_t_evolution(f_path, ccr):
     """Integrate the normal-ordered kernel directly: conj(S) T' = 4i L (Re F) S.
 
     Midpoint rule throughout: the step solves conj(S_mid) dT =
@@ -570,8 +566,7 @@ def forward_t_evolution(f_path, ccr, s_path=None):
     independent cross-check of the factorization in
     :func:`forward_qef_measure`.  Returns the stack of T matrices.
     """
-    if s_path is None:
-        s_path = forward_csk_evolution(f_path, ccr)
+    s_path = forward_csk_evolution(f_path, ccr)
     size = ccr.big.shape[0]
     t_mats = np.empty((f_path.grid.node_count, size, size), dtype=complex)
     for u, t_u in enumerate(_t_steps(f_path, ccr, s_path)):
@@ -587,6 +582,18 @@ def _kernel_product(ccr, weights):
     return ham
 
 
+def _inverse_step(superop, n_weights, dn_weights, ccr, support_index):
+    """One pull-back of the inverse bridge: the measure M with
+    Lambda M = superop(2i Lambda N, Lambda N'), solved on [0, t_u]^2 for
+    u = support_index.  Returns (measure, rounding bound of the
+    superoperator, solve report)."""
+    h_n = _kernel_product(ccr, n_weights)
+    h_dn = _kernel_product(ccr, dn_weights)
+    lam_m, err = superop(2j * h_n, h_dn)
+    measure, report = ccr.solver.solve_measure(lam_m, support_index=support_index)
+    return measure, err, report
+
+
 @dataclass(frozen=True)
 class InverseResult:
     """Driver path recovered from a measure path, with diagnostics;
@@ -597,7 +604,7 @@ class InverseResult:
     solve_reports: tuple
 
 
-def inverse_toe_measure(n_path, ccr, solver=None):
+def inverse_toe_measure(n_path, ccr):
     """Recover the driver family from measures and their derivatives.
 
     Node-aligned form of Lambda F_t = Ups(2i ad_{Lambda N_t})(Lambda N'_t):
@@ -610,25 +617,15 @@ def inverse_toe_measure(n_path, ccr, solver=None):
     grid = n_path.grid
     if grid != ccr.grid:
         raise ValueError("path and kernel grids differ")
-    if solver is None:
-        solver = KernelSolver(ccr)
-    entries = []
-    quad_errors = []
-    reports = []
-    for u in range(grid.node_count):
-        h_n = _kernel_product(ccr, n_path.entries[u].weights)
-        h_dn = _kernel_product(ccr, n_path.derivative_entries[u].weights)
-        lam_f, err = ups_superop(2j * h_n, h_dn)
-        measure, report = solver.solve_measure(lam_f, support_index=u)
-        entries.append(measure)
-        quad_errors.append(err)
-        reports.append(report)
-    return InverseResult(
-        MeasurePath(grid, tuple(entries)), tuple(quad_errors), tuple(reports)
-    )
+    pairs = zip(n_path.entries, n_path.derivative_entries)
+    entries, quad_errors, reports = zip(*(
+        _inverse_step(ups_superop, n.weights, dn.weights, ccr, u)
+        for u, (n, dn) in enumerate(pairs)
+    ))
+    return InverseResult(MeasurePath(grid, entries), quad_errors, reports)
 
 
-def staggered_inverse_measures(measures, ccr, solver=None):
+def staggered_inverse_measures(measures, ccr):
     """Canonical driver at step midpoints from consecutive measures.
 
     Uses the staggered second-order pair N(mid) = average and
@@ -643,19 +640,12 @@ def staggered_inverse_measures(measures, ccr, solver=None):
     measure path itself is always reproduced; compare through the
     regenerated flow when the driver class is unknown.
     """
-    if solver is None:
-        solver = KernelSolver(ccr)
-    grid = ccr.grid
-    h = grid.step
+    h = ccr.grid.step
     out = []
-    for u in range(grid.node_count - 1):
-        w_lo = measures[u].weights
-        w_hi = measures[u + 1].weights
-        h_n = _kernel_product(ccr, 0.5 * (w_lo + w_hi))
-        h_dn = _kernel_product(ccr, (w_hi - w_lo) / h)
-        lam_f, _ = ups_superop(2j * h_n, h_dn)
-        measure, _ = solver.solve_measure(lam_f, support_index=u + 1)
-        out.append(measure)
+    for u in range(ccr.grid.node_count - 1):
+        w_lo, w_hi = measures[u].weights, measures[u + 1].weights
+        mid, slope = 0.5 * (w_lo + w_hi), (w_hi - w_lo) / h
+        out.append(_inverse_step(ups_superop, mid, slope, ccr, u + 1)[0])
     return tuple(out)
 
 
@@ -698,16 +688,14 @@ def roundtrip_f_residual(f_path, ccr):
     Both are kernel-weighted gaps at the worst node, relative to the
     largest target norm.
     """
-    solver = KernelSolver(ccr)
-    qef = forward_qef_measure(f_path, ccr, solver=solver)
-    return _flow_closure(f_path, ccr, qef, solver)
+    return _flow_closure(f_path, ccr, forward_qef_measure(f_path, ccr))
 
 
-def _flow_closure(f_path, ccr, qef, solver):
+def _flow_closure(f_path, ccr, qef):
     """:func:`roundtrip_f_residual` from the driver's measures qef,
     extracted at every node."""
     grid = f_path.grid
-    recovered = staggered_inverse_measures(qef.measures, ccr, solver=solver)
+    recovered = staggered_inverse_measures(qef.measures, ccr)
     direct = max(
         _relative_gaps(
             ccr,
@@ -716,7 +704,7 @@ def _flow_closure(f_path, ccr, qef, solver):
         )
     )
     regen = csk_path_from_midpoints([m.weights for m in recovered], ccr)
-    check = qef_from_csk_path(regen, ccr, solver=solver)
+    check = qef_from_csk_path(regen, ccr)
     invariant = max(
         _relative_gaps(
             ccr,
@@ -727,16 +715,15 @@ def _flow_closure(f_path, ccr, qef, solver):
     return RoundtripReport(invariant, direct)
 
 
-def _roundtrip_n_gaps(n_path, ccr, solver):
+def _roundtrip_n_gaps(n_path, ccr):
     """Per-node relative gaps of forward(inverse(N)) against N."""
-    inverse = inverse_toe_measure(n_path, ccr, solver=solver)
-    return _forward_gaps(inverse.f_path, n_path, ccr, solver)
+    return _forward_gaps(inverse_toe_measure(n_path, ccr).f_path, n_path, ccr)
 
 
-def _forward_gaps(f_path, n_path, ccr, solver):
+def _forward_gaps(f_path, n_path, ccr):
     """:func:`_roundtrip_n_gaps` from the driver f_path already recovered
     from n_path."""
-    qef = forward_qef_measure(f_path, ccr, solver=solver)
+    qef = forward_qef_measure(f_path, ccr)
     return _relative_gaps(
         ccr,
         (m.weights for m in qef.measures),
@@ -747,7 +734,7 @@ def _forward_gaps(f_path, n_path, ccr, solver):
 def roundtrip_n_residual(n_path, ccr):
     """Relative gap of forward(inverse(N)) against N in the weighted norm,
     at the worst node."""
-    return max(_roundtrip_n_gaps(n_path, ccr, KernelSolver(ccr)))
+    return max(_roundtrip_n_gaps(n_path, ccr))
 
 
 def t_route_residual(f_path, ccr):
@@ -792,20 +779,17 @@ class PsiDecomposition:
     solve_report: object
 
 
-def qef_psi_measure(n_entry, ndot_entry, ccr, solver=None):
+def qef_psi_measure(n_entry, ndot_entry, ccr):
     """Evaluate the measure driving exp(phi_N)' and report its structure.
 
     Computes sinhc applied to the adjoint of the measure kernel and
     splits the recovered masses into interior, edge, and corner parts
     relative to the support corner of n_entry.
     """
-    if solver is None:
-        solver = KernelSolver(ccr)
-    h_n = _kernel_product(ccr, n_entry.weights)
-    h_dn = _kernel_product(ccr, ndot_entry.weights)
-    lam_m, quad_error = sinhc_superop(2j * h_n, h_dn)
     corner = max(n_entry.support_index, ndot_entry.support_index)
-    measure, report = solver.solve_measure(lam_m, support_index=corner)
+    measure, quad_error, report = _inverse_step(
+        sinhc_superop, n_entry.weights, ndot_entry.weights, ccr, corner
+    )
     n = measure.dim
     w = measure.weights
     interior = w[: corner * n, : corner * n]
@@ -837,23 +821,22 @@ def qef_psi_measure(n_entry, ndot_entry, ccr, solver=None):
 def spde_fast_path(model, pi, grid):
     """Forward evolution for the atomic driver F_t = delta at (t, t) Pi.
 
-    Checks that Pi is symmetric, builds the kernel, and integrates the
-    atomic midpoint weights with :func:`csk_path_from_midpoints`.  Each
-    weight has 2n live columns, so every step is a rank-2n update costing
-    O(size k n) <= O(N^2 n^3).  The weights are formed one step at a
-    time, so the result equals forward_csk_evolution(corner_atom_path(
-    grid, pi), ccr) bit for bit without building the N + 1 driver entries.
+    Checks that Pi is finite and symmetric, builds the kernel, and
+    integrates the atomic midpoint weights with
+    :func:`csk_path_from_midpoints`.  Each weight has 2n live columns, so
+    every step is a rank-2n update costing O(size k n) <= O(N^2 n^3).
+    The weights are formed one step at a time, so the result equals
+    forward_csk_evolution(corner_atom_path(grid, pi), ccr) bit for bit
+    without building the N + 1 driver entries.
     """
-    pi = np.asarray(pi, dtype=float)
-    if pi.shape != (model.dim, model.dim):
+    if np.shape(pi) != (model.dim, model.dim):
         raise ValueError(f"pi must be {model.dim} x {model.dim}")
-    if np.linalg.norm(pi - pi.T) > 1e-12 * (1.0 + np.linalg.norm(pi)):
-        raise ValueError("pi must be symmetric")
+    pi = _check_pi(pi)
     ccr = build_ccr_kernel(model, grid)
     return csk_path_from_midpoints(_AtomicMidpoints(grid, pi), ccr)
 
 
-def g_path_magnus(f_path, ccr, solver=None):
+def g_path_magnus(f_path, ccr):
     """Integrate the exponent path Y' = (1/2) Mho(4i ad_Y)(Lambda F_t).
 
     Explicit midpoint rule on the stacked kernel Y = Lambda G; the
@@ -865,20 +848,11 @@ def g_path_magnus(f_path, ccr, solver=None):
     :func:`forward_csk_evolution` up to the shared scheme order.
     """
     grid = f_path.grid
-    if solver is None:
-        solver = KernelSolver(ccr)
     big = ccr.big
     h = grid.step
-    size = big.shape[0]
-    count = grid.node_count
-    y = np.zeros((size, size), dtype=complex)
+    y = np.zeros(big.shape, dtype=complex)
     ys = [y]
-    measures = []
-    reports = []
-    measure, report = solver.solve_measure(y, support_index=0)
-    measures.append(measure)
-    reports.append(report)
-    for u in range(count - 1):
+    for u in range(grid.node_count - 1):
         h_f_lo = big @ f_path.entries[u].weights
         h_f_mid = big @ _midpoint_weights(f_path, u)
         k1, _ = mho_superop(4j * y, h_f_lo)
@@ -886,10 +860,10 @@ def g_path_magnus(f_path, ccr, solver=None):
         k2, _ = mho_superop(4j * y_half, h_f_mid)
         y = y + (0.5 * h) * k2
         ys.append(y)
-        measure, report = solver.solve_measure(y, support_index=u + 1)
-        measures.append(measure)
-        reports.append(report)
-    return MeasurePath(grid, tuple(measures)), ys, tuple(reports)
+    measures, reports = zip(*(
+        ccr.solver.solve_measure(y, support_index=u) for u, y in enumerate(ys)
+    ))
+    return MeasurePath(grid, measures), ys, reports
 
 
 def chk_column_function(model, q, block_col):

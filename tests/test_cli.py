@@ -10,7 +10,7 @@ from quadexp import (
     read_measure_csv,
     t_route_residual,
 )
-from quadexp import cli, solvers
+from quadexp import cli, lie, solvers
 from quadexp.cli import (
     SPDE_AGREEMENT_GATE,
     TASKS,
@@ -97,6 +97,11 @@ def test_parse_model_file_indirection(tmp_path):
         ("task = forward\nT = fast\n", "T must be float"),
         ("task = forward\ntheta = [[0, 1], [-1]]\nT = 1\nN = 2\n", "ragged"),
         ("task = forward\ntheta = [[0, x], [-1, 0]]\nT = 1\nN = 2\n", "non-numeric"),
+        (
+            GOOD.replace("task = forward", "task = inverse")
+            + "pi = [[nan, 0], [0, 0.1]]\n",
+            "non-finite",
+        ),
         ("task = forward\ntheta = (0, 1)\nT = 1\nN = 2\n", "matrix literal"),
         ("task = forward\nT = 1.0\nN = 4\n", "needs model key"),
         (
@@ -375,14 +380,14 @@ def test_roundtrip_task_integrates_and_extracts_its_flow_once(tmp_path, monkeypa
 
         monkeypatch.setattr(solvers, name, counted)
         monkeypatch.setattr(cli, name, counted)
-    factor = solvers.KernelSolver.__init__
+    factor = lie.KernelSolver.__init__
 
     def counted_factor(self, ccr):
         if ccr.grid.steps == 32:
             counts["KernelSolver"] += 1
         factor(self, ccr)
 
-    monkeypatch.setattr(solvers.KernelSolver, "__init__", counted_factor)
+    monkeypatch.setattr(lie.KernelSolver, "__init__", counted_factor)
     out = tmp_path / "out"
     code = run_scenario(
         bundled_scenario("atomic_roundtrip.scn"), output_dir=out, levels=1
@@ -393,6 +398,28 @@ def test_roundtrip_task_integrates_and_extracts_its_flow_once(tmp_path, monkeypa
         "qef_from_csk_path": 3,
         "KernelSolver": 1,
     }
+
+
+def test_each_bundled_scenario_factorizes_each_kernel_once(tmp_path, monkeypatch):
+    # The factorization belongs to the kernel (ccr.solver): every solve
+    # against a kernel shares it.  atomic_roundtrip builds one kernel per
+    # refinement level, and the forward task's refined levels solve nothing.
+    expected = {"zero_forward": 1, "diagonal_inverse": 1, "spde_fast": 1,
+                "atomic_roundtrip": 3}
+    kernels = []
+    factor = lie.KernelSolver.__init__
+
+    def counted_factor(self, ccr):
+        kernels.append(ccr)
+        factor(self, ccr)
+
+    monkeypatch.setattr(lie.KernelSolver, "__init__", counted_factor)
+    for name, count in expected.items():
+        kernels.clear()
+        out = tmp_path / name
+        assert run_scenario(bundled_scenario(f"{name}.scn"), output_dir=out) == 0
+        assert len(kernels) == count, name
+        assert len({id(ccr) for ccr in kernels}) == count, name
 
 
 def test_forward_and_inverse_tables_reuse_the_base_grid(tmp_path, monkeypatch):

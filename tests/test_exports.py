@@ -1,5 +1,7 @@
 import ast
+import functools
 import importlib
+import runpy
 from pathlib import Path
 
 import pytest
@@ -23,3 +25,16 @@ def _package_imports():
 def test_package_reexports_each_module_all(module):
     exported = set(importlib.import_module(f"quadexp.{module}").__all__)
     assert _package_imports()[module] == exported
+
+
+def test_benchmark_hooks_resolve():
+    # the benchmark's tracer wraps library functions by (module, attribute)
+    # name, so a rename in the package must not drop a layer; run_path
+    # compiles the file without writing any bytecode beside it
+    bench = Path(__file__).resolve().parents[1] / "bench"
+    spans = runpy.run_path(str(bench / "spans.py"))
+    targets = [pair for pairs in spans["LAYERS"].values() for pair in pairs]
+    for module, attr in targets + list(spans["AFTER"]):
+        owner = importlib.import_module(module)
+        hook = functools.reduce(getattr, attr.split("."), owner)
+        assert callable(hook), (module, attr)

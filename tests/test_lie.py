@@ -451,10 +451,12 @@ def test_kernel_solver_absolute_floor(ccr8):
 def test_kernel_solver_lstsq_fallback():
     grid = make_grid(1.0, 2)
     ccr = CcrKernel(grid, np.zeros((6, 6)))
-    solver = KernelSolver(ccr)
-    assert not (np.isfinite(solver.condition) and solver.condition < 1e12)
-    measure, _ = solver.solve_measure(np.zeros((6, 6)))
-    assert np.linalg.norm(measure.weights) == 0.0
+    # the kernel's own solver is built once and takes the same route
+    assert ccr.solver is ccr.solver
+    for solver in (KernelSolver(ccr), ccr.solver):
+        assert not (np.isfinite(solver.condition) and solver.condition < 1e12)
+        measure, _ = solver.solve_measure(np.zeros((6, 6)))
+        assert np.linalg.norm(measure.weights) == 0.0
 
 
 def test_bch_product_matches_group_product(ccr8, rng):

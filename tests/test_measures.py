@@ -45,6 +45,13 @@ def test_ccr_kernel_blocks_match_two_point(model2, grid16):
     for j, k in [(0, 0), (3, 3), (5, 1), (1, 5), (16, 0)]:
         expected = ccr_two_point(model2, nodes[j] - nodes[k])
         assert np.allclose(ccr.block(j, k), expected, atol=1e-13)
+    # every block is its lag's two-point kernel to the bit, a negative lag
+    # taken through antisymmetry
+    lags = [ccr_two_point(model2, d * grid16.step) for d in range(grid16.node_count)]
+    for j in range(grid16.node_count):
+        for k in range(grid16.node_count):
+            expected = lags[j - k] if j >= k else -lags[k - j].T
+            assert np.array_equal(ccr.block(j, k), expected)
     # Flat antisymmetry is the stacked form of Lambda(-tau) = -Lambda(tau)^T.
     assert np.linalg.norm(ccr.big + ccr.big.T) <= 1e-13 * (
         1.0 + np.linalg.norm(ccr.big)

@@ -42,7 +42,7 @@ from quadexp import (
 from quadexp import model as model_module
 from quadexp import solvers
 from quadexp.cli import bundled_scenario, parse_scenario
-from quadexp.lie import CskMatrix, _ups_series
+from quadexp.lie import CskMatrix, KernelSolver, _ups_series
 from quadexp.model import ccr_two_point
 from quadexp.solvers import _dense_csk_evolution
 
@@ -122,7 +122,7 @@ def test_step_norm_gate_reports_refinement(ccr16, rng):
         csk_path_from_midpoints([full] * ccr16.grid.steps, ccr16)
 
 
-def test_gates_trip_on_non_finite_values(ccr16, pi2):
+def test_gates_trip_on_non_finite_values(model2, ccr16, pi2):
     # a NaN compares false with any bound, so each gate must test that
     # the value lies within it rather than that it exceeds it
     grid = ccr16.grid
@@ -133,6 +133,17 @@ def test_gates_trip_on_non_finite_values(ccr16, pi2):
             csk_path_from_midpoints([weights] * grid.steps, ccr16)
         with pytest.raises(NumericalFailure, match="symplectic residual"):
             CskMatrix(grid, np.full((size, size), bad, dtype=complex), ccr16)
+        # non-finite measures, Pi and Hamiltonians fail where they enter
+        with pytest.raises(ValueError, match="weights must be finite"):
+            KernelMeasure(grid, weights)
+        with pytest.raises(NumericalFailure, match="not finite"):
+            ccr16.solver.solve_measure(weights)
+        bad_pi = [[bad, 0.0], [0.0, 0.1]]
+        for build in (diagonal_lebesgue_path, corner_atom_path):
+            with pytest.raises(ValueError, match="pi must be finite"):
+                build(grid, bad_pi)
+        with pytest.raises(ValueError, match="pi must be finite"):
+            spde_fast_path(model2, bad_pi, grid)
     flow = forward_csk_evolution(corner_atom_path(grid, pi2), ccr16)
     stack = np.array(list(flow.mats))
     stack[grid.steps, 0, 0] = np.nan
@@ -295,9 +306,9 @@ def test_t_route_check_runs_no_extraction(ccr16, pi2, monkeypatch):
     for name in ("qef_from_csk_path", "csk_log_near_identity"):
         monkeypatch.setattr(solvers, name, counting(name, getattr(solvers, name)))
     monkeypatch.setattr(
-        solvers.KernelSolver,
+        KernelSolver,
         "solve_measure",
-        counting("solve_measure", solvers.KernelSolver.solve_measure),
+        counting("solve_measure", KernelSolver.solve_measure),
     )
     residual = t_route_residual(corner_atom_path(ccr16.grid, pi2), ccr16)
     assert 0.0 < residual < 1e-2
