@@ -184,9 +184,12 @@ def _parse_pairs(path):
 def _convert_scalar(key, value, where):
     kind = _SCALAR_KEYS[key]
     try:
-        return kind(value)
+        converted = kind(value)
     except ValueError as exc:
         raise ScenarioError(f"{where}: {key} must be {kind.__name__}") from exc
+    if kind is float and not np.isfinite(converted):
+        raise ScenarioError(f"{where}: {key} must be finite")
+    return converted
 
 
 def parse_scenario(path, output_dir=None, levels=None, seed=None):
@@ -248,6 +251,8 @@ def parse_scenario(path, output_dir=None, levels=None, seed=None):
 def _validate_scenario(scn, path):
     if scn.levels < 1:
         raise ScenarioError(f"{path}: levels must be at least 1")
+    if scn.seed < 0:
+        raise ScenarioError(f"{path}: seed must be non-negative")
     needs_grid = scn.task in ("forward", "inverse", "roundtrip", "spde", "laplace")
     if needs_grid:
         if scn.horizon <= 0.0:

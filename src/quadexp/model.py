@@ -25,7 +25,9 @@ two-sided Laplace transform
 
 convergent on the vertical strip |Re s| < |max_k Re lambda_k(A)| when A
 is Hurwitz.  Everything downstream of this module consumes Lambda through
-these functions, so the conventions above are fixed here once.
+these functions, so the conventions above are fixed here once.  The
+quadrature cross-check loads scipy.integrate on first use only, so
+importing the package costs no more than scipy.linalg.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 from scipy.linalg import expm
 
 from .errors import NumericalFailure
@@ -303,7 +304,8 @@ def laplace_lambda_quadrature(model, s, tol=1e-9, max_doublings=60):
     Integrates e^{-s t} Lambda(t) over t in R, truncating each tail where
     the integrand norm falls below tol * 1e-3.  Serves as the independent
     cross-check of :func:`laplace_lambda`; the two agree to quadrature
-    accuracy inside the strip.
+    accuracy inside the strip.  scipy.integrate is imported on the first
+    call, not with the module.
 
     Parameters
     ----------
@@ -327,6 +329,10 @@ def laplace_lambda_quadrature(model, s, tol=1e-9, max_doublings=60):
         If the truncation search or the quadrature exhausts its budget,
         which happens for tol = 0.
     """
+    # Local import: scipy.integrate pulls in optimize, sparse and special,
+    # which would add about 0.3 s to the start-up of every process.
+    from scipy.integrate import quad_vec
+
     point = laplace_point(model, s)
     s = point.s
     if tol <= 0.0:
@@ -353,10 +359,10 @@ def laplace_lambda_quadrature(model, s, tol=1e-9, max_doublings=60):
     t_plus, t_minus = tails
 
     try:
-        right, err_right = integrate.quad_vec(
+        right, err_right = quad_vec(
             integrand, 0.0, t_plus, epsabs=tol, epsrel=tol, norm="2"
         )
-        left, err_left = integrate.quad_vec(
+        left, err_left = quad_vec(
             integrand, t_minus, 0.0, epsabs=tol, epsrel=tol, norm="2"
         )
     except Exception as exc:  # quadrature non-convergence surfaces here

@@ -935,6 +935,7 @@ def laplace_recover_measure(column, model, grid, s_samples, tol=1e-9):
 
     Returns (masses, condition) with masses of shape (N+1, n, n).
     """
+    # Local import: scipy.integrate is slow to load and only this task needs it.
     from scipy.integrate import quad_vec
 
     from .model import laplace_lambda, laplace_point, spectral_abscissa

@@ -95,6 +95,9 @@ def test_parse_model_file_indirection(tmp_path):
         ("task = forward\njust some words\n", "expected 'key = value'"),
         ("task = forward\nT =\n", "empty key or value"),
         ("task = forward\nT = fast\n", "T must be float"),
+        (GOOD.replace("T = 1.0", "T = nan"), "T must be finite"),
+        (GOOD.replace("T = 1.0", "T = inf"), "T must be finite"),
+        (GOOD.replace("seed = 3", "seed = -1"), "seed must be non-negative"),
         ("task = forward\ntheta = [[0, 1], [-1]]\nT = 1\nN = 2\n", "ragged"),
         ("task = forward\ntheta = [[0, x], [-1, 0]]\nT = 1\nN = 2\n", "non-numeric"),
         (
@@ -193,6 +196,14 @@ def test_schema_error_exits_two(tmp_path, capsys):
     assert main(["validate", str(path)]) == 2
     assert "schema error" in capsys.readouterr().err
     assert main(["run", str(path)]) == 2
+
+
+def test_negative_seed_override_exits_two(tmp_path, capsys):
+    out = tmp_path / "out"
+    scenario = str(bundled_scenario("oracle_single.scn"))
+    assert main(["run", scenario, "--seed", "-1", "--output-dir", str(out)]) == 2
+    assert "seed must be non-negative" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_run_forward_zero_driver(tmp_path):

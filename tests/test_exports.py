@@ -1,7 +1,10 @@
 import ast
 import functools
 import importlib
+import os
 import runpy
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -38,3 +41,22 @@ def test_benchmark_hooks_resolve():
         owner = importlib.import_module(module)
         hook = functools.reduce(getattr, attr.split("."), owner)
         assert callable(hook), (module, attr)
+
+
+def test_import_loads_no_heavy_scipy_subpackage():
+    # scipy.integrate drags optimize, sparse and special in with it, about
+    # 0.3 s per process; quadrature imports it where it runs.  A fresh
+    # interpreter is needed, since this one may have loaded them already.
+    heavy = ("scipy.integrate", "scipy.optimize", "scipy.special", "scipy.sparse")
+    probe = (
+        "import sys, quadexp, quadexp.cli\n"
+        f"print(sorted(m for m in sys.modules if m.startswith({heavy!r})))"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(PACKAGE_INIT.parents[1]), env.get("PYTHONPATH")])
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert proc.stdout.strip() == "[]"
