@@ -46,7 +46,7 @@ import numpy as np
 from scipy.linalg import expm, logm, lu_factor, lu_solve
 
 from .errors import NumericalFailure
-from .measures import ChkMatrix, KernelMeasure, _live_width, _support_scan, _zero_beyond
+from .measures import ChkMatrix, KernelMeasure, _live_width, project_support
 from .measures import lambda_product
 
 __all__ = [
@@ -730,13 +730,11 @@ class KernelSolver:
         raw[:, :k] = self.solve_raw(ham[:, :k])
         asymmetry = float(np.linalg.norm(raw - raw.T))
         w = 0.5 * (raw + raw.T)
-        live = -(-k // n) * n  # whole nodes covering the k live columns
-        support = _support_scan(w[:live, :live], n)
+        measure = KernelMeasure._from_window(self.ccr.grid, n, 0, w)
         truncated = 0.0
         if support_index is not None:
-            support = min(support_index, support)
-            truncated = _zero_beyond(w, n * (support_index + 1))
-        c = _live_width(w)
+            measure, truncated = project_support(measure, support_index)
+        c = measure._hi
         residual = float(np.hypot(
             np.linalg.norm(self.ccr.big[:, :c] @ w[:c, :c] - ham[:, :c]),
             np.linalg.norm(ham[:, c:]),
@@ -752,7 +750,7 @@ class KernelSolver:
         report = ChkSolveReport(
             residual, relative, self.condition, asymmetry, truncated
         )
-        return KernelMeasure(self.ccr.grid, w, support), report
+        return measure, report
 
 
 def bch_product(q1, q2, ccr):

@@ -6,8 +6,9 @@ A complex symmetric kernel measure Q on [0, T]^2 enters quadratic forms
 
 of the model variables.  On a uniform grid with nodes t_j = j h the
 measure is represented by node masses: an (N+1) x (N+1) array of n x n
-blocks, stored flat as an n(N+1) square matrix W whose (j, k) block is
-Q({t_j} x {t_k}).  Densities carry their quadrature weights inside the
+blocks, read flat as an n(N+1) square matrix W whose (j, k) block is
+Q({t_j} x {t_k}) and stored as the window of W outside which it
+vanishes.  Densities carry their quadrature weights inside the
 masses (trapezoidal, order h^2), so every composition below is plain
 matrix arithmetic:
 
@@ -158,36 +159,45 @@ def build_ccr_kernel(model, grid):
     return CcrKernel(grid, big)
 
 
-def _support_scan(weights, n):
-    """Smallest u with all blocks outside [0..u]^2 below SUPPORT_TOL."""
-    count = weights.shape[0] // n
-    blocks = weights.reshape(count, n, count, n)
-    norms = np.sqrt((np.abs(blocks) ** 2).sum(axis=(1, 3)))
-    hot = np.argwhere(norms > SUPPORT_TOL)
-    if hot.size == 0:
-        return 0
-    return int(hot.max())
+def _block_norms(tile, n):
+    """Frobenius norms of the n x n blocks of a tile cut on node boundaries."""
+    blocks = tile.reshape(tile.shape[0] // n, n, tile.shape[1] // n, n)
+    return np.sqrt((np.abs(blocks) ** 2).sum(axis=(1, 3)))
 
 
-@dataclass(frozen=True)
+def _check_node(u, count, name="node"):
+    """u as an int; raises ValueError unless it is an integer in [0, count)."""
+    if not isinstance(u, (int, np.integer)) or not 0 <= u < count:
+        raise ValueError(f"{name} must be an integer in [0, {count}), got {u!r}")
+    return int(u)
+
+
+@dataclass(frozen=True, init=False, eq=False)
 class KernelMeasure:
     """Node masses of a complex symmetric kernel measure.
 
-    weights is the flat n(N+1) square complex matrix of block masses;
-    symmetry W = W^T is applied eagerly at construction, so only feed
-    raw asymmetric data through :func:`split_sym_antisym`, which also
-    returns the scalar the antisymmetric part contributes.
+    Only the window W[lo:hi, lo:hi] of the flat n(N+1) square matrix W
+    is stored, read-only: [lo, hi) is the smallest range of whole nodes
+    outside which W is exactly zero (one block for a corner atom), and
+    weights builds W on each read.  The constructor takes W and
+    symmetrizes it eagerly, so only feed raw asymmetric data through
+    :func:`split_sym_antisym`, which also returns the scalar the
+    antisymmetric part contributes.  support_index is scanned when -1;
+    a declared one must be a node beyond which no block exceeds
+    SUPPORT_TOL, else ValueError.
     """
 
     grid: TimeGrid
-    weights: np.ndarray
-    support_index: int = field(default=-1)
+    support_index: int
+    dim: int = field(repr=False)
+    _lo: int = field(repr=False)
+    _window: np.ndarray = field(repr=False)
 
-    def __post_init__(self):
-        w = np.array(self.weights, dtype=complex)
+    def __init__(self, grid, weights, support_index=-1):
+        w = np.array(weights, dtype=complex)
         if w.ndim != 2 or w.shape[0] != w.shape[1]:
             raise ValueError("weights must be a square matrix")
-        if w.shape[0] % self.grid.node_count != 0:
+        if w.shape[0] % grid.node_count != 0:
             raise ValueError("weights size is not a multiple of the node count")
         bad = w[~np.isfinite(w)]
         if bad.size:
@@ -195,25 +205,62 @@ class KernelMeasure:
                 f"weights must be finite, got {bad.size} entries such as {bad[0]}"
             )
         w = 0.5 * (w + w.T)
-        w.setflags(write=False)
-        object.__setattr__(self, "weights", w)
-        if self.support_index < 0:
-            object.__setattr__(
-                self, "support_index", _support_scan(w, self.dim)
-            )
+        self._store(grid, w.shape[0] // grid.node_count, 0, w, support_index)
+
+    @classmethod
+    def _from_window(cls, grid, dim, lo, window, support_index=-1):
+        """The measure whose masses vanish outside the symmetric window
+        W[lo:hi, lo:hi]; builders hand their windows over this way."""
+        q = cls.__new__(cls)
+        q._store(grid, dim, lo, window, support_index)
+        return q
+
+    def _store(self, grid, dim, lo, window, support_index):
+        live = np.flatnonzero(window.any(axis=0)) // dim  # W = W^T: rows alike
+        a, b = (live[0] * dim, (live[-1] + 1) * dim) if live.size else (0, 0)
+        if (a, b) != (0, window.shape[0]):
+            lo, window = lo + a if b else 0, window[a:b, a:b]
+        if not window.flags.owndata:
+            window = window.copy()
+        window.setflags(write=False)
+        if support_index == -1:
+            hot = np.argwhere(_block_norms(window, dim) > SUPPORT_TOL)
+            support_index = lo // dim + int(hot.max()) if hot.size else 0
+        else:
+            support_index = _check_node(support_index, grid.node_count, "support_index")
+            tail = window[max(dim * (support_index + 1) - lo, 0) :]
+            if (_block_norms(tail, dim) > SUPPORT_TOL).any():
+                raise ValueError(f"mass beyond the declared support {support_index}")
+        vars(self).update(
+            grid=grid, support_index=support_index, dim=dim, _lo=lo, _window=window
+        )
 
     @property
-    def dim(self):
-        return self.weights.shape[0] // self.grid.node_count
+    def _hi(self):
+        return self._lo + self._window.shape[0]
+
+    @property
+    def weights(self):
+        """The full flat matrix W, built read-only on each read."""
+        return self._span(0, self.dim * self.grid.node_count)
 
     @property
     def reality_residual(self):
         """Frobenius norm of the imaginary part of the masses."""
-        return float(np.linalg.norm(self.weights.imag))
+        return float(np.linalg.norm(self._window.imag))
 
     def block(self, j, k):
-        n = self.dim
-        return self.weights[j * n : (j + 1) * n, k * n : (k + 1) * n]
+        n, lo = self.dim, self._lo
+        if not lo <= min(j, k) * n <= max(j, k) * n < self._hi:
+            return np.broadcast_to(0j, (n, n))  # read-only, as the window
+        r, c = j * n - lo, k * n - lo
+        return self._window[r : r + n, c : c + n]
+
+    def _span(self, a, b):
+        """W[a:b, a:b] for a <= lo and hi <= b, built read-only."""
+        out = np.pad(self._window, (self._lo - a, b - self._hi))
+        out.setflags(write=False)
+        return out
 
 
 @dataclass(frozen=True)
@@ -238,8 +285,7 @@ class ChkMatrix:
 
 def zero_measure(grid, dim):
     """The zero measure on the grid with n = dim variables."""
-    size = dim * grid.node_count
-    return KernelMeasure(grid, np.zeros((size, size), dtype=complex), 0)
+    return KernelMeasure._from_window(grid, dim, 0, np.zeros((0, 0), complex), 0)
 
 
 def atom_measure(grid, j, k, block):
@@ -255,13 +301,12 @@ def atom_measure(grid, j, k, block):
     count = grid.node_count
     if not (0 <= j < count and 0 <= k < count):
         raise ValueError(f"atom node ({j}, {k}) outside grid with {count} nodes")
-    w = np.zeros((n * count, n * count), dtype=complex)
+    first, last = min(j, k), max(j, k)
+    w = np.zeros(((last - first + 1) * n,) * 2, dtype=complex)
+    j, k = j - first, k - first
     w[j * n : (j + 1) * n, k * n : (k + 1) * n] = block
-    if j != k:
-        w[k * n : (k + 1) * n, j * n : (j + 1) * n] = block.T
-    else:
-        w[j * n : (j + 1) * n, j * n : (j + 1) * n] = 0.5 * (block + block.T)
-    return KernelMeasure(grid, w, max(j, k))
+    w[k * n : (k + 1) * n, j * n : (j + 1) * n] = block.T
+    return KernelMeasure._from_window(grid, n, first * n, 0.5 * (w + w.T), last)
 
 
 def _check_pi(pi):
@@ -287,13 +332,13 @@ def diagonal_lebesgue_measure(grid, u, pi):
     count = grid.node_count
     if not 0 <= u < count:
         raise ValueError(f"node {u} outside grid with {count} nodes")
-    w = np.zeros((n * count, n * count), dtype=complex)
+    w = np.zeros(((u + 1) * n,) * 2, dtype=complex)
     if u > 0:
         h = grid.step
         for j in range(u + 1):
             weight = h if 0 < j < u else 0.5 * h
             w[j * n : (j + 1) * n, j * n : (j + 1) * n] = weight * pi
-    return KernelMeasure(grid, w, u if u > 0 else 0)
+    return KernelMeasure._from_window(grid, n, 0, 0.5 * (w + w.T), u)
 
 
 def atomic_corner_measure(grid, u, pi):
@@ -306,18 +351,18 @@ def random_measure(rng, grid, dim, support=None, complex_entries=True, scale=1.0
 
     Entries are uniform on [-scale, scale] (plus an imaginary part of the
     same law when complex_entries), symmetrized at construction.  With
-    support = u all blocks outside [0..u]^2 are zero.
+    support = u, an integer in [0, N + 1), all blocks outside [0..u]^2
+    are zero; the draws are the same either way.
     """
     size = dim * grid.node_count
+    edge = size
+    if support is not None:
+        edge = dim * (_check_node(support, grid.node_count, "support") + 1)
     w = rng.uniform(-scale, scale, size=(size, size)).astype(complex)
     if complex_entries:
         w = w + 1j * rng.uniform(-scale, scale, size=(size, size))
-    if support is not None:
-        edge = dim * (support + 1)
-        mask = np.zeros((size, size))
-        mask[:edge, :edge] = 1.0
-        w = w * mask
-    return KernelMeasure(grid, w)
+    w = w[:edge, :edge]
+    return KernelMeasure._from_window(grid, dim, 0, 0.5 * (w + w.T))
 
 
 def split_sym_antisym(raw, ccr):
@@ -341,9 +386,12 @@ def split_sym_antisym(raw, ccr):
 
 
 def lambda_product(ccr, q):
-    """Complex Hamiltonian kernel of a measure: ham = big @ weights."""
+    """Complex Hamiltonian kernel of a measure: ham = big @ weights, formed
+    as big[:, lo:hi] times the window W[lo:hi, lo:hi] in columns lo:hi."""
     _check_same_grid(ccr.grid, q.grid)
-    return ChkMatrix(ccr.grid, ccr.big @ q.weights, q)
+    ham = np.zeros(ccr.big.shape, dtype=complex)
+    ham[:, q._lo : q._hi] = ccr.big[:, q._lo : q._hi] @ q._window
+    return ChkMatrix(ccr.grid, ham, q)
 
 
 def measure_triple_product(q1, ccr, q2):
@@ -398,36 +446,31 @@ def kernel_weighted_norm(ccr, weights):
     return float(np.linalg.norm(lam @ weights[:k, :k] @ lam.T))
 
 
+def _edge_offset(q, u):
+    """Offset into q's window of the first index past node u, at least 0;
+    raises ValueError unless u is an integer in [0, N + 1)."""
+    return max(q.dim * (_check_node(u, q.grid.node_count) + 1) - q._lo, 0)
+
+
 def is_nonanticipative(q, u):
-    """True when every block outside [0..u]^2 carries mass below tolerance."""
-    n = q.dim
-    edge = n * (u + 1)
-    w = q.weights
-    tail_right = w[:, edge:]
-    tail_down = w[edge:, :edge]
-    worst = 0.0
-    if tail_right.size:
-        worst = max(worst, float(np.max(np.abs(tail_right))))
-    if tail_down.size:
-        worst = max(worst, float(np.max(np.abs(tail_down))))
-    return worst <= SUPPORT_TOL
-
-
-def _zero_beyond(w, edge):
-    """Zero rows and columns of w from edge on, in place; returns the norm removed."""
-    if edge >= w.shape[0]:
-        return 0.0
-    tail = np.linalg.norm(w[:, edge:]) ** 2 + np.linalg.norm(w[edge:, :edge]) ** 2
-    w[:, edge:] = 0.0
-    w[edge:, :] = 0.0
-    return float(np.sqrt(tail))
+    """True when every entry outside [0..u]^2 is below SUPPORT_TOL in
+    modulus; u must be an integer in [0, N + 1)."""
+    tail = q._window[_edge_offset(q, u) :]  # W = W^T: the columns alike
+    return bool((np.abs(tail) <= SUPPORT_TOL).all())
 
 
 def project_support(q, u):
-    """Zero all blocks outside [0..u]^2; returns (measure, truncated mass)."""
-    w = q.weights.copy()
-    truncated = _zero_beyond(w, q.dim * (u + 1))
-    return KernelMeasure(q.grid, w, min(u, q.support_index)), truncated
+    """Crop the masses to [0..u]^2; returns (measure, Frobenius norm of
+    the masses removed).  u must be an integer in [0, N + 1)."""
+    e = _edge_offset(q, u)
+    w = q._window
+    truncated = float(np.sqrt(
+        np.linalg.norm(w[:, e:]) ** 2 + np.linalg.norm(w[e:, :e]) ** 2
+    ))
+    kept = KernelMeasure._from_window(
+        q.grid, q.dim, q._lo, w[:e, :e], min(u, q.support_index)
+    )
+    return kept, truncated
 
 
 # CSV exchange format, schema 1: one line per nonzero scalar entry of the
@@ -442,27 +485,19 @@ def _format_float(x):
 def write_measure_csv(path, q):
     """Write a measure to CSV with 17 significant digits per value."""
     n = q.dim
-    count = q.grid.node_count
     lines = [
         _CSV_SCHEMA,
         f"# grid T={_format_float(q.grid.horizon)} N={q.grid.steps} n={n}",
         "j,k,row,col,re,im",
     ]
-    w = q.weights
-    for j in range(count):
-        for k in range(count):
-            blockval = w[j * n : (j + 1) * n, k * n : (k + 1) * n]
-            if not np.any(blockval != 0.0):
-                continue
-            for row in range(n):
-                for col in range(n):
-                    z = blockval[row, col]
-                    if z == 0.0:
-                        continue
-                    lines.append(
-                        f"{j},{k},{row},{col},"
-                        f"{_format_float(z.real)},{_format_float(z.imag)}"
-                    )
+    first, m = q._lo // n, q._window.shape[0] // n
+    blocks = q._window.reshape(m, n, m, n).transpose(0, 2, 1, 3)
+    for (j, k, row, col), z in np.ndenumerate(blocks):
+        if z != 0.0:
+            lines.append(
+                f"{first + j},{first + k},{row},{col},"
+                f"{_format_float(z.real)},{_format_float(z.imag)}"
+            )
     with open(path, "w", encoding="ascii", newline="\n") as handle:
         handle.write("\n".join(lines) + "\n")
 
@@ -489,6 +524,7 @@ def read_measure_csv(path):
         raise ScenarioError(f"{path}: unexpected column header {lines[2]!r}")
     size = n * grid.node_count
     w = np.zeros((size, size), dtype=complex)
+    seen = set()
     for lineno, line in enumerate(lines[3:], start=4):
         if not line:
             continue
@@ -506,5 +542,8 @@ def read_measure_csv(path):
             raise ScenarioError(f"{path}:{lineno}: node index out of range")
         if not (0 <= row < n and 0 <= col < n):
             raise ScenarioError(f"{path}:{lineno}: block index out of range")
+        if (j, k, row, col) in seen:
+            raise ScenarioError(f"{path}:{lineno}: repeated entry")
+        seen.add((j, k, row, col))
         w[j * n + row, k * n + col] = complex(re, im)
     return KernelMeasure(grid, w)

@@ -20,8 +20,11 @@ to rounding while node masses converge at second order.
 Measures in a path are supported in [0, t_u]^2 at node u; solvers
 restrict their kernel solves to that support and report the truncated
 mass.  Every solve runs through ccr.solver, the factorization the
-commutator kernel owns, so each kernel is factorized at most once.  Derivative entries, where a path carries them, follow the same
+commutator kernel owns, so each kernel is factorized at most once.
+Derivative entries, where a path carries them, follow the same
 convention (the diagonal family has the exact corner-atom derivative).
+Each measure stores only the window outside which its masses vanish,
+one n x n block per node of a corner-atom driver.
 Through Q -> 4i Lambda Q the support makes S_u the identity beyond its
 first k = (u + 1) n columns, and T_u - I, 4i Lambda N_u and the inverse
 direction's superoperator images zero there, so extraction and the
@@ -34,8 +37,8 @@ built only when a caller indexes one.
 The integrator detects the structure of each step: the generator is
 nonzero only in the live columns of the midpoint driver, and the
 exponential acts as a low-rank update on them at every step (rank 2n
-for the atomic driver F_t = delta_{(t,t)} Pi, which
-:func:`spde_fast_path` integrates), never as a dense exponential.
+for the atomic driver F_t = delta_{(t,t)} Pi of :func:`corner_atom_path`,
+which :func:`spde_fast_path` integrates), never as a dense exponential.
 """
 
 from __future__ import annotations
@@ -59,12 +62,14 @@ from .lie import (
 )
 from .measures import (
     KernelMeasure,
-    _check_pi,
+    _block_norms,
+    _check_node,
     _live_width,
     atomic_corner_measure,
     build_ccr_kernel,
     diagonal_lebesgue_measure,
     kernel_weighted_norm,
+    lambda_product,
 )
 
 __all__ = [
@@ -118,25 +123,20 @@ class MeasurePath:
             raise ValueError(
                 f"path has {len(entries)} entries for {self.grid.node_count} nodes"
             )
-        for u, q in enumerate(entries):
-            if q.grid != self.grid:
-                raise ValueError(f"entry {u} lives on a different grid")
-            if q.support_index > u:
-                raise ValueError(
-                    f"entry {u} anticipates: support index {q.support_index}"
-                )
+        families = [("entry", entries)]
         if self.derivative_entries is not None:
             dents = tuple(self.derivative_entries)
             object.__setattr__(self, "derivative_entries", dents)
             if len(dents) != len(entries):
                 raise ValueError("derivative entries do not match path length")
-            for u, q in enumerate(dents):
+            families.append(("derivative entry", dents))
+        for label, family in families:
+            for u, q in enumerate(family):
                 if q.grid != self.grid:
-                    raise ValueError(f"derivative entry {u} lives on a different grid")
+                    raise ValueError(f"{label} {u} lives on a different grid")
                 if q.support_index > u:
                     raise ValueError(
-                        f"derivative entry {u} anticipates: support index "
-                        f"{q.support_index}"
+                        f"{label} {u} anticipates: support index {q.support_index}"
                     )
 
     @property
@@ -288,8 +288,17 @@ def diagonal_lebesgue_path(grid, pi):
     return MeasurePath(grid, entries, derivs)
 
 
+def _common_window(a, b):
+    """(lo, hi, A, B): measures a and b as W[lo:hi, lo:hi], both windows in [lo, hi)."""
+    lo, hi = min(a._lo, b._lo), max(a._hi, b._hi)
+    return lo, hi, a._span(lo, hi), b._span(lo, hi)
+
+
 def _midpoint_weights(f_path, u):
-    return 0.5 * (f_path.entries[u].weights + f_path.entries[u + 1].weights)
+    """The full matrix (W_u + W_{u+1}) / 2 of a driver path."""
+    lo, hi, w_lo, w_hi = _common_window(f_path.entries[u], f_path.entries[u + 1])
+    size = f_path.dim * f_path.grid.node_count
+    return np.pad(0.5 * (w_lo + w_hi), (lo, size - hi))
 
 
 class _MidpointWeights:
@@ -308,30 +317,6 @@ class _MidpointWeights:
 
     def __getitem__(self, u):
         return _midpoint_weights(self._f_path, range(len(self))[u])
-
-
-class _AtomicMidpoints:
-    """Midpoint weights of the atomic driver F_t = delta_{(t, t)} Pi.
-
-    Item u holds Pi / 2 in the diagonal blocks of nodes u and u + 1 and
-    zeros elsewhere, the same matrix :class:`_MidpointWeights` forms
-    from :func:`corner_atom_path`, without building that path.
-    """
-
-    def __init__(self, grid, pi):
-        self._count = grid.node_count
-        self._half_pi = 0.5 * pi
-
-    def __len__(self):
-        return self._count - 1
-
-    def __getitem__(self, u):
-        u = range(len(self))[u]
-        n = self._half_pi.shape[0]
-        weights = np.zeros((n * self._count, n * self._count), dtype=complex)
-        for j in (u, u + 1):
-            weights[j * n : (j + 1) * n, j * n : (j + 1) * n] = self._half_pi
-        return weights
 
 
 def _check_step_norm(exponent):
@@ -548,9 +533,7 @@ def _t_steps(f_path, ccr, s_path):
     t_u = np.eye(big.shape[0], dtype=complex)
     yield t_u
     for u in range(f_path.grid.node_count - 1):
-        w_re_mid = 0.5 * (
-            f_path.entries[u].weights.real + f_path.entries[u + 1].weights.real
-        )
+        w_re_mid = _midpoint_weights(f_path, u).real
         s_mid = 0.5 * (s_path.mats[u] + s_path.mats[u + 1])
         rhs = (4j * h) * (big @ w_re_mid) @ s_mid
         t_u = t_u + np.linalg.solve(np.conj(s_mid), rhs)
@@ -574,21 +557,13 @@ def forward_t_evolution(f_path, ccr):
     return t_mats
 
 
-def _kernel_product(ccr, weights):
-    """Lambda W for symmetric W, as Lambda[:, :k] W[:k, :k] on its live block."""
-    k = _live_width(weights)
-    ham = np.zeros(weights.shape, dtype=complex)
-    ham[:, :k] = ccr.big[:, :k] @ weights[:k, :k]
-    return ham
-
-
-def _inverse_step(superop, n_weights, dn_weights, ccr, support_index):
+def _inverse_step(superop, n_measure, dn_measure, ccr, support_index):
     """One pull-back of the inverse bridge: the measure M with
     Lambda M = superop(2i Lambda N, Lambda N'), solved on [0, t_u]^2 for
     u = support_index.  Returns (measure, rounding bound of the
     superoperator, solve report)."""
-    h_n = _kernel_product(ccr, n_weights)
-    h_dn = _kernel_product(ccr, dn_weights)
+    h_n = lambda_product(ccr, n_measure).ham
+    h_dn = lambda_product(ccr, dn_measure).ham
     lam_m, err = superop(2j * h_n, h_dn)
     measure, report = ccr.solver.solve_measure(lam_m, support_index=support_index)
     return measure, err, report
@@ -619,7 +594,7 @@ def inverse_toe_measure(n_path, ccr):
         raise ValueError("path and kernel grids differ")
     pairs = zip(n_path.entries, n_path.derivative_entries)
     entries, quad_errors, reports = zip(*(
-        _inverse_step(ups_superop, n.weights, dn.weights, ccr, u)
+        _inverse_step(ups_superop, n, dn, ccr, u)
         for u, (n, dn) in enumerate(pairs)
     ))
     return InverseResult(MeasurePath(grid, entries), quad_errors, reports)
@@ -640,11 +615,12 @@ def staggered_inverse_measures(measures, ccr):
     measure path itself is always reproduced; compare through the
     regenerated flow when the driver class is unknown.
     """
-    h = ccr.grid.step
+    grid, n = ccr.grid, ccr.dim
     out = []
-    for u in range(ccr.grid.node_count - 1):
-        w_lo, w_hi = measures[u].weights, measures[u + 1].weights
-        mid, slope = 0.5 * (w_lo + w_hi), (w_hi - w_lo) / h
+    for u in range(grid.node_count - 1):
+        lo, _, w_lo, w_hi = _common_window(measures[u], measures[u + 1])
+        mid = KernelMeasure._from_window(grid, n, lo, 0.5 * (w_lo + w_hi))
+        slope = KernelMeasure._from_window(grid, n, lo, (w_hi - w_lo) / grid.step)
         out.append(_inverse_step(ups_superop, mid, slope, ccr, u + 1)[0])
     return tuple(out)
 
@@ -788,23 +764,14 @@ def qef_psi_measure(n_entry, ndot_entry, ccr):
     """
     corner = max(n_entry.support_index, ndot_entry.support_index)
     measure, quad_error, report = _inverse_step(
-        sinhc_superop, n_entry.weights, ndot_entry.weights, ccr, corner
+        sinhc_superop, n_entry, ndot_entry, ccr, corner
     )
     n = measure.dim
     w = measure.weights
-    interior = w[: corner * n, : corner * n]
-    edge_right = w[: corner * n, corner * n : (corner + 1) * n]
-    edge_down = w[corner * n : (corner + 1) * n, : corner * n]
-    corner_block = w[corner * n : (corner + 1) * n, corner * n : (corner + 1) * n]
-
-    def _block_mass(tile, rows, cols):
-        if tile.size == 0:
-            return 0.0
-        blocks = tile.reshape(rows, n, cols, n)
-        return float(np.sqrt((np.abs(blocks) ** 2).sum(axis=(1, 3))).sum())
-
-    interior_mass = _block_mass(interior, corner, corner)
-    edge_mass = _block_mass(edge_right, corner, 1) + _block_mass(edge_down, 1, corner)
+    c = corner * n
+    corner_block, edges = w[c : c + n, c : c + n], (w[:c, c : c + n], w[c : c + n, :c])
+    interior_mass = float(_block_norms(w[:c, :c], n).sum())
+    edge_mass = float(sum(_block_norms(edge, n).sum() for edge in edges))
     corner_mass = float(np.linalg.norm(corner_block))
     return PsiDecomposition(
         measure,
@@ -821,19 +788,16 @@ def qef_psi_measure(n_entry, ndot_entry, ccr):
 def spde_fast_path(model, pi, grid):
     """Forward evolution for the atomic driver F_t = delta at (t, t) Pi.
 
-    Checks that Pi is finite and symmetric, builds the kernel, and
-    integrates the atomic midpoint weights with
-    :func:`csk_path_from_midpoints`.  Each weight has 2n live columns, so
-    every step is a rank-2n update costing O(size k n) <= O(N^2 n^3).
-    The weights are formed one step at a time, so the result equals
-    forward_csk_evolution(corner_atom_path(grid, pi), ccr) bit for bit
-    without building the N + 1 driver entries.
+    Checks that Pi is a finite symmetric model.dim x model.dim matrix and
+    returns forward_csk_evolution(corner_atom_path(grid, pi), ccr) on the
+    model's kernel.  Each driver entry stores one n x n block, and each
+    midpoint weight has 2n live columns, so every step is a rank-2n
+    update costing O(size k n) <= O(N^2 n^3).
     """
     if np.shape(pi) != (model.dim, model.dim):
         raise ValueError(f"pi must be {model.dim} x {model.dim}")
-    pi = _check_pi(pi)
-    ccr = build_ccr_kernel(model, grid)
-    return csk_path_from_midpoints(_AtomicMidpoints(grid, pi), ccr)
+    f_path = corner_atom_path(grid, pi)
+    return forward_csk_evolution(f_path, build_ccr_kernel(model, grid))
 
 
 def g_path_magnus(f_path, ccr):
@@ -889,10 +853,7 @@ def chk_column_function(model, q, block_col):
     grid = q.grid
     n = q.dim
     count = grid.node_count
-    if not isinstance(block_col, (int, np.integer)) or not 0 <= block_col < count:
-        raise ValueError(
-            f"block_col must be an integer in [0, {count}), got {block_col!r}"
-        )
+    _check_node(block_col, count, "block_col")
     nodes = grid.nodes
     drift = model.drift
     theta = model.theta

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from quadexp import (
     bracket,
     build_ccr_kernel,
     ccr_two_point,
+    corner_atom_path,
     diagonal_lebesgue_measure,
     is_nonanticipative,
     kernel_weighted_norm,
@@ -249,3 +252,139 @@ def test_bracket_with_self_vanishes(seed):
     q = random_measure(np.random.default_rng(seed), grid, 2)
     b = bracket(q, q, ccr)
     assert np.linalg.norm(b.weights) <= 1e-12 * (1.0 + np.linalg.norm(q.weights) ** 2)
+
+
+def test_measures_store_their_nonzero_window(grid16, pi2):
+    # an atom keeps one n x n block, the diagonal measure at node u its
+    # leading (u + 1) n, the zero measure nothing; weights and blocks
+    # are built from the window
+    n = 2
+    for u in (0, 5, 16):
+        atom = atomic_corner_measure(grid16, u, pi2)
+        assert (atom._lo, atom._window.shape) == (u * n, (n, n))
+        assert np.array_equal(atom.block(u, u), pi2)
+    for u in (1, 5, 16):
+        diag = diagonal_lebesgue_measure(grid16, u, pi2)
+        assert (diag._lo, diag._window.shape) == (0, ((u + 1) * n,) * 2)
+    assert zero_measure(grid16, n)._window.shape == (0, 0)
+    assert diagonal_lebesgue_measure(grid16, 0, pi2)._window.shape == (0, 0)
+    off = atom_measure(grid16, 7, 4, np.array([[1.0, 2.0], [3.0, 4.0]]))
+    assert (off._lo, off._window.shape) == (4 * n, (4 * n, 4 * n))
+    # the full matrix a caller hands in is cropped to the same window
+    again = KernelMeasure(grid16, off.weights, off.support_index)
+    assert again._lo == off._lo
+    assert np.array_equal(again._window, off._window)
+    for q in (off, again):
+        assert q.weights.shape == (34, 34)
+        assert np.array_equal(q.weights[14:16, 8:10], [[1.0, 2.0], [3.0, 4.0]])
+        assert np.array_equal(q.block(4, 7), [[1.0, 3.0], [2.0, 4.0]])
+        assert np.linalg.norm(q.weights) == pytest.approx(np.linalg.norm(q._window))
+
+
+def test_corner_atom_path_stores_under_a_megabyte(pi2):
+    # n = 2, N = 128: one 2 x 2 block per node, where a dense entry per
+    # node took 137 MB
+    grid = make_grid(1.0, 128)
+    tracemalloc.start()
+    try:
+        path = corner_atom_path(grid, pi2)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert sum(q._window.nbytes for q in path.entries) == grid.node_count * 64
+    assert held < 1e6, held
+
+
+def test_weights_are_read_only_and_share_no_caller_memory(grid16, pi2):
+    rng = np.random.default_rng(29)
+    raw = rng.normal(size=(34, 34))
+    raw[20:, :] = 0.0
+    raw[:, 20:] = 0.0
+    block = rng.normal(size=(2, 2))
+    for q, source in (
+        (KernelMeasure(grid16, raw), raw),
+        (atom_measure(grid16, 3, 3, block), block),
+        (diagonal_lebesgue_measure(grid16, 4, pi2), pi2),
+    ):
+        first, second = q.weights, q.weights
+        for w in (first, q.block(1, 1), q._window):
+            assert not w.flags.writeable
+            with pytest.raises(ValueError):
+                w[0, 0] = 1.0
+            assert not np.shares_memory(w, source)
+        assert not np.shares_memory(first, second)
+        assert not np.shares_memory(first, q._window)
+        kept = first.copy()
+        source[...] = 0.0
+        assert np.array_equal(q.weights, kept)
+
+
+def test_declared_support_index_is_checked(grid16):
+    n, count = 2, grid16.node_count
+    w = np.zeros((n * count, n * count))
+    w[6:8, 6:8] = np.eye(2)  # mass at node 3
+    assert KernelMeasure(grid16, w).support_index == 3
+    for declared in (3, 5, count - 1):
+        assert KernelMeasure(grid16, w, support_index=declared).support_index == declared
+    for declared in (0, 2):
+        with pytest.raises(ValueError, match="beyond the declared support"):
+            KernelMeasure(grid16, w, support_index=declared)
+    for declared in (-2, count, count + 3, 2.0):
+        with pytest.raises(ValueError, match="support_index"):
+            KernelMeasure(grid16, w, support_index=declared)
+    # mass below SUPPORT_TOL beyond the declared edge is accepted
+    w[30, 30] = 1e-15
+    assert KernelMeasure(grid16, w, support_index=3).support_index == 3
+    # off the diagonal the mass past the edge is found in either slot
+    off = np.zeros((n * count, n * count))
+    off[0, 9] = off[9, 0] = 1.0
+    with pytest.raises(ValueError, match="beyond the declared support"):
+        KernelMeasure(grid16, off, support_index=3)
+    small = make_grid(1.0, 3)
+    with pytest.raises(ValueError, match="support_index"):
+        KernelMeasure(small, np.zeros((8, 8)), support_index=7)
+
+
+@pytest.mark.parametrize("u", [-2, -1, 17, 40, 2.0, "3"])
+def test_node_arguments_are_checked(grid16, pi2, u):
+    q = diagonal_lebesgue_measure(grid16, 16, pi2)
+    with pytest.raises(ValueError, match=r"must be an integer in \[0, 17\)"):
+        project_support(q, u)
+    with pytest.raises(ValueError, match=r"must be an integer in \[0, 17\)"):
+        is_nonanticipative(q, u)
+    with pytest.raises(ValueError, match=r"must be an integer in \[0, 17\)"):
+        random_measure(np.random.default_rng(1), grid16, 2, support=u)
+
+
+def test_project_support_crops_the_window(grid16, pi2):
+    q = diagonal_lebesgue_measure(grid16, 10, pi2)
+    for u in (0, 4, 10, 16):
+        kept, truncated = project_support(q, u)
+        edge = 2 * (u + 1)
+        want = q.weights.copy()
+        want[edge:, :] = 0.0
+        want[:, edge:] = 0.0
+        assert np.array_equal(kept.weights, want)
+        assert kept._hi <= edge
+        assert kept.support_index == min(u, 10)
+        assert truncated == pytest.approx(np.linalg.norm(q.weights - want), rel=1e-15)
+        assert is_nonanticipative(kept, u)
+        assert is_nonanticipative(q, u) == (u >= 10)
+
+
+def test_random_measure_support_keeps_the_draws(grid16):
+    full = random_measure(np.random.default_rng(31), grid16, 2).weights
+    cut = random_measure(np.random.default_rng(31), grid16, 2, support=6)
+    assert cut._window.shape == (14, 14)
+    assert np.array_equal(cut._window, full[:14, :14])
+    assert cut.support_index == 6
+
+
+def test_csv_rejects_a_repeated_entry(tmp_path):
+    bad = tmp_path / "repeat.csv"
+    header = "# schema=1\n# grid T=1 N=3 n=2\nj,k,row,col,re,im\n"
+    bad.write_text(header + "3,3,0,0,1,0\n1,2,0,1,5,0\n3,3,0,0,2,0\n")
+    with pytest.raises(ScenarioError, match="repeat.csv:6: repeated entry"):
+        read_measure_csv(bad)
+    bad.write_text(header + "3,3,0,0,1,0\n3,3,0,1,2,0\n3,3,1,0,2,0\n")
+    assert read_measure_csv(bad).block(3, 3).tolist() == [[1.0, 2.0], [2.0, 0.0]]

@@ -407,6 +407,33 @@ def test_spde_fast_path_matches_general(model2, pi2):
         spde_fast_path(model2, np.eye(3), grid)
 
 
+def test_spde_fast_path_is_the_corner_atom_flow(model2, pi2):
+    # bit for bit, also for a Pi asymmetric within the 1e-12 the check
+    # allows: both routes integrate the symmetrized corner atoms
+    grid = make_grid(1.0, 32)
+    ccr = build_ccr_kernel(model2, grid)
+    skew = pi2 + np.array([[0.0, 2e-13], [-1e-13, 0.0]])
+    for pi in (pi2, skew):
+        fast = spde_fast_path(model2, pi, grid)
+        general = forward_csk_evolution(corner_atom_path(grid, pi), ccr)
+        for u in range(grid.node_count):
+            assert np.array_equal(fast.mats.live(u), general.mats.live(u)), u
+    assert not np.array_equal(
+        spde_fast_path(model2, skew, grid).mats[-1],
+        spde_fast_path(model2, pi2, grid).mats[-1],
+    )
+
+
+def test_extracted_measures_store_their_support_block(ccr16, pi2):
+    # node u of the flow's measure path keeps a window inside [0..u]^2
+    n = ccr16.dim
+    qef = forward_qef_measure(corner_atom_path(ccr16.grid, pi2), ccr16)
+    for u, q in enumerate(qef.measures):
+        assert q._hi <= (u + 1) * n, (u, q._lo, q._hi)
+        assert q.support_index <= u
+    assert qef.measures[-1]._window.shape == (ccr16.grid.node_count * n,) * 2
+
+
 def test_recovered_driver_matches_the_dense_reference(model2, pi2):
     # drivers recovered by the inverse map fill [0, t_{u+1}]^2, so the
     # live columns grow to the full kernel size along the path
@@ -665,6 +692,24 @@ def test_flows_are_the_identity_beyond_the_live_block(model2, pi2):
         for u, s_u in enumerate(s_path.mats):
             k = (u + 1) * ccr.dim
             assert np.array_equal(s_u[:, k:], eye[:, k:]), (name, u)
+
+
+def test_border_rows_are_propagated_from_the_node_row(model2, pi2):
+    # rows j > u of S_u[:, :k] are E^(j - u) (R_u - [0 ... 0 I]), R_u the
+    # node-u rows of the live block and E = expm(h drift)
+    ccr, flows, _ = _n16_flows(model2, pi2)
+    n = ccr.dim
+    e_step = expm(ccr.grid.step * model2.drift)
+    for name, s_path in flows.items():
+        for u, s_u in enumerate(s_path.mats):
+            k = (u + 1) * n
+            live = s_u[:, :k]
+            scale = max(1.0, float(np.abs(s_u).max()))
+            row = live[u * n : k] - np.eye(n, k, k - n)
+            for j in range(u + 1, ccr.grid.node_count):
+                row = e_step @ row
+                gap = np.abs(live[j * n : (j + 1) * n] - row).max()
+                assert gap <= 1e-15 * scale, (name, u, j, gap)
 
 
 def _full_size_measure(s_u, ccr, u):
