@@ -283,6 +283,12 @@ class ChkMatrix:
         object.__setattr__(self, "ham", ham)
 
 
+def _common_window(a, b):
+    """(lo, hi, A, B): measures a and b as W[lo:hi, lo:hi], both windows in [lo, hi)."""
+    lo, hi = min(a._lo, b._lo), max(a._hi, b._hi)
+    return lo, hi, a._span(lo, hi), b._span(lo, hi)
+
+
 def zero_measure(grid, dim):
     """The zero measure on the grid with n = dim variables."""
     return KernelMeasure._from_window(grid, dim, 0, np.zeros((0, 0), complex), 0)

@@ -64,6 +64,7 @@ from .measures import (
     KernelMeasure,
     _block_norms,
     _check_node,
+    _common_window,
     _live_width,
     atomic_corner_measure,
     build_ccr_kernel,
@@ -286,12 +287,6 @@ def diagonal_lebesgue_path(grid, pi):
         atomic_corner_measure(grid, u, pi) for u in range(grid.node_count)
     )
     return MeasurePath(grid, entries, derivs)
-
-
-def _common_window(a, b):
-    """(lo, hi, A, B): measures a and b as W[lo:hi, lo:hi], both windows in [lo, hi)."""
-    lo, hi = min(a._lo, b._lo), max(a._hi, b._hi)
-    return lo, hi, a._span(lo, hi), b._span(lo, hi)
 
 
 def _midpoint_weights(f_path, u):
