@@ -289,6 +289,24 @@ def _common_window(a, b):
     return lo, hi, a._span(lo, hi), b._span(lo, hi)
 
 
+def _midpoint(a, b):
+    """(A + B) / 2 on the common window, each halved window added into one
+    zero array; halving is exact, so the masses equal 0.5 * (A + B)."""
+    lo, hi = min(a._lo, b._lo), max(a._hi, b._hi)
+    w = np.zeros((hi - lo,) * 2, dtype=complex)
+    for q in (a, b):
+        span = slice(q._lo - lo, q._hi - lo)
+        w[span, span] += 0.5 * q._window
+    return KernelMeasure._from_window(a.grid, a.dim, lo, w)
+
+
+def _lambda_columns(ccr, q):
+    """(C, big[:, C] @ W[C, C]): the nonzero columns C of W, read on the
+    window, and the columns C of big @ W, the rest being zero (W = W^T)."""
+    cols = np.flatnonzero(q._window.any(axis=0))
+    return q._lo + cols, ccr.big[:, q._lo + cols] @ q._window[np.ix_(cols, cols)]
+
+
 def zero_measure(grid, dim):
     """The zero measure on the grid with n = dim variables."""
     return KernelMeasure._from_window(grid, dim, 0, np.zeros((0, 0), complex), 0)
@@ -298,15 +316,14 @@ def atom_measure(grid, j, k, block):
     """Symmetrized point mass: block at (t_j, t_k) and block^T at (t_k, t_j).
 
     For j == k the block itself is symmetrized, consistent with the
-    eager-symmetrization convention of the measure type.
+    eager-symmetrization convention of the measure type.  Nodes j and k
+    must be integers in [0, N + 1).
     """
     block = np.asarray(block, dtype=complex)
     if block.ndim != 2 or block.shape[0] != block.shape[1]:
         raise ValueError("block must be square")
     n = block.shape[0]
-    count = grid.node_count
-    if not (0 <= j < count and 0 <= k < count):
-        raise ValueError(f"atom node ({j}, {k}) outside grid with {count} nodes")
+    j, k = _check_node(j, grid.node_count, "j"), _check_node(k, grid.node_count, "k")
     first, last = min(j, k), max(j, k)
     w = np.zeros(((last - first + 1) * n,) * 2, dtype=complex)
     j, k = j - first, k - first
@@ -331,13 +348,11 @@ def diagonal_lebesgue_measure(grid, u, pi):
     Places w_j Pi at (t_j, t_j) for j = 0..u with trapezoid weights
     (h/2, h, ..., h, h/2), an order h^2 discretization of the continuum
     diagonal; u = 0 gives the zero measure.  Pi must be finite, real and
-    symmetric.
+    symmetric, and u an integer in [0, N + 1).
     """
     pi = _check_pi(pi)
     n = pi.shape[0]
-    count = grid.node_count
-    if not 0 <= u < count:
-        raise ValueError(f"node {u} outside grid with {count} nodes")
+    u = _check_node(u, grid.node_count)
     w = np.zeros(((u + 1) * n,) * 2, dtype=complex)
     if u > 0:
         h = grid.step

@@ -34,11 +34,12 @@ half of N + 1 dense matrices; its readers (extraction, the congruence
 gates) take the block and its width from the path, and a full node is
 built only when a caller indexes one.
 
-The integrator detects the structure of each step: the generator is
-nonzero only in the live columns of the midpoint driver, and the
-exponential acts as a low-rank update on them at every step (rank 2n
-for the atomic driver F_t = delta_{(t,t)} Pi of :func:`corner_atom_path`,
-which :func:`spde_fast_path` integrates), never as a dense exponential.
+The integrator takes each step's driver as a midpoint measure, read on
+its window, never as a full matrix: the generator is nonzero only in
+the measure's live columns, and the exponential acts as a low-rank
+update on them (rank 2n for the atomic driver F_t = delta_{(t,t)} Pi of
+:func:`corner_atom_path`, which :func:`spde_fast_path` integrates),
+never as a dense exponential.
 """
 
 from __future__ import annotations
@@ -65,7 +66,9 @@ from .measures import (
     _block_norms,
     _check_node,
     _common_window,
+    _lambda_columns,
     _live_width,
+    _midpoint,
     atomic_corner_measure,
     build_ccr_kernel,
     diagonal_lebesgue_measure,
@@ -289,29 +292,24 @@ def diagonal_lebesgue_path(grid, pi):
     return MeasurePath(grid, entries, derivs)
 
 
-def _midpoint_weights(f_path, u):
-    """The full matrix (W_u + W_{u+1}) / 2 of a driver path."""
-    lo, hi, w_lo, w_hi = _common_window(f_path.entries[u], f_path.entries[u + 1])
-    size = f_path.dim * f_path.grid.node_count
-    return np.pad(0.5 * (w_lo + w_hi), (lo, size - hi))
-
-
-class _MidpointWeights:
-    """Per-step midpoint weights of a driver path, formed on access.
-
-    A sequence of length N whose item u is the average of node entries
-    u and u + 1, so the integrator never holds N dense midpoint
-    matrices at once.
-    """
+class _Midpoints:
+    """Midpoint measures of a driver path, one per step, formed on access:
+    item u is the average of node entries u and u + 1, on their window."""
 
     def __init__(self, f_path):
-        self._f_path = f_path
+        self._entries = f_path.entries
 
     def __len__(self):
-        return len(self._f_path.entries) - 1
+        return len(self._entries) - 1
 
     def __getitem__(self, u):
-        return _midpoint_weights(self._f_path, range(len(self))[u])
+        u = range(len(self))[u]
+        return _midpoint(self._entries[u], self._entries[u + 1])
+
+
+def _check_on_kernel(q, ccr, label):
+    if q.grid != ccr.grid or q.dim != ccr.dim:
+        raise ValueError(f"{label} is not on the kernel's grid with n = {ccr.dim}")
 
 
 def _check_step_norm(exponent):
@@ -325,15 +323,15 @@ def _check_step_norm(exponent):
         )
 
 
-def csk_path_from_midpoints(mid_weights, ccr):
-    """Integrate S' = 2i Lambda F_t S from per-step midpoint weights.
+def csk_path_from_midpoints(mids, ccr):
+    """Integrate S' = 2i Lambda F_t S from per-step midpoint measures.
 
-    mid_weights[u] is the flat weight matrix W of the driver at the
-    midpoint of step u, one per step (any sequence with len() and
-    indexing).  Each step applies exp(M), M = 2i h Lambda_big W, whose
-    1-norm is gated at STEP_NORM_BOUND, with refinement the remedy when
-    it trips.  Every factor is symplectic, so the whole path satisfies
-    the kernel congruence to accumulated rounding.
+    mids[u] is the :class:`KernelMeasure`, masses W, of the driver at the
+    midpoint of step u (any sequence with len() and indexing), each on
+    ccr.grid with ccr.dim variables.  Each step applies exp(M),
+    M = 2i h Lambda_big W, whose 1-norm is gated at STEP_NORM_BOUND, with
+    refinement the remedy when it trips.  Every factor is symplectic, so
+    the whole path satisfies the kernel congruence to accumulated rounding.
 
     M is nonzero only in the live column set C of W, the columns
     holding any nonzero entry.  With M_C the columns C of M and M_CC its
@@ -346,9 +344,10 @@ def csk_path_from_midpoints(mid_weights, ccr):
     an empty C leaves S_u as it is.  k, the largest C[-1] + 1 so far, is
     the live width: S_u - I vanishes beyond column k, as no update
     reaches past it.  A step costs O(size |C| k + |C|^3), with M_C formed
-    from the nonzero rows of W[:, C] only: |C| = 2n for the atomic driver
-    of :func:`spde_fast_path`, and |C| = k for drivers recovered by
-    :func:`inverse_toe_measure`, supported in [0, t_{u+1}]^2.
+    as Lambda[:, C] W[C, C] from the measure's window, never from a full
+    W: |C| = 2n for the atomic driver of :func:`spde_fast_path`, and
+    |C| = k for drivers recovered by :func:`inverse_toe_measure`,
+    supported in [0, t_{u+1}]^2.
 
     Only the live block S_u[:, :k] of each node is written and kept (see
     :class:`LiveColumns`): step u pads the block of S_u with identity
@@ -356,32 +355,27 @@ def csk_path_from_midpoints(mid_weights, ccr):
     path holds sum_u size k_u entries, about half of N + 1 dense
     matrices, and no (N + 1) x size^2 stack is ever allocated.
     """
-    if len(mid_weights) != ccr.grid.node_count - 1:
-        raise ValueError("need one midpoint weight matrix per step")
-    blocks = _live_blocks(mid_weights, ccr)
+    if len(mids) != ccr.grid.node_count - 1:
+        raise ValueError("need one midpoint measure per step")
+    blocks = _live_blocks(mids, ccr)
     return CskPath(ccr.grid, ccr, LiveColumns(blocks, ccr.big.shape[0]))
 
 
-def _live_blocks(mid_weights, ccr):
+def _live_blocks(mids, ccr):
     """S_0[:, :k_0], S_1[:, :k_1], ... of :func:`csk_path_from_midpoints`,
     each read-only; the step temporaries are gone once the last is out."""
-    big = ccr.big
     h = ccr.grid.step
-    size = big.shape[0]
+    size = ccr.big.shape[0]
     eye = np.eye(size)
     live = np.empty((size, 0), dtype=complex)
     live.setflags(write=False)
     yield live
     k = 0
-    for u in range(len(mid_weights)):
-        weights = mid_weights[u]
-        if weights.shape != (size, size):
-            raise ValueError(f"midpoint weights {u} do not match the kernel")
-        cols = np.flatnonzero(weights.any(axis=0))
+    for u, mid in enumerate(mids):
+        _check_on_kernel(mid, ccr, f"midpoint {u}")
+        cols, lam_w = _lambda_columns(ccr, mid)
         if cols.size:
-            block = weights[:, cols]
-            rows = np.flatnonzero(block.any(axis=1))
-            m_cols = (2j * h) * (big[:, rows] @ block[rows])
+            m_cols = (2j * h) * lam_w
             _check_step_norm(m_cols)
             width = max(k, int(cols[-1]) + 1)
             live = np.hstack((live, eye[:, k:width]))
@@ -397,10 +391,9 @@ def forward_csk_evolution(f_path, ccr):
     The midpoint measure of each step is the average of its two node
     entries; see :func:`csk_path_from_midpoints` for the stepping.
     """
-    grid = f_path.grid
-    if grid != ccr.grid:
+    if f_path.grid != ccr.grid:
         raise ValueError("path and kernel grids differ")
-    return csk_path_from_midpoints(_MidpointWeights(f_path), ccr)
+    return csk_path_from_midpoints(_Midpoints(f_path), ccr)
 
 
 def _dense_csk_evolution(f_path, ccr):
@@ -409,8 +402,8 @@ def _dense_csk_evolution(f_path, ccr):
     if f_path.grid != ccr.grid:
         raise ValueError("path and kernel grids differ")
     mats = [np.eye(ccr.big.shape[0], dtype=complex)]
-    for weights in _MidpointWeights(f_path):
-        exponent = 2j * ccr.grid.step * (ccr.big @ weights)
+    for mid in _Midpoints(f_path):
+        exponent = 2j * ccr.grid.step * (ccr.big @ mid.weights)
         _check_step_norm(exponent)
         mats.append(expm(exponent) @ mats[-1])
     return CskPath(ccr.grid, ccr, np.array(mats))
@@ -486,14 +479,8 @@ def qef_from_csk_path(s_path, ccr, nodes=None):
         raise ValueError("path and kernel grids differ")
     count = grid.node_count
     if nodes is None:
-        indices = tuple(range(count))
-    else:
-        for u in nodes:
-            if not isinstance(u, (int, np.integer)) or not 0 <= u < count:
-                raise ValueError(
-                    f"extraction nodes must be integers in [0, {count}), got {u!r}"
-                )
-        indices = tuple(sorted(set(int(u) for u in nodes)))
+        nodes = range(count)
+    indices = tuple(sorted({_check_node(u, count, "extraction node") for u in nodes}))
     measures = []
     reality = []
     reports = []
@@ -527,10 +514,9 @@ def _t_steps(f_path, ccr, s_path):
     h = f_path.grid.step
     t_u = np.eye(big.shape[0], dtype=complex)
     yield t_u
-    for u in range(f_path.grid.node_count - 1):
-        w_re_mid = _midpoint_weights(f_path, u).real
+    for u, mid in enumerate(_Midpoints(f_path)):
         s_mid = 0.5 * (s_path.mats[u] + s_path.mats[u + 1])
-        rhs = (4j * h) * (big @ w_re_mid) @ s_mid
+        rhs = (4j * h) * (big @ mid.weights.real) @ s_mid
         t_u = t_u + np.linalg.solve(np.conj(s_mid), rhs)
         yield t_u
 
@@ -600,7 +586,8 @@ def staggered_inverse_measures(measures, ccr):
 
     Uses the staggered second-order pair N(mid) = average and
     N'(mid) = difference quotient, whose supports stay inside the later
-    node, matching the sampling the midpoint integrator consumes.
+    node, matching the sampling the midpoint integrator consumes.  The
+    N + 1 measures must be on ccr.grid with ccr.dim, else ValueError.
 
     The N -> F direction is formulated for the exponential square root
     kept positive along the path, so the recovered family is that
@@ -611,12 +598,15 @@ def staggered_inverse_measures(measures, ccr):
     regenerated flow when the driver class is unknown.
     """
     grid, n = ccr.grid, ccr.dim
+    if len(measures) != grid.node_count:
+        raise ValueError(f"need {grid.node_count} measures, got {len(measures)}")
+    for u, q in enumerate(measures):
+        _check_on_kernel(q, ccr, f"measure {u}")
     out = []
-    for u in range(grid.node_count - 1):
-        lo, _, w_lo, w_hi = _common_window(measures[u], measures[u + 1])
-        mid = KernelMeasure._from_window(grid, n, lo, 0.5 * (w_lo + w_hi))
+    for u, (a, b) in enumerate(zip(measures, measures[1:])):
+        lo, _, w_lo, w_hi = _common_window(a, b)
         slope = KernelMeasure._from_window(grid, n, lo, (w_hi - w_lo) / grid.step)
-        out.append(_inverse_step(ups_superop, mid, slope, ccr, u + 1)[0])
+        out.append(_inverse_step(ups_superop, _midpoint(a, b), slope, ccr, u + 1)[0])
     return tuple(out)
 
 
@@ -665,16 +655,15 @@ def roundtrip_f_residual(f_path, ccr):
 def _flow_closure(f_path, ccr, qef):
     """:func:`roundtrip_f_residual` from the driver's measures qef,
     extracted at every node."""
-    grid = f_path.grid
     recovered = staggered_inverse_measures(qef.measures, ccr)
     direct = max(
         _relative_gaps(
             ccr,
             (m.weights for m in recovered),
-            (_midpoint_weights(f_path, u) for u in range(grid.node_count - 1)),
+            (mid.weights for mid in _Midpoints(f_path)),
         )
     )
-    regen = csk_path_from_midpoints([m.weights for m in recovered], ccr)
+    regen = csk_path_from_midpoints(recovered, ccr)
     check = qef_from_csk_path(regen, ccr)
     invariant = max(
         _relative_gaps(
@@ -811,12 +800,10 @@ def g_path_magnus(f_path, ccr):
     h = grid.step
     y = np.zeros(big.shape, dtype=complex)
     ys = [y]
-    for u in range(grid.node_count - 1):
-        h_f_lo = big @ f_path.entries[u].weights
-        h_f_mid = big @ _midpoint_weights(f_path, u)
-        k1, _ = mho_superop(4j * y, h_f_lo)
+    for u, mid in enumerate(_Midpoints(f_path)):
+        k1, _ = mho_superop(4j * y, big @ f_path.entries[u].weights)
         y_half = y + (0.25 * h) * k1  # half step of (1/2) Mho(...)
-        k2, _ = mho_superop(4j * y_half, h_f_mid)
+        k2, _ = mho_superop(4j * y_half, big @ mid.weights)
         y = y + (0.5 * h) * k2
         ys.append(y)
     measures, reports = zip(*(
@@ -853,9 +840,7 @@ def chk_column_function(model, q, block_col):
     drift = model.drift
     theta = model.theta
     e_step = expm(grid.step * drift)
-    masses = np.asarray(
-        q.weights[:, block_col * n : (block_col + 1) * n], dtype=complex
-    ).reshape(count, n, n)
+    masses = np.array([q.block(l, block_col) for l in range(count)])
     forward = [theta @ masses[0]]
     for w in masses[1:]:
         forward.append(e_step @ forward[-1] + theta @ w)

@@ -28,6 +28,7 @@ from quadexp import (
     write_measure_csv,
     zero_measure,
 )
+from quadexp.measures import _midpoint
 
 
 def test_grid_validation_and_nodes():
@@ -345,7 +346,9 @@ def test_declared_support_index_is_checked(grid16):
         KernelMeasure(small, np.zeros((8, 8)), support_index=7)
 
 
-@pytest.mark.parametrize("u", [-2, -1, 17, 40, 2.0, "3"])
+@pytest.mark.parametrize(
+    "u", [-2, -1, 17, 40, 2.0, "3", 2.5, pytest.param(np.float64(2.0), id="np2.0")]
+)
 def test_node_arguments_are_checked(grid16, pi2, u):
     q = diagonal_lebesgue_measure(grid16, 16, pi2)
     with pytest.raises(ValueError, match=r"must be an integer in \[0, 17\)"):
@@ -354,6 +357,32 @@ def test_node_arguments_are_checked(grid16, pi2, u):
         is_nonanticipative(q, u)
     with pytest.raises(ValueError, match=r"must be an integer in \[0, 17\)"):
         random_measure(np.random.default_rng(1), grid16, 2, support=u)
+    with pytest.raises(ValueError, match=r"must be an integer in \[0, 17\)"):
+        diagonal_lebesgue_measure(grid16, u, pi2)
+    with pytest.raises(ValueError, match=r"j must be an integer in \[0, 17\)"):
+        atom_measure(grid16, u, 1, pi2)
+    with pytest.raises(ValueError, match=r"k must be an integer in \[0, 17\)"):
+        atom_measure(grid16, 1, u, pi2)
+
+
+def test_midpoint_is_the_halved_sum_bit_for_bit(grid16, pi2):
+    # each halved window is added into one zero array on the common
+    # window; halving is exact, so no bit moves against 0.5 * (A + B)
+    rng = np.random.default_rng(43)
+    measures = (
+        zero_measure(grid16, 2),
+        atomic_corner_measure(grid16, 3, pi2),
+        atomic_corner_measure(grid16, 4, pi2),
+        atom_measure(grid16, 9, 2, rng.normal(size=(2, 2))),
+        diagonal_lebesgue_measure(grid16, 6, pi2),
+        random_measure(rng, grid16, 2, support=5),
+        random_measure(rng, grid16, 2),
+    )
+    for a in measures:
+        for b in measures:
+            mid = _midpoint(a, b)
+            assert np.array_equal(mid.weights, 0.5 * (a.weights + b.weights))
+            assert mid.support_index == max(a.support_index, b.support_index)
 
 
 def test_project_support_crops_the_window(grid16, pi2):

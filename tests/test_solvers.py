@@ -17,6 +17,7 @@ from quadexp import (
     chk_column_function,
     corner_atom_path,
     csk_path_from_midpoints,
+    diagonal_lebesgue_measure,
     diagonal_lebesgue_path,
     forward_csk_evolution,
     forward_qef_measure,
@@ -117,7 +118,7 @@ def test_step_norm_gate_reports_refinement(ccr16, rng):
         forward_csk_evolution(huge, ccr16)
     with pytest.raises(NumericalFailure, match="refine"):
         _dense_csk_evolution(huge, ccr16)
-    full = random_measure(rng, ccr16.grid, 2, scale=1e4).weights
+    full = random_measure(rng, ccr16.grid, 2, scale=1e4)
     with pytest.raises(NumericalFailure, match="refine"):
         csk_path_from_midpoints([full] * ccr16.grid.steps, ccr16)
 
@@ -127,10 +128,12 @@ def test_gates_trip_on_non_finite_values(model2, ccr16, pi2):
     # the value lies within it rather than that it exceeds it
     grid = ccr16.grid
     size = ccr16.big.shape[0]
+    # measures are finite, but the step product of one near 1e308 is not
+    huge = KernelMeasure(grid, np.full((size, size), 8e307))
+    with pytest.raises(NumericalFailure, match="step exponent 1-norm is"):
+        csk_path_from_midpoints([huge] * grid.steps, ccr16)
     for bad in (np.nan, np.inf):
         weights = np.full((size, size), bad)
-        with pytest.raises(NumericalFailure, match="step exponent"):
-            csk_path_from_midpoints([weights] * grid.steps, ccr16)
         with pytest.raises(NumericalFailure, match="symplectic residual"):
             CskMatrix(grid, np.full((size, size), bad, dtype=complex), ccr16)
         # non-finite measures, Pi and Hamiltonians fail where they enter
@@ -200,7 +203,7 @@ def test_extraction_rejects_a_non_integer_node(ccr16, pi2):
     # 1.7 used to be truncated to node 1
     s_path = forward_csk_evolution(corner_atom_path(ccr16.grid, pi2), ccr16)
     for node in (1.7, 1.0, -1, 17, "3", None):
-        with pytest.raises(ValueError, match=r"integers in \[0, 17\)"):
+        with pytest.raises(ValueError, match=r"node must be an integer in \[0, 17\)"):
             qef_from_csk_path(s_path, ccr16, nodes=[4, node])
     qef = qef_from_csk_path(s_path, ccr16, nodes=[np.int64(4), 4])
     assert qef.node_indices == (4,)
@@ -348,7 +351,7 @@ def test_staggered_inverse_reproduces_flow(model2, pi2):
     qef = forward_qef_measure(corner_atom_path(grid, pi2), ccr)
     recovered = staggered_inverse_measures(qef.measures, ccr)
     assert len(recovered) == grid.steps
-    regen = csk_path_from_midpoints([m.weights for m in recovered], ccr)
+    regen = csk_path_from_midpoints(recovered, ccr)
     check = qef_from_csk_path(regen, ccr)
     for u in range(grid.node_count):
         gap = kernel_weighted_norm(
@@ -358,13 +361,33 @@ def test_staggered_inverse_reproduces_flow(model2, pi2):
         assert gap <= 1e-9 * scale
 
 
+def test_staggered_inverse_checks_its_measures(model2, ccr16, pi2):
+    # exactly N + 1 measures, each on the kernel's grid with its dim
+    grid = ccr16.grid
+    ok = [diagonal_lebesgue_measure(grid, u, pi2) for u in range(grid.node_count)]
+    for miscounted in (ok[:-1], ok + ok[:1], []):
+        with pytest.raises(ValueError, match=f"need 17 measures, got {len(miscounted)}"):
+            staggered_inverse_measures(miscounted, ccr16)
+    # T = 1 measures against a T = 2 kernel
+    ccr_t2 = build_ccr_kernel(model2, make_grid(2.0, 16))
+    with pytest.raises(ValueError, match="measure 0 is not on the kernel's grid"):
+        staggered_inverse_measures(ok, ccr_t2)
+    wide = list(ok)
+    wide[3] = zero_measure(grid, 3)
+    with pytest.raises(ValueError, match="measure 3 is not on the kernel's grid"):
+        staggered_inverse_measures(wide, ccr16)
+
+
 def test_midpoint_count_is_validated(ccr16):
-    size = ccr16.big.shape[0]
+    grid = ccr16.grid
     with pytest.raises(ValueError, match="midpoint"):
-        csk_path_from_midpoints([np.zeros((size, size))] * 3, ccr16)
-    small = np.zeros((size - 2, size - 2))
-    with pytest.raises(ValueError, match="do not match the kernel"):
-        csk_path_from_midpoints([small] * ccr16.grid.steps, ccr16)
+        csk_path_from_midpoints([zero_measure(grid, 2)] * 3, ccr16)
+    # each midpoint is a measure on the kernel's grid with its dim
+    for other, dim in ((grid, 3), (make_grid(2.0, 16), 2), (make_grid(1.0, 8), 2)):
+        mids = [zero_measure(grid, 2)] * grid.steps
+        mids[5] = zero_measure(other, dim)
+        with pytest.raises(ValueError, match="midpoint 5 is not on the kernel's grid"):
+            csk_path_from_midpoints(mids, ccr16)
 
 
 def test_psi_corner_tends_to_pi(model2, pi2):
@@ -447,13 +470,11 @@ def test_recovered_driver_matches_the_dense_reference(model2, pi2):
 
 def test_full_support_driver_matches_the_exponential_loop(ccr16, rng):
     grid = ccr16.grid
-    mids = [
-        random_measure(rng, grid, 2, scale=0.02).weights for _ in range(grid.steps)
-    ]
+    mids = [random_measure(rng, grid, 2, scale=0.02) for _ in range(grid.steps)]
     s_path = csk_path_from_midpoints(mids, ccr16)
     mats = [np.eye(ccr16.big.shape[0])]
-    for w in mids:
-        mats.append(expm(2j * grid.step * (ccr16.big @ w)) @ mats[-1])
+    for q in mids:
+        mats.append(expm(2j * grid.step * (ccr16.big @ q.weights)) @ mats[-1])
     # every column is live at every step; the gap (2.7e-15 measured) is
     # mostly the Pade loop's own: against 40 digits it is 2.9e-15 off,
     # the series step 4.4e-16
@@ -466,9 +487,9 @@ def test_integrator_takes_no_dense_exponential(model2, pi2, rng, monkeypatch):
     ccr = build_ccr_kernel(model2, grid)
     recovered = inverse_toe_measure(diagonal_lebesgue_path(grid, pi2), ccr).f_path
     drivers = (
-        solvers._MidpointWeights(corner_atom_path(grid, pi2)),
-        solvers._MidpointWeights(recovered),
-        [random_measure(rng, grid, 2, scale=0.02).weights] * grid.steps,
+        solvers._Midpoints(corner_atom_path(grid, pi2)),
+        solvers._Midpoints(recovered),
+        [random_measure(rng, grid, 2, scale=0.02)] * grid.steps,
     )
     calls = []
     monkeypatch.setattr(solvers, "expm", lambda m: calls.append(m) or expm(m))
@@ -477,15 +498,16 @@ def test_integrator_takes_no_dense_exponential(model2, pi2, rng, monkeypatch):
     assert calls == []
 
 
-def _mp_step_reference(mp, mid_weights, ccr):
+def _mp_step_reference(mp, mids, ccr):
     """The midpoint flow with each step taken as mp.expm(M_u) S_u in 40
     digits, from the float generator M_u = 2i h Lambda W_u the integrator
-    forms on the live columns C of W_u."""
+    forms on the live columns C of the midpoint masses W_u."""
     size = ccr.big.shape[0]
     with mp.workdps(40):
         s_mp = mp.eye(size)
         mats = [np.eye(size, dtype=complex)]
-        for w in mid_weights:
+        for q in mids:
+            w = q.weights
             cols = np.flatnonzero(w.any(axis=0))
             rows = np.flatnonzero(w[:, cols].any(axis=1))
             m = np.zeros((size, size), dtype=complex)
@@ -504,7 +526,7 @@ def test_live_column_steps_match_a_40_digit_exponential(model2, pi2):
     grid = make_grid(1.0, 8)
     ccr = build_ccr_kernel(model2, grid)
     recovered = inverse_toe_measure(diagonal_lebesgue_path(grid, pi2), ccr).f_path
-    mids = list(solvers._MidpointWeights(recovered))
+    mids = list(solvers._Midpoints(recovered))
     for order in (mids, mids[::-1]):
         s_path = csk_path_from_midpoints(order, ccr)
         reference = _mp_step_reference(mp, order, ccr)
@@ -523,8 +545,8 @@ def test_integrators_hand_over_one_read_only_stack(model2, pi2):
     f_path = corner_atom_path(grid, pi2)
     general = forward_csk_evolution(f_path, ccr)
     mids = [
-        0.5 * (f_path.entries[u].weights + f_path.entries[u + 1].weights)
-        for u in range(grid.steps)
+        KernelMeasure(grid, 0.5 * (a.weights + b.weights))
+        for a, b in zip(f_path.entries, f_path.entries[1:])
     ]
     stack = np.array([general.mats[u] for u in range(grid.node_count)])
     view = stack[:]
@@ -558,6 +580,23 @@ def test_integrators_hand_over_one_read_only_stack(model2, pi2):
         general.mats[grid.node_count]
 
 
+def test_roundtrip_residual_peak_memory_stays_within_two_stacks(model2, pi2):
+    # the regenerated flow reads the recovered midpoint measures on their
+    # windows, so no list of N full midpoint matrices is held
+    grid = make_grid(1.0, 64)
+    ccr = build_ccr_kernel(model2, grid)
+    f_path = corner_atom_path(grid, pi2)
+    size = ccr.big.shape[0]
+    stack_bytes = grid.node_count * size * size * 16
+    tracemalloc.start()
+    try:
+        roundtrip_f_residual(f_path, ccr)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.0 * stack_bytes, peak / stack_bytes
+
+
 def test_integrators_and_extraction_peak_memory_stay_near_one_stack(model2, pi2):
     grid = make_grid(1.0, 32)
     ccr = build_ccr_kernel(model2, grid)
@@ -585,7 +624,7 @@ def test_integrators_and_extraction_peak_memory_stay_near_one_stack(model2, pi2)
 def _n16_flows(model2, pi2):
     """The corner-atom flow, the flow of the driver recovered from the
     diagonal path, the regenerated flow of the corner-atom roundtrip and
-    the dense reference flow, at N = 16, with the midpoint weights each
+    the dense reference flow, at N = 16, with the midpoint measures each
     was integrated from."""
     grid = make_grid(1.0, 16)
     ccr = build_ccr_kernel(model2, grid)
@@ -593,7 +632,7 @@ def _n16_flows(model2, pi2):
     corner = forward_csk_evolution(f_path, ccr)
     recovered = inverse_toe_measure(diagonal_lebesgue_path(grid, pi2), ccr).f_path
     qef = qef_from_csk_path(corner, ccr)
-    staggered = [m.weights for m in staggered_inverse_measures(qef.measures, ccr)]
+    staggered = staggered_inverse_measures(qef.measures, ccr)
     flows = {
         "corner-atom": corner,
         "recovered driver": forward_csk_evolution(recovered, ccr),
@@ -601,10 +640,10 @@ def _n16_flows(model2, pi2):
         "dense": _dense_csk_evolution(f_path, ccr),
     }
     mids = {
-        "corner-atom": list(solvers._MidpointWeights(f_path)),
-        "recovered driver": list(solvers._MidpointWeights(recovered)),
+        "corner-atom": list(solvers._Midpoints(f_path)),
+        "recovered driver": list(solvers._Midpoints(recovered)),
         "regenerated": staggered,
-        "dense": list(solvers._MidpointWeights(f_path)),
+        "dense": list(solvers._Midpoints(f_path)),
     }
     return ccr, flows, mids
 
@@ -616,7 +655,8 @@ def _dense_update_loop(mids, ccr):
     mats = np.empty((len(mids) + 1, size, size), dtype=complex)
     mats[0] = np.eye(size)
     k = 0
-    for u, w in enumerate(mids):
+    for u, q in enumerate(mids):
+        w = q.weights
         mats[u + 1] = mats[u]
         cols = np.flatnonzero(w.any(axis=0))
         if cols.size == 0:
@@ -631,8 +671,8 @@ def _dense_update_loop(mids, ccr):
 def _dense_expm_loop(mids, ccr):
     """expm(M_u) @ S_u on dense matrices, as the reference integrator steps."""
     mats = [np.eye(ccr.big.shape[0], dtype=complex)]
-    for w in mids:
-        mats.append(expm(2j * ccr.grid.step * (ccr.big @ w)) @ mats[-1])
+    for q in mids:
+        mats.append(expm(2j * ccr.grid.step * (ccr.big @ q.weights)) @ mats[-1])
     return mats
 
 
