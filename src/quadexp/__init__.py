@@ -75,6 +75,7 @@ from .fock import (
     quadratic_form_matrix,
 )
 from .solvers import (
+    ChkColumn,
     CskPath,
     InverseResult,
     MeasurePath,

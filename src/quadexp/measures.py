@@ -199,12 +199,7 @@ class KernelMeasure:
             raise ValueError("weights must be a square matrix")
         if w.shape[0] % grid.node_count != 0:
             raise ValueError("weights size is not a multiple of the node count")
-        bad = w[~np.isfinite(w)]
-        if bad.size:
-            raise ValueError(
-                f"weights must be finite, got {bad.size} entries such as {bad[0]}"
-            )
-        w = 0.5 * (w + w.T)
+        w = _symmetrized(w)
         self._store(grid, w.shape[0] // grid.node_count, 0, w, support_index)
 
     @classmethod
@@ -261,6 +256,17 @@ class KernelMeasure:
         out = np.pad(self._window, (self._lo - a, b - self._hi))
         out.setflags(write=False)
         return out
+
+
+def _symmetrized(w):
+    """(W + W^T) / 2, halved first so that finite entries cannot overflow."""
+    w = 0.5 * w + 0.5 * w.T
+    bad = w[~np.isfinite(w)]
+    if bad.size:
+        raise ValueError(
+            f"weights must be finite, got {bad.size} entries such as {bad[0]}"
+        )
+    return w
 
 
 @dataclass(frozen=True)
@@ -329,7 +335,7 @@ def atom_measure(grid, j, k, block):
     j, k = j - first, k - first
     w[j * n : (j + 1) * n, k * n : (k + 1) * n] = block
     w[k * n : (k + 1) * n, j * n : (j + 1) * n] = block.T
-    return KernelMeasure._from_window(grid, n, first * n, 0.5 * (w + w.T), last)
+    return KernelMeasure._from_window(grid, n, first * n, _symmetrized(w), last)
 
 
 def _check_pi(pi):
@@ -359,7 +365,7 @@ def diagonal_lebesgue_measure(grid, u, pi):
         for j in range(u + 1):
             weight = h if 0 < j < u else 0.5 * h
             w[j * n : (j + 1) * n, j * n : (j + 1) * n] = weight * pi
-    return KernelMeasure._from_window(grid, n, 0, 0.5 * (w + w.T), u)
+    return KernelMeasure._from_window(grid, n, 0, _symmetrized(w), u)
 
 
 def atomic_corner_measure(grid, u, pi):
@@ -383,7 +389,7 @@ def random_measure(rng, grid, dim, support=None, complex_entries=True, scale=1.0
     if complex_entries:
         w = w + 1j * rng.uniform(-scale, scale, size=(size, size))
     w = w[:edge, :edge]
-    return KernelMeasure._from_window(grid, dim, 0, 0.5 * (w + w.T))
+    return KernelMeasure._from_window(grid, dim, 0, _symmetrized(w))
 
 
 def split_sym_antisym(raw, ccr):
@@ -400,10 +406,9 @@ def split_sym_antisym(raw, ccr):
         raise ValueError(
             f"raw weights shape {raw.shape} does not match kernel {ccr.big.shape}"
         )
-    sym = 0.5 * (raw + raw.T)
     anti = 0.5 * (raw - raw.T)
     scalar = 1j * complex(np.sum(ccr.big * anti))
-    return KernelMeasure(ccr.grid, sym), scalar
+    return KernelMeasure(ccr.grid, raw), scalar  # the constructor symmetrizes
 
 
 def lambda_product(ccr, q):

@@ -26,8 +26,8 @@ two-sided Laplace transform
 convergent on the vertical strip |Re s| < |max_k Re lambda_k(A)| when A
 is Hurwitz.  Everything downstream of this module consumes Lambda through
 these functions, so the conventions above are fixed here once.  The
-quadrature cross-check loads scipy.integrate on first use only, so
-importing the package costs no more than scipy.linalg.
+quadrature cross-check, a reference only, loads scipy.integrate on first
+use, so importing the package costs no more than scipy.linalg.
 """
 
 from __future__ import annotations
@@ -302,10 +302,10 @@ def laplace_lambda_quadrature(model, s, tol=1e-9, max_doublings=60):
     """Two-sided Laplace transform of Lambda by adaptive quadrature.
 
     Integrates e^{-s t} Lambda(t) over t in R, truncating each tail where
-    the integrand norm falls below tol * 1e-3.  Serves as the independent
-    cross-check of :func:`laplace_lambda`; the two agree to quadrature
-    accuracy inside the strip.  scipy.integrate is imported on the first
-    call, not with the module.
+    the integrand norm falls below tol * 1e-3.  An oracle only, the
+    independent cross-check of :func:`laplace_lambda`: the two agree to
+    quadrature accuracy inside the strip.  scipy.integrate is imported on
+    the first call, not with the module.
 
     Parameters
     ----------

@@ -75,6 +75,7 @@ from .measures import (
     kernel_weighted_norm,
     lambda_product,
 )
+from .model import laplace_lambda, laplace_point
 
 __all__ = [
     "MeasurePath",
@@ -99,6 +100,7 @@ __all__ = [
     "roundtrip_n_residual",
     "t_route_residual",
     "laplace_recover_measure",
+    "ChkColumn",
     "chk_column_function",
 ]
 
@@ -812,14 +814,63 @@ def g_path_magnus(f_path, ccr):
     return MeasurePath(grid, measures), ys, reports
 
 
+@dataclass(frozen=True)
+class ChkColumn:
+    """Column of :func:`chk_column_function`: model, grid and its recursions,
+    forward[j] = U_j and backward[j] = V_j, each of shape (N + 1, n, n)."""
+
+    model: object
+    grid: object
+    forward: np.ndarray
+    backward: np.ndarray
+
+    def __call__(self, t):
+        t, nodes, drift = float(t), self.grid.nodes, self.model.drift
+        j = int(np.searchsorted(nodes, t, side="right")) - 1
+        value = np.zeros(self.forward.shape[1:], dtype=complex)
+        if j >= 0:
+            value += expm((t - nodes[j]) * drift) @ self.forward[j]
+        if j < len(nodes) - 1:
+            right = expm((nodes[j + 1] - t) * drift).T @ self.backward[j + 1]
+            value += self.model.theta @ right
+        return value
+
+    def transform(self, s):
+        """Two-sided Laplace transform of the column at s, exact.
+
+        With Phi(M) = integral_0^h e^{tau M} dtau, shared by every interval
+        of the uniform grid, it is sum_{j<N} [e^{-s t_j} Phi(A - sI) U_j +
+        e^{-s t_{j+1}} Theta Phi(sI + A^T) V_{j+1}] plus the two tails
+        -Theta (sI + A^T)^{-1} V_0 and e^{-sT} (sI - A)^{-1} U_N.  Each Phi
+        is the top-right block of one 2n x 2n exponential (Van Loan, IEEE
+        TAC 23, 1978), whatever the node count.  Raises ValueError unless
+        0 < Re s < |max Re lambda(A)|, where both tails converge.
+        """
+        s = laplace_point(self.model, s).s
+        a, theta, h = self.model.drift, self.model.theta, self.grid.step
+        eye, zero = np.eye(len(a)), np.zeros_like(a)
+
+        def phi(m):
+            return expm(h * np.block([[m, eye], [zero, zero]]))[: len(a), len(a) :]
+
+        shifts = np.exp(-s * self.grid.nodes)
+        u_sum = np.tensordot(shifts[:-1], self.forward[:-1], 1)
+        v_sum = np.tensordot(shifts[1:], self.backward[1:], 1)
+        return (
+            phi(a - s * eye) @ u_sum
+            + theta @ phi(s * eye + a.T) @ v_sum
+            - theta @ np.linalg.solve(s * eye + a.T, self.backward[0])
+            + shifts[-1] * np.linalg.solve(s * eye - a, self.forward[-1])
+        )
+
+
 def chk_column_function(model, q, block_col):
     """Continuous-time column t -> (Lambda Q)(t, {t_k}) of a measure's CHK.
 
-    Evaluates C(t) = sum_l Lambda(t - t_l) W_l, W_l = W[l, block_col], at
-    arbitrary t, which is the function whose two-sided Laplace transform
-    the recovery routine samples.  The kernel is a stationary Markov
-    chain, so with E = e^{hA} the masses fold into two recursions, run
-    once at construction:
+    Returns C(t) = sum_l Lambda(t - t_l) W_l, W_l = W[l, block_col], as a
+    :class:`ChkColumn`, callable at any t, whose exact two-sided Laplace
+    transform the recovery routine samples.  The kernel is a stationary
+    Markov chain, so with E = e^{hA} the masses fold into two recursions:
 
       U_j = E U_{j-1} + Theta W_j,   U_{-1} = 0,
       V_j = W_j + E^T V_{j+1},       V_{N+1} = 0.
@@ -833,91 +884,48 @@ def chk_column_function(model, q, block_col):
     Raises ValueError unless block_col is an integer in [0, N + 1).
     """
     grid = q.grid
-    n = q.dim
     count = grid.node_count
     _check_node(block_col, count, "block_col")
-    nodes = grid.nodes
-    drift = model.drift
-    theta = model.theta
-    e_step = expm(grid.step * drift)
+    e_step = expm(grid.step * model.drift)
     masses = np.array([q.block(l, block_col) for l in range(count)])
-    forward = [theta @ masses[0]]
+    forward = [model.theta @ masses[0]]
     for w in masses[1:]:
-        forward.append(e_step @ forward[-1] + theta @ w)
-    backward = [np.zeros((n, n), dtype=complex)]
+        forward.append(e_step @ forward[-1] + model.theta @ w)
+    backward = [np.zeros_like(masses[0], dtype=complex)]
     for w in masses[::-1]:
         backward.append(w + e_step.T @ backward[-1])
-    backward.reverse()
-
-    def column(t):
-        t = float(t)
-        j = int(np.searchsorted(nodes, t, side="right")) - 1
-        value = np.zeros((n, n), dtype=complex)
-        if j >= 0:
-            value += expm((t - nodes[j]) * drift) @ forward[j]
-        if j < count - 1:
-            value += theta @ expm((nodes[j + 1] - t) * drift).T @ backward[j + 1]
-        return value
-
-    return column
+    return ChkColumn(model, grid, np.array(forward), np.array(backward[:0:-1]))
 
 
-def laplace_recover_measure(column, model, grid, s_samples, tol=1e-9):
+def laplace_recover_measure(column, model, grid, s_samples):
     """Recover one block column of node masses from transform samples.
 
-    Experimental: evaluates the two-sided Laplace transform of the given
-    CHK column at each sample, left-multiplies by Lambda_hat(s)^{-1} to
-    expose the moment sums sum_l e^{-s t_l} W_l, and solves the
-    resulting Vandermonde-type system for the masses.  Conditioning
-    deteriorates quickly with the node count; the condition number is
-    reported and a value beyond 1e12 raises.  tol is the absolute and
-    relative quadrature tolerance and sets the tail truncation; it must be
-    positive, else NumericalFailure is raised.
+    Experimental: takes the exact two-sided Laplace transform of the
+    given CHK column (:meth:`ChkColumn.transform`) at each sample,
+    left-multiplies by Lambda_hat(s)^{-1} to expose the moment sums
+    sum_l e^{-s t_l} W_l, and solves the resulting Vandermonde-type
+    system for the masses.  The transform is exact up to rounding, so
+    the recovered masses carry rounding times the system's condition
+    number, which deteriorates quickly with the node count; it is
+    reported, and a value beyond 1e12 raises NumericalFailure.
 
     Returns (masses, condition) with masses of shape (N+1, n, n).
     """
-    # Local import: scipy.integrate is slow to load and only this task needs it.
-    from scipy.integrate import quad_vec
-
-    from .model import laplace_lambda, laplace_point, spectral_abscissa
-
-    if not tol > 0.0:
-        raise NumericalFailure("quadrature tolerance must be positive")
     s_samples = [complex(s) for s in s_samples]
     count = grid.node_count
     if len(s_samples) < count:
         raise ValueError(
             f"need at least {count} transform samples, got {len(s_samples)}"
         )
-    n = model.dim
-    decay = abs(spectral_abscissa(model))
-
-    rows = []
-    rhs = []
-    for s in s_samples:
-        point = laplace_point(model, s)  # validates the strip
-        # transform of the column: the kernel decays at the model rate on
-        # both sides of the support, truncate where it is negligible
-        margin = max(point.strip_margin, 0.25 * decay)
-        tail = -np.log(tol * 1e-3) / margin
-        lo = -tail
-        hi = grid.horizon + tail
-
-        def integrand(t, _s=s):
-            return np.exp(-_s * t) * column(t)
-
-        value, _ = quad_vec(integrand, lo, hi, epsabs=tol, epsrel=tol, norm="2")
-        moment = np.linalg.solve(laplace_lambda(model, s), value)
-        rows.append(np.exp(-s * grid.nodes))
-        rhs.append(moment)
-
-    vander = np.asarray(rows)
+    rhs = [
+        np.linalg.solve(laplace_lambda(model, s), column.transform(s)) for s in s_samples
+    ]
+    vander = np.exp(-np.outer(s_samples, grid.nodes))
     condition = float(np.linalg.cond(vander))
     if condition > 1e12:
         raise NumericalFailure(
             f"moment system condition {condition:.3e} beyond 1e12; "
             "fewer nodes or better samples needed"
         )
-    stacked = np.asarray(rhs).reshape(len(s_samples), n * n)
-    solution, *_ = np.linalg.lstsq(vander, stacked, rcond=None)
-    return solution.reshape(count, n, n), condition
+    solution, *_ = np.linalg.lstsq(vander, np.reshape(rhs, (len(rhs), -1)), rcond=None)
+    return solution.reshape(count, *rhs[0].shape), condition

@@ -259,21 +259,20 @@ def test_levels_override_controls_convergence_table(tmp_path):
 
 
 def test_check_failure_exits_one(tmp_path):
-    # Laplace recovery at six nodes: the moment system conditioning eats
-    # the accuracy budget while staying below the hard raise, so the run
-    # completes and the gate verdict is an honest FAIL.
+    # A strong driver: the inverse run completes, but the rounding bound
+    # of its superoperators (the quadrature check, about 3e-3 here) sits
+    # far above its 1e-6 gate, so the gate verdict is an honest FAIL.
     text = (
-        "task = laplace\nT = 8.0\nN = 6\nseed = 7\n"
-        "theta = [[0, 1], [-1, 0]]\n"
-        "drift = [[-0.5, 0.3], [-0.3, -0.5]]\n"
-        "dispersion = [[1, 0], [0, 1]]\n"
-        "pi = [[0.2, 0.06], [0.06, 0.16]]\n"
+        "task = inverse\nT = 1.0\nN = 8\nseed = 7\n"
+        + MODEL_BLOCK
+        + "pi = [[20, 6], [6, 16]]\n"
     )
     path = write(tmp_path, text)
     out = tmp_path / "out"
     assert run_scenario(path, output_dir=out) == 1
     summary = (out / "summary.txt").read_text()
-    assert "check laplace_recovery: FAIL" in summary
+    assert "check reconstruction: PASS" in summary
+    assert "check quadrature: FAIL" in summary
     assert "result: FAIL" in summary
 
 

@@ -43,20 +43,41 @@ def test_benchmark_hooks_resolve():
         assert callable(hook), (module, attr)
 
 
-def test_import_loads_no_heavy_scipy_subpackage():
-    # scipy.integrate drags optimize, sparse and special in with it, about
-    # 0.3 s per process; quadrature imports it where it runs.  A fresh
-    # interpreter is needed, since this one may have loaded them already.
-    heavy = ("scipy.integrate", "scipy.optimize", "scipy.special", "scipy.sparse")
-    probe = (
-        "import sys, quadexp, quadexp.cli\n"
-        f"print(sorted(m for m in sys.modules if m.startswith({heavy!r})))"
-    )
+def _fresh_modules(code, prefixes, *args):
+    """Sorted names under the given prefixes that a fresh interpreter holds
+    after running code; this one may have loaded them already."""
+    loaded = f"sorted(m for m in sys.modules if m.startswith({prefixes!r}))"
+    probe = f"{code}\nprint({loaded})"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(PACKAGE_INIT.parents[1]), env.get("PYTHONPATH")])
     )
     proc = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", probe, *map(str, args)],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
     )
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.strip().splitlines()[-1]
+
+
+# scipy.integrate drags optimize, sparse and special in with it, about
+# 0.3 s per process; quadrature imports it where it runs
+HEAVY_SCIPY = ("scipy.integrate", "scipy.optimize", "scipy.special", "scipy.sparse")
+
+
+def test_import_loads_no_heavy_scipy_subpackage():
+    assert _fresh_modules("import sys, quadexp, quadexp.cli", HEAVY_SCIPY) == "[]"
+
+
+def test_laplace_task_loads_no_scipy_integrate(tmp_path):
+    # the recovery reads the column's closed-form transform, no quadrature
+    run = (
+        "import sys\n"
+        "from quadexp.cli import bundled_scenario, run_scenario\n"
+        "scenario = bundled_scenario('laplace_recovery.scn')\n"
+        "code = run_scenario(scenario, output_dir=sys.argv[1])\n"
+        "assert code == 0, code"
+    )
+    assert _fresh_modules(run, HEAVY_SCIPY, tmp_path / "out") == "[]"

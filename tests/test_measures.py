@@ -417,3 +417,29 @@ def test_csv_rejects_a_repeated_entry(tmp_path):
         read_measure_csv(bad)
     bad.write_text(header + "3,3,0,0,1,0\n3,3,0,1,2,0\n3,3,1,0,2,0\n")
     assert read_measure_csv(bad).block(3, 3).tolist() == [[1.0, 2.0], [2.0, 0.0]]
+
+
+def test_symmetrization_keeps_huge_finite_masses_finite():
+    # masses are halved before the transpose is added, so finite entries
+    # up to the largest double stay finite; non-finite ones are refused
+    grid = make_grid(1.0, 4)
+    huge = 1e308 * np.array([[1.0, 0.5], [0.5, 1.0]])
+    with np.errstate(over="ignore"):  # the support scan squares the masses
+        measures = (
+            atom_measure(grid, 1, 1, huge),
+            atom_measure(grid, 1, 3, huge),
+            KernelMeasure(grid, np.full((10, 10), 1e308)),
+        )
+    for q in measures:
+        assert np.isfinite(q.weights).all()
+    assert np.array_equal(measures[0].block(1, 1), huge.astype(complex))
+    assert np.array_equal(measures[1].block(3, 1), huge.T.astype(complex))
+    assert np.array_equal(measures[2].weights, np.full((10, 10), 1e308 + 0j))
+    # normal values: bit for bit the old 0.5 * (W + W^T)
+    rng = np.random.default_rng(11)
+    raw = rng.normal(size=(10, 10)) + 1j * rng.normal(size=(10, 10))
+    assert np.array_equal(KernelMeasure(grid, raw).weights, 0.5 * (raw + raw.T))
+    for bad in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="weights must be finite"):
+            with np.errstate(invalid="ignore"):
+                atom_measure(grid, 1, 2, np.full((2, 2), bad))
