@@ -396,10 +396,7 @@ def _run_inverse(scn, model, out_dir):
     result = inverse_toe_measure(n_path, ccr)
     write_measure_csv(Path(out_dir) / "f_terminal.csv", result.f_path.entries[-1])
     columns = {
-        "reality": [
-            float(np.linalg.norm(q.weights.imag) / (1.0 + np.linalg.norm(q.weights)))
-            for q in result.f_path.entries
-        ],
+        "reality": [q.reality_residual for q in result.f_path.entries],
         "reconstruction": [r.relative for r in result.solve_reports],
     }
     checks = (

@@ -88,15 +88,11 @@ SOLVE_ABSOLUTE_TOL = 1e-11
 # Symplectic congruence residual, relative to (1 + ||Lambda|| ||S||^2).
 SYMPLECTIC_TOL = 1e-10
 
-# Scalar functions switch to their Taylor forms below this modulus.
-SERIES_SWITCH = 1e-3
-
 # Bernoulli series guard: the adjoint norm bound must stay inside this
 # fraction of the convergence radius 2 pi.
 MHO_RADIUS_FRACTION = 0.9
 
-# Bernoulli series degrees of mho_scalar (below SERIES_SWITCH) and mho_superop.
-MHO_SCALAR_ORDER = 8
+# Bernoulli series degree of mho_superop.
 MHO_SUPEROP_ORDER = 16
 
 _TWO_PI = 2.0 * np.pi
@@ -104,44 +100,29 @@ _TWO_PI = 2.0 * np.pi
 
 # ---------------------------------------------------------------------------
 # scalar functions
+#
+# Each is a closed form q(z) / z or z / q(z) with q = expm1 or sinh, which
+# do not cancel near 0 (Higham, Functions of Matrices, SIAM 2008, sec.
+# 10.1), so no series branch is needed; the removable singularity at 0 has
+# the value 1.
+
+def _one_at_zero(closed_form, z):
+    """closed_form(z) where z != 0 and exactly 1 where z == 0; the closed
+    form never sees a zero, so no 0/0 is evaluated."""
+    z = np.asarray(z, dtype=complex)
+    zero = z == 0
+    result = np.where(zero, 1.0, closed_form(np.where(zero, 1.0, z)))
+    return result if result.ndim else complex(result)
+
 
 def ups_scalar(z):
-    """Ups(z) = (e^z - 1)/z, Taylor below the series switch; Ups(0) = 1."""
-    z = np.asarray(z, dtype=complex)
-    small = np.abs(z) < SERIES_SWITCH
-    zs = np.where(small, z, 0.0)
-    series = np.zeros_like(z)
-    # 8 Taylor terms: sum_{k=0..7} z^k / (k+1)!
-    coeff = 1.0
-    power = np.ones_like(z)
-    for k in range(8):
-        coeff = coeff / (k + 1.0)
-        series = series + coeff * power
-        power = power * zs
-    zb = np.where(small, 1.0, z)
-    # expm1 keeps the numerator accurate near the series switch, where
-    # exp(z) - 1 would cancel to eps / |z| relative error.
-    direct = np.expm1(zb) / zb
-    result = np.where(small, series, direct)
-    return result if result.ndim else complex(result)
+    """Ups(z) = (e^z - 1)/z = expm1(z)/z; Ups(0) = 1."""
+    return _one_at_zero(lambda z: np.expm1(z) / z, z)
 
 
 def sinhc_scalar(z):
-    """sinhc(z) = sinh(z)/z, Taylor below the series switch; sinhc(0) = 1."""
-    z = np.asarray(z, dtype=complex)
-    small = np.abs(z) < SERIES_SWITCH
-    zs = np.where(small, z, 0.0)
-    # 8 Taylor terms: sum_{k=0..7} z^{2k} / (2k+1)!
-    z2 = zs * zs
-    term = np.ones_like(z)
-    series = term.copy()
-    for k in range(1, 8):
-        term = term * z2 / ((2 * k) * (2 * k + 1.0))
-        series = series + term
-    zb = np.where(small, 1.0, z)
-    direct = np.sinh(zb) / zb
-    result = np.where(small, series, direct)
-    return result if result.ndim else complex(result)
+    """sinhc(z) = sinh(z)/z; sinhc(0) = 1."""
+    return _one_at_zero(lambda z: np.sinh(z) / z, z)
 
 
 def _bernoulli_over_factorial(order):
@@ -162,29 +143,19 @@ def _bernoulli_over_factorial(order):
 
 
 def mho_scalar(z):
-    """Mho(z) = z/(e^z - 1) = 1/Ups(z), Bernoulli series below the switch.
+    """Mho(z) = z/(e^z - 1) = z/expm1(z) = 1/Ups(z); Mho(0) = 1.
 
-    Defined away from the poles at 2 pi i k, k nonzero; a point closer
-    than 1e-6 to a pole raises.
+    Defined away from the poles at 2 pi i k, k nonzero; a point with
+    |expm1(z)| < 1e-6 and |z| > 1, within about 1e-6 of a pole, raises.
     """
-    z = np.asarray(z, dtype=complex)
-    # pole guard: e^z = 1 away from the origin
-    offgrid = np.abs(np.exp(z) - 1.0)
-    near_pole = (offgrid < 1e-6) & (np.abs(z) > 1.0)
-    if np.any(near_pole):
-        raise NumericalFailure("mho evaluated too close to a pole 2 pi i k")
-    small = np.abs(z) < SERIES_SWITCH
-    zs = np.where(small, z, 0.0)
-    coeffs = _bernoulli_over_factorial(MHO_SCALAR_ORDER)
-    series = np.zeros_like(z)
-    power = np.ones_like(z)
-    for c in coeffs:
-        series = series + c * power
-        power = power * zs
-    zb = np.where(small, 1.0, z)
-    direct = zb / np.expm1(zb)
-    result = np.where(small, series, direct)
-    return result if result.ndim else complex(result)
+
+    def closed_form(z):
+        em1 = np.expm1(z)
+        if np.any((np.abs(em1) < 1e-6) & (np.abs(z) > 1.0)):
+            raise NumericalFailure("mho evaluated too close to a pole 2 pi i k")
+        return z / em1
+
+    return _one_at_zero(closed_form, z)
 
 
 # ---------------------------------------------------------------------------
@@ -628,41 +599,52 @@ def csk_log_near_identity(offset, ccr, anchor=None):
     G = sum_j Z_11^{2j} / (2j + 1) the series gives H_11 = 2 Z_11 G and
     H_21 = 2 Z_21 G.
 
-    S passes the CskMatrix congruence gate, and H the reconstruction check
-    of :func:`csk_log`, evaluated as exp(H) - S = H Ups(H) - X with
-    H Ups(H) = [[H_11 Ups(H_11), 0], [H_21 Ups(H_11), 0]].
+    S passes the CskMatrix congruence gate, taken on its live columns
+    S[:, :k] = X[:, :k] + I[:, :k] by :func:`_symplectic_residual_live`,
+    and H the reconstruction check of :func:`csk_log`, evaluated as
+    exp(H) - S = H Ups(H) - X with H Ups(H) = [[H_11 Ups(H_11), 0],
+    [H_21 Ups(H_11), 0]] and scaled by ||S||_F from the same columns.
     When ||Z||_1 exceeds GREGORY_RADIUS, or the series result is not
-    within pi of the anchor, the anchored :func:`csk_log` of S is
-    returned instead.
+    within pi of the anchor, the anchored :func:`csk_log` of S, built at
+    full size only then, is returned instead.
     """
     offset = np.asarray(offset, dtype=complex)
     size = offset.shape[0]
-    csk = CskMatrix(ccr.grid, np.eye(size) + offset, ccr)
+    if offset.shape != ccr.big.shape:
+        raise ValueError("matrix shape does not match the kernel")
     anchor_mat = _anchor_matrix(anchor, offset.shape)
     k = _live_width(offset)
     live = offset[:, :k]
+    s_live = live + np.eye(size, k)
+    _check_symplectic(*_symplectic_residual_live(s_live, ccr.big))
+
+    def fallback():
+        return csk_log(CskMatrix(ccr.grid, np.eye(size) + offset, ccr), anchor_mat)
+
     try:
         # X_11 commutes with 2I + X_11, so either side of the division gives Z_11
         z11 = np.linalg.solve(2.0 * np.eye(k) + live[:k], live[:k])
     except np.linalg.LinAlgError:
-        return csk_log(csk, anchor=anchor_mat)
+        return fallback()
     z = np.vstack([z11, 0.5 * (live[k:] - live[k:] @ z11)])
     radius = float(np.linalg.norm(z, 1)) if k else 0.0
     if not radius <= GREGORY_RADIUS:
-        return csk_log(csk, anchor=anchor_mat)
+        return fallback()
     ham = np.zeros((size, size), dtype=complex)
     ham[:, :k] = 2.0 * (z @ _gregory_factor(z11, radius))
     # exp(H) - S = H Ups(H) - X, whose columns beyond k vanish
     residual = np.linalg.norm(ham[:, :k] @ _ups_series(ham[:k, :k]) - live)
-    if not residual <= LOG_RECONSTRUCTION_TOL * max(np.linalg.norm(csk.mat), 1.0):
+    # each of the size - k identity columns adds 1 to ||S||_F^2
+    s_norm = np.sqrt(np.linalg.norm(s_live) ** 2 + (size - k))
+    if not residual <= LOG_RECONSTRUCTION_TOL * max(s_norm, 1.0):
         raise NumericalFailure("logarithm failed to reconstruct its input")
     if anchor_mat is not None:
         wide = max(k, _live_width(anchor_mat))
         gap = ham[:, :wide] - anchor_mat[:, :wide]
         # ||.||_2 <= ||.||_F: the SVD runs only when the bound does not settle it
         if np.linalg.norm(gap) >= np.pi and np.linalg.norm(gap, 2) >= np.pi:
-            return csk_log(csk, anchor=anchor_mat)
-    return ChkMatrix(csk.grid, ham, None)
+            return fallback()
+    return ChkMatrix(ccr.grid, ham, None)
 
 
 # ---------------------------------------------------------------------------

@@ -241,8 +241,9 @@ class KernelMeasure:
 
     @property
     def reality_residual(self):
-        """Frobenius norm of the imaginary part of the masses."""
-        return float(np.linalg.norm(self._window.imag))
+        """||Im W||_F / (1 + ||W||_F), read from the window."""
+        w = self._window
+        return float(np.linalg.norm(w.imag) / (1.0 + np.linalg.norm(w)))
 
     def block(self, j, k):
         n, lo = self.dim, self._lo

@@ -52,7 +52,6 @@ from scipy.linalg import expm
 
 from .errors import NumericalFailure
 from .lie import (
-    CskMatrix,
     _check_symplectic,
     _symplectic_residual_live,
     _ups_series,
@@ -242,10 +241,6 @@ class CskPath:
         object.__setattr__(self, "mats", mats)
         # terminal gate; full sweeps go through validate()
         _check_symplectic(*self._residual(self.grid.steps))
-
-    def entry(self, u):
-        """Node u as a validated CskMatrix."""
-        return CskMatrix(self.grid, self.mats[u], self.ccr)
 
     def _residual(self, u):
         return _symplectic_residual_live(self.mats.live(u), self.ccr.big)
@@ -493,8 +488,7 @@ def qef_from_csk_path(s_path, ccr, nodes=None):
         measure, report = ccr.solver.solve_measure(anchor / 4j, support_index=u)
         measures.append(measure)
         reports.append(report)
-        w = measure.weights
-        reality.append(float(np.linalg.norm(w.imag) / (1.0 + np.linalg.norm(w))))
+        reality.append(measure.reality_residual)
     return QefForwardResult(
         grid, indices, tuple(measures), tuple(reality), tuple(reports)
     )
@@ -728,6 +722,7 @@ class PsiDecomposition:
     corner_block is the mass at (t_u, t_u); for the diagonal family it
     approaches Pi at first order in the step.  Masses are sums of block
     Frobenius norms over the interior, the two edges, and the corner.
+    reality_residual is the measure's, ||Im W|| / (1 + ||W||).
     quad_error is the rounding bound :func:`sinhc_superop` returns.
     """
 
@@ -765,7 +760,7 @@ def qef_psi_measure(n_entry, ndot_entry, ccr):
         interior_mass,
         edge_mass,
         corner_mass,
-        float(np.linalg.norm(w.imag) / (1.0 + np.linalg.norm(w))),
+        measure.reality_residual,
         quad_error,
         report,
     )

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -53,7 +54,8 @@ def sinhc_reference(z):
 
 def disk_samples():
     pts = []
-    for r in (0.0, 1e-5, 1e-3, 0.1, 1.0, 3.0, 5.0):
+    radii = (0.0, 1e-300, 1e-16, 1e-8, 1e-5, 9.99e-4, 1e-3, 1.01e-3, 0.1, 1.0, 3.0, 5.0)
+    for r in radii:
         for ang in (0.0, 0.7, 2.1, np.pi, 4.4):
             pts.append(r * np.exp(1j * ang))
     return pts
@@ -86,6 +88,35 @@ def test_scalar_identities():
         assert abs(ups_scalar(z) * mho_scalar(z) - 1.0) <= 1e-12
         half = np.exp(z / 2.0) * sinhc_scalar(z / 2.0)
         assert abs(ups_scalar(z) - half) <= 1e-13 * (1.0 + abs(half))
+
+
+def test_scalars_match_mpmath_closed_forms():
+    """Each closed form stays within 4 eps (1 + |ref|) of 40 digits from
+    the origin to radius 5, tiny and near-1e-3 moduli included."""
+    mp = pytest.importorskip("mpmath")
+    references = {
+        ups_scalar: lambda w: mp.expm1(w) / w,
+        sinhc_scalar: lambda w: mp.sinh(w) / w,
+        mho_scalar: lambda w: w / mp.expm1(w),
+    }
+    tol = 4.0 * np.finfo(float).eps
+    for z in disk_samples():
+        w = mp.mpc(z.real, z.imag)
+        for scalar, reference in references.items():
+            with mp.workdps(40):
+                ref = complex(reference(w)) if w != 0 else 1.0
+            assert abs(scalar(z) - ref) <= tol * (1.0 + abs(ref)), (scalar, z)
+
+
+def test_scalars_are_one_at_exact_zeros_without_warnings():
+    z = np.array([[0.0, 0.5j], [-0.5, 0.0]], dtype=complex)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = [f(z) for f in (ups_scalar, sinhc_scalar, mho_scalar)]
+    for value in values:
+        assert value.shape == z.shape
+        assert np.all(np.diag(value) == 1.0)
+    assert ups_scalar(0.0) == sinhc_scalar(0.0) == mho_scalar(0.0) == 1.0
 
 
 def test_mho_pole_guard():

@@ -409,6 +409,17 @@ def test_random_measure_support_keeps_the_draws(grid16):
     assert cut.support_index == 6
 
 
+def test_reality_residual_reads_the_window(grid16):
+    # ||Im W|| / (1 + ||W||) of the full matrix, from a 14 x 14 window
+    q = random_measure(np.random.default_rng(37), grid16, 2, support=6)
+    assert q._window.shape == (14, 14)
+    w = q.weights
+    expected = np.linalg.norm(w.imag) / (1.0 + np.linalg.norm(w))
+    assert q.reality_residual == pytest.approx(expected, rel=1e-14)
+    assert q.reality_residual > 0.0
+    assert zero_measure(grid16, 2).reality_residual == 0.0
+
+
 def test_csv_rejects_a_repeated_entry(tmp_path):
     bad = tmp_path / "repeat.csv"
     header = "# schema=1\n# grid T=1 N=3 n=2\nj,k,row,col,re,im\n"
