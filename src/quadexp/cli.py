@@ -438,12 +438,14 @@ def _run_roundtrip(scn, model, out_dir):
     notes = (
         "driver gap at midpoints (canonical representative): "
         + _fmt(trip.direct_residual),
-        "convergence error: measure-side roundtrip in the kernel-weighted norm",
     )
     convergence = _refine(
         scn, model, _measure_closure(scn.pi), lambda: max(columns["roundtrip"])
     )
     if convergence:
+        notes += (
+            "convergence error: measure-side roundtrip in the kernel-weighted norm",
+        )
         orders = [row[4] for row in convergence[1:]]
         lo, hi = ROUNDTRIP_ORDER_WINDOW
         worst = min(orders) if min(orders) < lo else max(orders)
@@ -517,7 +519,7 @@ def _run_laplace(scn, model, out_dir):
     samples = [
         width * (0.2 + 0.6 * k / (2 * count - 1)) for k in range(2 * count)
     ]
-    masses, condition = laplace_recover_measure(column, model, grid, samples)
+    masses, condition = laplace_recover_measure(column, samples)
     gaps = [
         float(np.linalg.norm(m - w) / (1.0 + np.linalg.norm(w)))
         for m, w in zip(masses, (measure.block(l, 0) for l in range(count)))

@@ -409,29 +409,21 @@ def _check_symplectic(residual, scale):
 def symplectic_residual_raw(mat, big):
     """(||S Lambda S^T - Lambda||_F, 1 + ||Lambda||_F ||S||_F^2).
 
-    S is the identity beyond its first k columns, k found in S (a kernel
-    at node u is the identity beyond column (u + 1) n); the residual is
-    taken on those columns by :func:`_symplectic_residual_live`.
+    mat is S or its leading columns S[:, :j], beyond which S is the
+    identity (a kernel path hands over its stored live block).  One scan
+    drops any trailing identity columns, leaving k with X = S - I zero
+    beyond column k.  With M = X[:, :k] Lambda[:k, :] and Lambda
+    antisymmetric, the residual is M - M^T + M[:, :k] X[:, :k]^T, an
+    O(size^2 k) evaluation.  Each of the size - k identity columns adds 1
+    to ||S||_F^2, so the scale needs no full node either.
     """
-    k = _live_width(mat - np.eye(mat.shape[0]))
-    return _symplectic_residual_live(mat[:, :k], big)
-
-
-def _symplectic_residual_live(live, big):
-    """:func:`symplectic_residual_raw` from live = S[:, :k], beyond which S
-    is the identity.
-
-    With X = S - I, zero beyond column k, M = X[:, :k] Lambda[:k, :] and
-    Lambda antisymmetric, the residual is M - M^T + M[:, :k] X[:, :k]^T,
-    an O(size^2 k) evaluation.  Each of the size - k identity columns
-    adds 1 to ||S||_F^2, so the scale needs no full node either.
-    """
-    size, k = live.shape
-    offset = live - np.eye(size, k)
+    size = mat.shape[0]
+    k = _live_width(mat - np.eye(size, mat.shape[1]))
+    offset = mat[:, :k] - np.eye(size, k)
     m = offset @ big[:k, :]
     residual = m - m.T
     residual += m[:, :k] @ offset.T
-    norm2 = np.linalg.norm(live) ** 2 + (size - k)
+    norm2 = np.linalg.norm(mat[:, :k]) ** 2 + (size - k)
     scale = 1.0 + np.linalg.norm(big) * norm2
     return float(np.linalg.norm(residual)), float(scale)
 
@@ -600,7 +592,7 @@ def csk_log_near_identity(offset, ccr, anchor=None):
     H_21 = 2 Z_21 G.
 
     S passes the CskMatrix congruence gate, taken on its live columns
-    S[:, :k] = X[:, :k] + I[:, :k] by :func:`_symplectic_residual_live`,
+    S[:, :k] = X[:, :k] + I[:, :k] by :func:`symplectic_residual_raw`,
     and H the reconstruction check of :func:`csk_log`, evaluated as
     exp(H) - S = H Ups(H) - X with H Ups(H) = [[H_11 Ups(H_11), 0],
     [H_21 Ups(H_11), 0]] and scaled by ||S||_F from the same columns.
@@ -616,7 +608,7 @@ def csk_log_near_identity(offset, ccr, anchor=None):
     k = _live_width(offset)
     live = offset[:, :k]
     s_live = live + np.eye(size, k)
-    _check_symplectic(*_symplectic_residual_live(s_live, ccr.big))
+    _check_symplectic(*symplectic_residual_raw(s_live, ccr.big))
 
     def fallback():
         return csk_log(CskMatrix(ccr.grid, np.eye(size) + offset, ccr), anchor_mat)

@@ -414,8 +414,11 @@ def split_sym_antisym(raw, ccr):
 
 def lambda_product(ccr, q):
     """Complex Hamiltonian kernel of a measure: ham = big @ weights, formed
-    as big[:, lo:hi] times the window W[lo:hi, lo:hi] in columns lo:hi."""
+    as big[:, lo:hi] times the window W[lo:hi, lo:hi] in columns lo:hi.
+    Raises ValueError unless q is on the kernel's grid with its n."""
     _check_same_grid(ccr.grid, q.grid)
+    if q.dim != ccr.dim:
+        raise ValueError(f"measure has n = {q.dim}, the kernel n = {ccr.dim}")
     ham = np.zeros(ccr.big.shape, dtype=complex)
     ham[:, q._lo : q._hi] = ccr.big[:, q._lo : q._hi] @ q._window
     return ChkMatrix(ccr.grid, ham, q)

@@ -44,6 +44,7 @@ never as a dense exponential.
 
 from __future__ import annotations
 
+import itertools
 import operator
 from dataclasses import dataclass
 
@@ -53,11 +54,11 @@ from scipy.linalg import expm
 from .errors import NumericalFailure
 from .lie import (
     _check_symplectic,
-    _symplectic_residual_live,
     _ups_series,
     csk_log_near_identity,
     mho_superop,
     sinhc_superop,
+    symplectic_residual_raw,
     ups_superop,
 )
 from .measures import (
@@ -152,13 +153,14 @@ class MeasurePath:
 class LiveColumns:
     """Read-only stack of kernel path nodes, each kept as its live columns.
 
-    Node u of a kernel path is the identity beyond its first k_u
-    columns, so only the block S_u[:, :k_u] is stored, in a read-only
-    array that aliases no caller memory.  The stack reads as a sequence
-    of size x size nodes: len(), integer and negative indexing,
-    iteration and shape, with item u built on access as the identity
-    with its first k_u columns replaced.  :meth:`live` returns the
-    stored block itself, and nbytes counts the stored blocks, each once.
+    Node u of a kernel path (S_u of a flow, T_u of the integrated T
+    route) is the identity beyond its first k_u columns, so only the
+    block S_u[:, :k_u] is stored, in a read-only array that aliases no
+    caller memory.  The stack reads as a sequence of size x size nodes:
+    len(), integer and negative indexing, iteration and shape, with item
+    u built on access as the identity with its first k_u columns
+    replaced.  :meth:`live` returns the stored block itself, and nbytes
+    counts the stored blocks, each once.
 
     A block that is read-only and owns its memory is kept as is (the
     integrator hands its blocks over this way, and an unchanged node
@@ -170,12 +172,11 @@ class LiveColumns:
         self._size = size
 
     @classmethod
-    def from_dense(cls, stack):
-        """Compress a (count, size, size) stack: each node is scanned once
-        for its live width and those columns are copied."""
-        size = stack.shape[-1]
+    def from_dense(cls, nodes, size):
+        """Compress an iterable of full size x size nodes: each is scanned
+        once for its live width as it arrives and those columns copied."""
         eye = np.eye(size)
-        return cls((mat[:, : _live_width(mat - eye)] for mat in stack), size)
+        return cls((mat[:, : _live_width(mat - eye)] for mat in nodes), size)
 
     def __len__(self):
         return len(self._blocks)
@@ -214,12 +215,11 @@ def _read_only(block):
 class CskPath:
     """Stack of symplectic kernels S_{t_u} along the grid.
 
-    mats is a :class:`LiveColumns` stack: node u keeps only its live
-    block S_u[:, :k_u], which mats.live(u) returns, and mats[u] builds
-    the full matrix on access.  The integrators hand over the blocks
-    they write; any other stack (a dense (N + 1, size, size) array, as
-    the reference integrator and tests pass) is scanned once and
-    compressed, never adopted.  Entries are stored raw so that fast
+    mats is a :class:`LiveColumns` stack (any other raises TypeError):
+    node u keeps only its live block S_u[:, :k_u], which mats.live(u)
+    returns, and mats[u] builds the full matrix on access.  The
+    integrators hand over the blocks they write; full nodes go through
+    :meth:`LiveColumns.from_dense`.  Entries are stored raw so that fast
     solvers are not forced through per-node validation; the terminal
     entry is checked at construction and :meth:`validate` re-checks
     every node on demand, both from the stored widths.
@@ -230,20 +230,18 @@ class CskPath:
     mats: LiveColumns
 
     def __post_init__(self):
-        mats = self.mats
-        shape = (self.grid.node_count, *self.ccr.big.shape)
-        if not isinstance(mats, LiveColumns):
-            mats = np.asarray(mats, dtype=complex)
-            if mats.shape == shape:
-                mats = LiveColumns.from_dense(mats)
-        if mats.shape != shape:
+        if not isinstance(self.mats, LiveColumns):
+            raise TypeError(
+                "mats must be a LiveColumns stack; compress full nodes "
+                "with LiveColumns.from_dense(nodes, size)"
+            )
+        if self.mats.shape != (self.grid.node_count, *self.ccr.big.shape):
             raise ValueError("matrix stack shape does not match grid and kernel")
-        object.__setattr__(self, "mats", mats)
         # terminal gate; full sweeps go through validate()
         _check_symplectic(*self._residual(self.grid.steps))
 
     def _residual(self, u):
-        return _symplectic_residual_live(self.mats.live(u), self.ccr.big)
+        return symplectic_residual_raw(self.mats.live(u), self.ccr.big)
 
     def residuals(self):
         """Relative symplectic residual of every node, residual / scale of
@@ -395,15 +393,19 @@ def forward_csk_evolution(f_path, ccr):
 
 def _dense_csk_evolution(f_path, ccr):
     """Reference for :func:`forward_csk_evolution`: expm(M) @ S_u at every
-    step, on dense matrices; the path compresses the finished stack."""
+    step, on dense matrices, each node compressed as soon as it is formed."""
     if f_path.grid != ccr.grid:
         raise ValueError("path and kernel grids differ")
-    mats = [np.eye(ccr.big.shape[0], dtype=complex)]
-    for mid in _Midpoints(f_path):
+
+    def step(s_u, mid):
         exponent = 2j * ccr.grid.step * (ccr.big @ mid.weights)
         _check_step_norm(exponent)
-        mats.append(expm(exponent) @ mats[-1])
-    return CskPath(ccr.grid, ccr, np.array(mats))
+        return expm(exponent) @ s_u
+
+    size = ccr.big.shape[0]
+    eye = np.eye(size, dtype=complex)
+    nodes = itertools.accumulate(_Midpoints(f_path), step, initial=eye)
+    return CskPath(ccr.grid, ccr, LiveColumns.from_dense(nodes, size))
 
 
 @dataclass(frozen=True)
@@ -524,14 +526,12 @@ def forward_t_evolution(f_path, ccr):
     4i h Lambda (Re F)_mid S_mid with S_mid the average of neighboring
     path entries, so the route is second order and serves as the
     independent cross-check of the factorization in
-    :func:`forward_qef_measure`.  Returns the stack of T matrices.
+    :func:`forward_qef_measure`.  Returns the read-only
+    :class:`LiveColumns` stack of T matrices: each right-hand side, and
+    so T_u - I, vanishes beyond column k = (u + 1) n.
     """
     s_path = forward_csk_evolution(f_path, ccr)
-    size = ccr.big.shape[0]
-    t_mats = np.empty((f_path.grid.node_count, size, size), dtype=complex)
-    for u, t_u in enumerate(_t_steps(f_path, ccr, s_path)):
-        t_mats[u] = t_u
-    return t_mats
+    return LiveColumns.from_dense(_t_steps(f_path, ccr, s_path), ccr.big.shape[0])
 
 
 def _inverse_step(superop, n_measure, dn_measure, ccr, support_index):
@@ -892,7 +892,7 @@ def chk_column_function(model, q, block_col):
     return ChkColumn(model, grid, np.array(forward), np.array(backward[:0:-1]))
 
 
-def laplace_recover_measure(column, model, grid, s_samples):
+def laplace_recover_measure(column, s_samples):
     """Recover one block column of node masses from transform samples.
 
     Experimental: takes the exact two-sided Laplace transform of the
@@ -902,11 +902,13 @@ def laplace_recover_measure(column, model, grid, s_samples):
     system for the masses.  The transform is exact up to rounding, so
     the recovered masses carry rounding times the system's condition
     number, which deteriorates quickly with the node count; it is
-    reported, and a value beyond 1e12 raises NumericalFailure.
+    reported, and a value beyond 1e12 raises NumericalFailure.  The
+    model and grid are the column's own.
 
     Returns (masses, condition) with masses of shape (N+1, n, n).
     """
     s_samples = [complex(s) for s in s_samples]
+    model, grid = column.model, column.grid
     count = grid.node_count
     if len(s_samples) < count:
         raise ValueError(

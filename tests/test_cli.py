@@ -373,6 +373,19 @@ def test_roundtrip_with_zero_pi_reports_zero_gaps(tmp_path):
     assert read_csv_columns(out / "report.csv")["roundtrip"] == [0.0] * 5
 
 
+def test_roundtrip_convergence_note_comes_with_its_table(tmp_path):
+    path = oscillator_scenario(
+        tmp_path, "task = roundtrip\npi = [[0.2, 0.06], [0.06, 0.16]]\n"
+    )
+    note = "convergence error: measure-side roundtrip"
+    for levels in (1, 3):
+        out = tmp_path / f"levels{levels}"
+        assert run_scenario(path, output_dir=out, levels=levels) == 0
+        table = (out / "convergence.csv").exists()
+        assert table == (levels == 3)
+        assert (note in (out / "summary.txt").read_text()) == table
+
+
 def test_roundtrip_task_integrates_and_extracts_its_flow_once(tmp_path, monkeypatch):
     # On the N = 32 grid: the corner-atom flow and the driver recovered
     # from the diagonal path are integrated once each; the corner-atom

@@ -10,17 +10,21 @@ from quadexp import (
     ScenarioError,
     atom_measure,
     atomic_corner_measure,
+    bch_product,
     bracket,
     build_ccr_kernel,
     ccr_two_point,
     corner_atom_path,
     diagonal_lebesgue_measure,
+    diagonal_lebesgue_path,
+    inverse_toe_measure,
     is_nonanticipative,
     kernel_weighted_norm,
     lambda_product,
     make_grid,
     measure_triple_product,
     project_support,
+    qef_psi_measure,
     random_measure,
     random_model,
     read_measure_csv,
@@ -126,6 +130,24 @@ def test_lambda_product_blockwise_oracle(ccr16):
                 chk.ham[j * n : (j + 1) * n, l * n : (l + 1) * n], direct
             )
     assert chk.source is q
+
+
+def test_kernel_products_refuse_a_measure_of_another_dimension(model2):
+    # an n = 4 measure on the n = 2 kernel of the same grid is refused
+    # where it enters, not by a late solve residual
+    grid = make_grid(1.0, 8)
+    ccr = build_ccr_kernel(model2, grid)
+    pi4 = 0.1 * np.eye(4)
+    wide = diagonal_lebesgue_measure(grid, 2, pi4)
+    narrow = diagonal_lebesgue_measure(grid, 2, 0.1 * np.eye(2))
+    with pytest.raises(ValueError, match="n = 4"):
+        lambda_product(ccr, wide)
+    with pytest.raises(ValueError, match="n = 4"):
+        bch_product(wide, narrow, ccr)
+    with pytest.raises(ValueError, match="n = 4"):
+        inverse_toe_measure(diagonal_lebesgue_path(grid, pi4), ccr)
+    with pytest.raises(ValueError, match="n = 4"):
+        qef_psi_measure(wide, atomic_corner_measure(grid, 2, pi4), ccr)
 
 
 def test_bracket_homomorphism_small(ccr16):

@@ -44,9 +44,9 @@ from quadexp import (
 from quadexp import model as model_module
 from quadexp import solvers
 from quadexp.cli import bundled_scenario, parse_scenario
-from quadexp.lie import CskMatrix, KernelSolver, _ups_series
+from quadexp.lie import CskMatrix, KernelSolver, _ups_series, symplectic_residual_raw
 from quadexp.model import ccr_two_point
-from quadexp.solvers import _dense_csk_evolution
+from quadexp.solvers import LiveColumns, _dense_csk_evolution
 
 
 def zero_path(grid, dim):
@@ -152,7 +152,7 @@ def test_gates_trip_on_non_finite_values(model2, ccr16, pi2):
     stack = np.array(list(flow.mats))
     stack[grid.steps, 0, 0] = np.nan
     with pytest.raises(NumericalFailure, match="symplectic residual"):
-        CskPath(grid, ccr16, stack)
+        CskPath(grid, ccr16, LiveColumns.from_dense(stack, size))
 
 
 def test_validate_reports_a_non_finite_node(ccr16, pi2):
@@ -161,7 +161,9 @@ def test_validate_reports_a_non_finite_node(ccr16, pi2):
     assert 0.0 < flow.validate() <= 1e-12
     stack = np.array(list(flow.mats))
     stack[5, 0, 0] = np.nan
-    path = CskPath(grid, ccr16, stack)  # the terminal gate passes
+    size = ccr16.big.shape[0]
+    # the terminal gate passes
+    path = CskPath(grid, ccr16, LiveColumns.from_dense(stack, size))
     assert np.isnan(path.residuals()[5])
     assert np.isnan(path.validate())
 
@@ -552,7 +554,11 @@ def test_integrators_hand_over_one_read_only_stack(model2, pi2):
     stack = np.array([general.mats[u] for u in range(grid.node_count)])
     view = stack[:]
     view.setflags(write=False)
-    compressed = [CskPath(grid, ccr, stack), CskPath(grid, ccr, view)]
+    size = ccr.big.shape[0]
+    compressed = [
+        CskPath(grid, ccr, LiveColumns.from_dense(stack, size)),
+        CskPath(grid, ccr, LiveColumns.from_dense(view, size)),
+    ]
     stack[grid.steps] += 1.0
     fast = spde_fast_path(model2, pi2, grid)
     paths = (general, csk_path_from_midpoints(mids, ccr), fast, *compressed)
@@ -579,6 +585,49 @@ def test_integrators_hand_over_one_read_only_stack(model2, pi2):
         general.mats[1:3]
     with pytest.raises(IndexError):
         general.mats[grid.node_count]
+
+
+def test_residual_of_the_live_block_is_the_full_node_residual(model2, pi2):
+    # the stored block, the block widened by identity columns and the full
+    # node all reduce to the same live columns, so the pairs agree bit for bit
+    grid = make_grid(1.0, 16)
+    ccr = build_ccr_kernel(model2, grid)
+    s_path = forward_csk_evolution(corner_atom_path(grid, pi2), ccr)
+    for u in range(grid.node_count):
+        full = symplectic_residual_raw(s_path.mats[u], ccr.big)
+        block = s_path.mats.live(u)
+        wider = s_path.mats[u][:, : block.shape[1] + ccr.dim]
+        assert symplectic_residual_raw(block, ccr.big) == full, u
+        assert symplectic_residual_raw(wider, ccr.big) == full, u
+
+
+def test_csk_path_takes_only_a_live_column_stack(ccr16, pi2):
+    flow = forward_csk_evolution(corner_atom_path(ccr16.grid, pi2), ccr16)
+    stack = np.array(list(flow.mats))
+    for mats in (stack, list(stack)):
+        with pytest.raises(TypeError, match="LiveColumns.from_dense"):
+            CskPath(ccr16.grid, ccr16, mats)
+    nodes = iter(stack)  # any iterable of full nodes, consumed once
+    path = CskPath(ccr16.grid, ccr16, LiveColumns.from_dense(nodes, len(ccr16.big)))
+    assert path.mats.nbytes == flow.mats.nbytes
+
+
+def test_reference_routes_hold_no_dense_stack(model2, pi2):
+    # N = 64: the reference flow compresses each node as it is formed, and
+    # the T route keeps T_u's live columns beside the flow's
+    grid = make_grid(1.0, 64)
+    ccr = build_ccr_kernel(model2, grid)
+    f_path = corner_atom_path(grid, pi2)
+    size = ccr.big.shape[0]
+    stack_bytes = grid.node_count * size * size * 16
+    for fn, bound in ((_dense_csk_evolution, 0.75), (forward_t_evolution, 1.25)):
+        tracemalloc.start()
+        try:
+            fn(f_path, ccr)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * stack_bytes, (fn.__name__, peak / stack_bytes)
 
 
 def test_roundtrip_residual_peak_memory_stays_within_two_stacks(model2, pi2):
@@ -1083,7 +1132,7 @@ def test_laplace_recovery_takes_two_exponentials_per_sample(monkeypatch):
 
     monkeypatch.setattr(solvers, "expm", counted)
     monkeypatch.setattr(model_module, "expm", counted)
-    laplace_recover_measure(column, model, grid, samples)
+    laplace_recover_measure(column, samples)
     # one 2n x 2n Van Loan exponential per phi_1 integral, none per node
     assert len(calls) <= 2 * len(samples) + 1
     assert set(calls) == {(4, 4)}
@@ -1096,7 +1145,7 @@ def test_laplace_recovery_error_is_rounding_times_the_condition(steps):
     q = _laplace_scenario_measure(grid, np.array([[0.2, 0.06], [0.06, 0.16]]))
     column = chk_column_function(model, q, 0)
     samples = _laplace_scenario_samples(model, grid)
-    masses, condition = laplace_recover_measure(column, model, grid, samples)
+    masses, condition = laplace_recover_measure(column, samples)
     gaps = [
         np.linalg.norm(masses[l] - q.block(l, 0)) / (1.0 + np.linalg.norm(q.block(l, 0)))
         for l in range(grid.node_count)
@@ -1117,7 +1166,7 @@ def test_laplace_recovery_of_atom_masses(pi2):
     column = chk_column_function(model, q, 0)
     width = abs(spectral_abscissa(model))
     samples = [width * (0.2 + 0.6 * k / 5) for k in range(6)]
-    recovered, condition = laplace_recover_measure(column, model, grid, samples)
+    recovered, condition = laplace_recover_measure(column, samples)
     assert condition < 1e6
     # Column 0 of a diagonal measure holds mass only in its (0, 0) block.
     assert np.allclose(recovered[0], masses[0], atol=1e-6)
@@ -1131,7 +1180,7 @@ def test_laplace_recovery_needs_enough_samples(pi2):
     q = KernelMeasure(grid, np.zeros((6, 6)))
     column = chk_column_function(model, q, 0)
     with pytest.raises(ValueError, match="samples"):
-        laplace_recover_measure(column, model, grid, [0.3, 0.4])
+        laplace_recover_measure(column, [0.3, 0.4])
 
 
 def test_laplace_recovery_rejects_degenerate_samples(pi2):
@@ -1141,4 +1190,4 @@ def test_laplace_recovery_rejects_degenerate_samples(pi2):
     column = chk_column_function(model, q, 0)
     samples = [0.3, 0.3 + 1e-14, 0.3 + 2e-14]
     with pytest.raises(NumericalFailure, match="condition"):
-        laplace_recover_measure(column, model, grid, samples)
+        laplace_recover_measure(column, samples)
