@@ -380,7 +380,8 @@ class CskMatrix:
     Construction verifies the congruence S Lambda S^T = Lambda within
     SYMPLECTIC_TOL * (1 + ||Lambda|| ||S||^2), raising NumericalFailure
     otherwise, a non-finite S included; the exponential of any
-    Hamiltonian kernel satisfies it exactly in exact arithmetic.
+    Hamiltonian kernel satisfies it exactly in exact arithmetic.  grid
+    must be the kernel's grid, else ValueError.
     """
 
     grid: object
@@ -388,6 +389,8 @@ class CskMatrix:
     ccr: object
 
     def __post_init__(self):
+        if self.grid != self.ccr.grid:
+            raise ValueError("matrix and kernel grids differ")
         mat = np.array(self.mat, dtype=complex)
         if mat.shape != self.ccr.big.shape:
             raise ValueError("matrix shape does not match the kernel")
@@ -731,15 +734,14 @@ def bch_product(q1, q2, ccr):
     """Measure Q with exp(4i L Q) = exp(4i L Q1) exp(4i L Q2).
 
     Computes the group product of the two exponentials and pulls it back
-    through the anchored logarithm (anchored at the sum, the leading
-    term of the expansion) and the kernel solve.  Returns
+    through the anchored logarithm (anchored at the sum of the two
+    :func:`lambda_product` Hamiltonians, the leading term of the
+    expansion) and the kernel solve.  Returns
     (KernelMeasure, ChkSolveReport).
     """
-    s1 = chk_exp(lambda_product(ccr, q1), ccr)
-    s2 = chk_exp(lambda_product(ccr, q2), ccr)
-    product = CskMatrix(ccr.grid, s1.mat @ s2.mat, ccr)
-    anchor = 4j * (ccr.big @ (q1.weights + q2.weights))
-    ham = csk_log(product, anchor=anchor)
+    h1, h2 = lambda_product(ccr, q1), lambda_product(ccr, q2)
+    product = CskMatrix(ccr.grid, chk_exp(h1, ccr).mat @ chk_exp(h2, ccr).mat, ccr)
+    ham = csk_log(product, anchor=4j * (h1.ham + h2.ham))
     support = max(q1.support_index, q2.support_index)
     return ccr.solver.solve_measure(ham.ham / 4j, support_index=support)
 

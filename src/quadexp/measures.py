@@ -429,11 +429,11 @@ def measure_triple_product(q1, ccr, q2):
 
     The composition is associative but transposes to minus the reversed
     product, so the result is returned as raw weights; take brackets or
-    split explicitly to land back in the measure class.
+    split explicitly to land back in the measure class.  Formed as W1
+    times :func:`lambda_product` of q2, which checks q2's grid and n.
     """
     _check_same_grid(q1.grid, ccr.grid)
-    _check_same_grid(q2.grid, ccr.grid)
-    return q1.weights @ ccr.big @ q2.weights
+    return q1.weights @ lambda_product(ccr, q2).ham
 
 
 def bracket(q1, q2, ccr):

@@ -63,6 +63,9 @@ PR_RELATIVE_TOL = 1e-12
 # assembled from externally computed (A, B) with honest rounding still load.
 _PR_GATE_TOL = 1e-9
 
+# Budget of outward doublings in the quadrature oracle's tail search.
+_TAIL_DOUBLINGS = 60
+
 
 def _as_matrix(value, name, square=False):
     mat = np.array(value, dtype=float)
@@ -298,7 +301,7 @@ def laplace_lambda(model, s):
     return np.linalg.solve((s * eye + a.T).T, left.T).T
 
 
-def laplace_lambda_quadrature(model, s, tol=1e-9, max_doublings=60):
+def laplace_lambda_quadrature(model, s, tol=1e-9):
     """Two-sided Laplace transform of Lambda by adaptive quadrature.
 
     Integrates e^{-s t} Lambda(t) over t in R, truncating each tail where
@@ -314,8 +317,6 @@ def laplace_lambda_quadrature(model, s, tol=1e-9, max_doublings=60):
         Point in the recoverability strip.
     tol : float
         Absolute quadrature tolerance.  Must be positive.
-    max_doublings : int
-        Budget for the tail truncation search.
 
     Returns
     -------
@@ -347,7 +348,7 @@ def laplace_lambda_quadrature(model, s, tol=1e-9, max_doublings=60):
     tails = []
     for sign in (1.0, -1.0):
         t_edge = 1.0
-        for _ in range(max_doublings):
+        for _ in range(_TAIL_DOUBLINGS):
             if np.linalg.norm(integrand(sign * t_edge)) < cut:
                 break
             t_edge *= 2.0

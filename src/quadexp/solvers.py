@@ -222,7 +222,8 @@ class CskPath:
     :meth:`LiveColumns.from_dense`.  Entries are stored raw so that fast
     solvers are not forced through per-node validation; the terminal
     entry is checked at construction and :meth:`validate` re-checks
-    every node on demand, both from the stored widths.
+    every node on demand, both from the stored widths.  grid must be
+    the kernel's grid, else ValueError.
     """
 
     grid: object
@@ -235,6 +236,8 @@ class CskPath:
                 "mats must be a LiveColumns stack; compress full nodes "
                 "with LiveColumns.from_dense(nodes, size)"
             )
+        if self.grid != self.ccr.grid:
+            raise ValueError("path and kernel grids differ")
         if self.mats.shape != (self.grid.node_count, *self.ccr.big.shape):
             raise ValueError("matrix stack shape does not match grid and kernel")
         # terminal gate; full sweeps go through validate()
@@ -507,14 +510,16 @@ def forward_qef_measure(f_path, ccr, nodes=None):
 
 
 def _t_steps(f_path, ccr, s_path):
-    """T_0, T_1, ... of :func:`forward_t_evolution`, one node at a time."""
-    big = ccr.big
+    """T_0, T_1, ... of :func:`forward_t_evolution`, one node at a time;
+    Lambda (Re F)_mid S_mid is Re(Lambda[:, C] W[C, C]) S_mid[C, :] on the
+    midpoint's live columns C (Lambda is real), the solve stays dense."""
     h = f_path.grid.step
-    t_u = np.eye(big.shape[0], dtype=complex)
+    t_u = np.eye(ccr.big.shape[0], dtype=complex)
     yield t_u
     for u, mid in enumerate(_Midpoints(f_path)):
         s_mid = 0.5 * (s_path.mats[u] + s_path.mats[u + 1])
-        rhs = (4j * h) * (big @ mid.weights.real) @ s_mid
+        cols, lam_w = _lambda_columns(ccr, mid)
+        rhs = (4j * h) * (lam_w.real @ s_mid[cols])
         t_u = t_u + np.linalg.solve(np.conj(s_mid), rhs)
         yield t_u
 
@@ -626,16 +631,17 @@ class RoundtripReport:
 def _relative_gaps(ccr, got, want):
     """Per-node gaps ||got_u - want_u|| over the largest ||want_u||.
 
-    Both norms are kernel-weighted: node masses of singular measures
-    depend on grid alignment at order one, so raw weight distances
-    overstate the gap between equal measures.  When every target
-    vanishes the gaps are returned unscaled.
+    got and want are sequences of measures, both norms kernel-weighted
+    (:func:`kernel_weighted_norm` of the weights): node masses of singular
+    measures depend on grid alignment at order one, so raw weight
+    distances overstate the gap between equal measures.  When every
+    target vanishes the gaps are returned unscaled.
     """
     gaps = []
     den = 0.0
     for g, w in zip(got, want):
-        gaps.append(kernel_weighted_norm(ccr, g - w))
-        den = max(den, kernel_weighted_norm(ccr, w))
+        gaps.append(kernel_weighted_norm(ccr, g.weights - w.weights))
+        den = max(den, kernel_weighted_norm(ccr, w.weights))
     return [gap / den if den > 0.0 else gap for gap in gaps]
 
 
@@ -652,22 +658,10 @@ def _flow_closure(f_path, ccr, qef):
     """:func:`roundtrip_f_residual` from the driver's measures qef,
     extracted at every node."""
     recovered = staggered_inverse_measures(qef.measures, ccr)
-    direct = max(
-        _relative_gaps(
-            ccr,
-            (m.weights for m in recovered),
-            (mid.weights for mid in _Midpoints(f_path)),
-        )
-    )
+    direct = max(_relative_gaps(ccr, recovered, _Midpoints(f_path)))
     regen = csk_path_from_midpoints(recovered, ccr)
     check = qef_from_csk_path(regen, ccr)
-    invariant = max(
-        _relative_gaps(
-            ccr,
-            (m.weights for m in check.measures),
-            (m.weights for m in qef.measures),
-        )
-    )
+    invariant = max(_relative_gaps(ccr, check.measures, qef.measures))
     return RoundtripReport(invariant, direct)
 
 
@@ -680,11 +674,7 @@ def _forward_gaps(f_path, n_path, ccr):
     """:func:`_roundtrip_n_gaps` from the driver f_path already recovered
     from n_path."""
     qef = forward_qef_measure(f_path, ccr)
-    return _relative_gaps(
-        ccr,
-        (m.weights for m in qef.measures),
-        (m.weights for m in n_path.entries),
-    )
+    return _relative_gaps(ccr, qef.measures, n_path.entries)
 
 
 def roundtrip_n_residual(n_path, ccr):
@@ -790,17 +780,18 @@ def g_path_magnus(f_path, ccr):
     matrices and the G measures recovered per node.
 
     exp(4i Y_N) reproduces the terminal symplectic kernel of
-    :func:`forward_csk_evolution` up to the shared scheme order.
+    :func:`forward_csk_evolution` up to the shared scheme order.  Both
+    Bernoulli inputs are :func:`lambda_product` Hamiltonians, so a path
+    off the kernel's grid or n raises ValueError at its first step.
     """
     grid = f_path.grid
-    big = ccr.big
     h = grid.step
-    y = np.zeros(big.shape, dtype=complex)
+    y = np.zeros(ccr.big.shape, dtype=complex)
     ys = [y]
     for u, mid in enumerate(_Midpoints(f_path)):
-        k1, _ = mho_superop(4j * y, big @ f_path.entries[u].weights)
+        k1, _ = mho_superop(4j * y, lambda_product(ccr, f_path.entries[u]).ham)
         y_half = y + (0.25 * h) * k1  # half step of (1/2) Mho(...)
-        k2, _ = mho_superop(4j * y_half, big @ mid.weights)
+        k2, _ = mho_superop(4j * y_half, lambda_product(ccr, mid).ham)
         y = y + (0.5 * h) * k2
         ys.append(y)
     measures, reports = zip(*(

@@ -150,6 +150,15 @@ def test_kernel_products_refuse_a_measure_of_another_dimension(model2):
         qef_psi_measure(wide, atomic_corner_measure(grid, 2, pi4), ccr)
 
 
+def test_triple_product_refuses_a_measure_of_another_dimension(model2):
+    grid = make_grid(1.0, 8)
+    ccr = build_ccr_kernel(model2, grid)
+    narrow = diagonal_lebesgue_measure(grid, 2, 0.1 * np.eye(2))
+    wide = diagonal_lebesgue_measure(grid, 2, 0.1 * np.eye(4))
+    with pytest.raises(ValueError, match="n = 4"):
+        measure_triple_product(narrow, ccr, wide)
+
+
 def test_bracket_homomorphism_small(ccr16):
     # The scaled kernels must satisfy the matrix commutator identity:
     # this is the algebra the bracket encodes, checked by brute product.

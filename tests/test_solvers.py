@@ -844,6 +844,30 @@ def test_g_path_zero_driver(ccr16):
     assert all(np.linalg.norm(q.weights) == 0.0 for q in g_path.entries)
 
 
+def test_g_path_refuses_a_path_on_another_grid(model2, pi2):
+    # the first Bernoulli input is refused before any step integrates
+    ccr = build_ccr_kernel(model2, make_grid(1.0, 8))
+    with pytest.raises(ValueError, match="grid mismatch"):
+        g_path_magnus(corner_atom_path(make_grid(2.0, 8), pi2), ccr)
+
+
+def test_g_path_refuses_a_path_of_another_dimension(model2):
+    ccr = build_ccr_kernel(model2, make_grid(1.0, 8))
+    with pytest.raises(ValueError, match="n = 4"):
+        g_path_magnus(corner_atom_path(ccr.grid, 0.1 * np.eye(4)), ccr)
+
+
+def test_kernel_paths_and_matrices_refuse_another_grid(model2, pi2):
+    # same node count, so only the grid check can tell the two apart
+    ccr = build_ccr_kernel(model2, make_grid(1.0, 8))
+    path = forward_csk_evolution(corner_atom_path(ccr.grid, pi2), ccr)
+    other = make_grid(2.0, 8)
+    with pytest.raises(ValueError, match="grids differ"):
+        CskPath(other, ccr, path.mats)
+    with pytest.raises(ValueError, match="grids differ"):
+        CskMatrix(other, np.eye(ccr.big.shape[0]), ccr)
+
+
 def test_g_path_exponent_matches_flow(model2, pi2):
     gaps = []
     for steps in (16, 32):
