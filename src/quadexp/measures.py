@@ -297,14 +297,10 @@ def _common_window(a, b):
 
 
 def _midpoint(a, b):
-    """(A + B) / 2 on the common window, each halved window added into one
-    zero array; halving is exact, so the masses equal 0.5 * (A + B)."""
-    lo, hi = min(a._lo, b._lo), max(a._hi, b._hi)
-    w = np.zeros((hi - lo,) * 2, dtype=complex)
-    for q in (a, b):
-        span = slice(q._lo - lo, q._hi - lo)
-        w[span, span] += 0.5 * q._window
-    return KernelMeasure._from_window(a.grid, a.dim, lo, w)
+    """(A + B) / 2 on :func:`_common_window`, as 0.5 * A + 0.5 * B; halving
+    is exact, so the masses equal 0.5 * (A + B)."""
+    lo, _, w_a, w_b = _common_window(a, b)
+    return KernelMeasure._from_window(a.grid, a.dim, lo, 0.5 * w_a + 0.5 * w_b)
 
 
 def _lambda_columns(ccr, q):
@@ -469,8 +465,14 @@ def kernel_weighted_norm(ccr, weights):
     so raw weight norms overstate differences between equal measures;
     smoothing both slots against Lambda compares them as distributions.
     Only the leading k x k block of W beyond which it vanishes enters,
-    as Lambda[:, :k] W[:k, :k] Lambda[:, :k]^T.
+    as Lambda[:, :k] W[:k, :k] Lambda[:, :k]^T.  weights must have the
+    kernel's shape, else ValueError.
     """
+    if weights.shape != ccr.big.shape:
+        raise ValueError(
+            f"weights of shape {weights.shape} are not on the kernel's "
+            f"{ccr.big.shape}"
+        )
     k = max(_live_width(weights), _live_width(weights.T))
     lam = ccr.big[:, :k]
     return float(np.linalg.norm(lam @ weights[:k, :k] @ lam.T))
@@ -533,7 +535,12 @@ def write_measure_csv(path, q):
 
 
 def read_measure_csv(path):
-    """Read a measure written by :func:`write_measure_csv`."""
+    """Read a measure written by :func:`write_measure_csv`.
+
+    The entries must fill an exactly symmetric matrix, as the writer's
+    do, else ScenarioError: the constructor would silently average an
+    asymmetric one.
+    """
     with open(path, "r", encoding="ascii") as handle:
         lines = [line.rstrip("\n") for line in handle]
     if not lines or lines[0] != _CSV_SCHEMA:
@@ -576,4 +583,6 @@ def read_measure_csv(path):
             raise ScenarioError(f"{path}:{lineno}: repeated entry")
         seen.add((j, k, row, col))
         w[j * n + row, k * n + col] = complex(re, im)
+    if not np.array_equal(w, w.T):
+        raise ScenarioError(f"{path}: entries are not symmetric")
     return KernelMeasure(grid, w)

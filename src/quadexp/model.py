@@ -66,6 +66,9 @@ _PR_GATE_TOL = 1e-9
 # Budget of outward doublings in the quadrature oracle's tail search.
 _TAIL_DOUBLINGS = 60
 
+# Budget of rejected drafts in random_model.
+_MODEL_DRAWS = 200
+
 
 def _as_matrix(value, name, square=False):
     mat = np.array(value, dtype=float)
@@ -375,14 +378,15 @@ def laplace_lambda_quadrature(model, s, tol=1e-9):
     return right + left, float(err_right + err_left + tail_bound)
 
 
-def random_model(rng, n=2, m=2, scale=1.0, max_draws=200):
+def random_model(rng, n=2, m=2, scale=1.0):
     """Seeded random realizable model; rejects non-Hurwitz drafts.
 
     Draws theta, K, M with entries uniform on [-scale, scale] (theta
     antisymmetrized, K symmetrized) and retries until the drift is
-    Hurwitz with margin and theta is comfortably nonsingular.
+    Hurwitz with margin and theta is comfortably nonsingular, raising
+    NumericalFailure after _MODEL_DRAWS drafts.
     """
-    for _ in range(max_draws):
+    for _ in range(_MODEL_DRAWS):
         raw = rng.uniform(-scale, scale, size=(n, n))
         theta = 0.5 * (raw - raw.T)
         if abs(np.linalg.det(theta)) < 1e-4 * scale**n:
@@ -396,4 +400,4 @@ def random_model(rng, n=2, m=2, scale=1.0, max_draws=200):
             continue
         if spectral_abscissa(model) < -1e-3:
             return model
-    raise NumericalFailure(f"no Hurwitz draw found in {max_draws} attempts")
+    raise NumericalFailure(f"no Hurwitz draw found in {_MODEL_DRAWS} attempts")

@@ -439,19 +439,18 @@ class QefForwardResult:
         return MeasurePath(self.grid, self.measures)
 
 
-def _normal_offset(live):
-    """T - I = 2i conj(S)^{-1} Im S for T = conj(S)^{-1} S, without cancellation.
+def _conj_solve(live, rhs):
+    """conj(S)^{-1} R at full size, for S a path node and R zero beyond column k.
 
     live = S[:, :k] is S up to its identity columns, S = [[A, 0], [B, I]],
-    so T - I = [[X_11, 0], [X_21, 0]] with X_11 = 2i conj(A)^{-1} Im A and
-    X_21 = 2i Im B - conj(B) X_11.
+    and rhs = R[:, :k], so conj(S)^{-1} R = [[X_11, 0], [X_21, 0]] with
+    X_11 = conj(A)^{-1} R_11 (one k x k solve) and X_21 = R_21 - conj(B) X_11.
     """
     size, k = live.shape
-    a, b = live[:k], live[k:]
-    offset = np.zeros((size, size), dtype=complex)
-    offset[:k, :k] = np.linalg.solve(np.conj(a), 2j * a.imag)
-    offset[k:, :k] = 2j * b.imag - np.conj(b) @ offset[:k, :k]
-    return offset
+    out = np.zeros((size, size), dtype=complex)
+    out[:k, :k] = np.linalg.solve(np.conj(live[:k]), rhs[:k])
+    out[k:, :k] = rhs[k:] - np.conj(live[k:]) @ out[:k, :k]
+    return out
 
 
 def qef_from_csk_path(s_path, ccr, nodes=None):
@@ -459,9 +458,10 @@ def qef_from_csk_path(s_path, ccr, nodes=None):
 
     For each requested node the normal-ordering factorization
     T_u = conj(S_u)^{-1} S_u is taken on the computed kernel through its
-    offset T_u - I = 2i conj(S_u)^{-1} Im S_u, which has no cancellation;
-    :func:`csk_log_near_identity` recovers 4i Lambda N_u from it, and the
-    kernel solve restricted to [0, t_u]^2 yields N_u.  nodes=None
+    offset T_u - I = 2i conj(S_u)^{-1} Im S_u (:func:`_conj_solve`), which
+    has no cancellation; :func:`csk_log_near_identity` recovers
+    4i Lambda N_u from it, and the kernel solve restricted to [0, t_u]^2
+    yields N_u.  nodes=None
     extracts at every node; a sparse selection saves the logarithms.
 
     Each stage works on the live block of its input: the path stores
@@ -474,11 +474,14 @@ def qef_from_csk_path(s_path, ccr, nodes=None):
 
     The logarithm anchor is carried from the previously extracted node,
     keeping the branch continuous along the path.  Raises ValueError
-    unless every requested node is an integer in [0, N + 1).
+    unless every requested node is an integer in [0, N + 1), and unless
+    s_path was integrated on ccr or on a kernel with equal entries.
     """
     grid = s_path.grid
     if grid != ccr.grid:
         raise ValueError("path and kernel grids differ")
+    if not (s_path.ccr is ccr or np.array_equal(s_path.ccr.big, ccr.big)):
+        raise ValueError("path was integrated on another kernel than ccr")
     count = grid.node_count
     if nodes is None:
         nodes = range(count)
@@ -488,7 +491,8 @@ def qef_from_csk_path(s_path, ccr, nodes=None):
     reports = []
     anchor = None
     for u in indices:
-        offset = _normal_offset(s_path.mats.live(u))
+        live = s_path.mats.live(u)
+        offset = _conj_solve(live, 2j * live.imag)
         anchor = csk_log_near_identity(offset, ccr, anchor=anchor).ham
         measure, report = ccr.solver.solve_measure(anchor / 4j, support_index=u)
         measures.append(measure)
@@ -511,16 +515,18 @@ def forward_qef_measure(f_path, ccr, nodes=None):
 
 def _t_steps(f_path, ccr, s_path):
     """T_0, T_1, ... of :func:`forward_t_evolution`, one node at a time;
-    Lambda (Re F)_mid S_mid is Re(Lambda[:, C] W[C, C]) S_mid[C, :] on the
-    midpoint's live columns C (Lambda is real), the solve stays dense."""
+    with k the stored width of S_{u+1}, Lambda (Re F)_mid S_mid[:, :k] is
+    Re(Lambda[:, C] W[C, C]) S_mid[C, :k] on the midpoint's live columns C
+    (Lambda is real, C[-1] < k), and :func:`_conj_solve` solves on it."""
     h = f_path.grid.step
     t_u = np.eye(ccr.big.shape[0], dtype=complex)
     yield t_u
     for u, mid in enumerate(_Midpoints(f_path)):
-        s_mid = 0.5 * (s_path.mats[u] + s_path.mats[u + 1])
+        s_hi = s_path.mats.live(u + 1)
+        s_mid = 0.5 * (s_path.mats[u][:, : s_hi.shape[1]] + s_hi)
         cols, lam_w = _lambda_columns(ccr, mid)
         rhs = (4j * h) * (lam_w.real @ s_mid[cols])
-        t_u = t_u + np.linalg.solve(np.conj(s_mid), rhs)
+        t_u = t_u + _conj_solve(s_mid, rhs)
         yield t_u
 
 
@@ -531,9 +537,9 @@ def forward_t_evolution(f_path, ccr):
     4i h Lambda (Re F)_mid S_mid with S_mid the average of neighboring
     path entries, so the route is second order and serves as the
     independent cross-check of the factorization in
-    :func:`forward_qef_measure`.  Returns the read-only
-    :class:`LiveColumns` stack of T matrices: each right-hand side, and
-    so T_u - I, vanishes beyond column k = (u + 1) n.
+    :func:`forward_qef_measure`: it integrates T, never factoring S.
+    Returns the read-only :class:`LiveColumns` stack of T: each
+    right-hand side, and so T_u - I, vanishes beyond the width of S_{u+1}.
     """
     s_path = forward_csk_evolution(f_path, ccr)
     return LiveColumns.from_dense(_t_steps(f_path, ccr, s_path), ccr.big.shape[0])
@@ -699,7 +705,8 @@ def _t_route_gap(f_path, ccr, s_path):
     eye = np.eye(ccr.big.shape[0])
     worst = 0.0
     for u, t_direct in enumerate(_t_steps(f_path, ccr, s_path)):
-        t_u = eye + _normal_offset(s_path.mats.live(u))
+        live = s_path.mats.live(u)
+        t_u = eye + _conj_solve(live, 2j * live.imag)
         gap = np.linalg.norm(t_u - t_direct)
         worst = max(worst, float(gap / (1.0 + np.linalg.norm(t_u))))
     return worst

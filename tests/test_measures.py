@@ -216,6 +216,12 @@ def test_kernel_weighted_norm_reads_the_live_block(ccr16):
         assert kernel_weighted_norm(ccr16, w) == pytest.approx(full, rel=1e-13)
 
 
+def test_kernel_weighted_norm_refuses_weights_off_the_kernel_shape(ccr16):
+    # a 4 x 4 block would be read as the leading corner of the 34 x 34 W
+    with pytest.raises(ValueError, match=r"\(4, 4\)"):
+        kernel_weighted_norm(ccr16, np.eye(4))
+
+
 def test_csv_roundtrip(tmp_path, grid16):
     rng = np.random.default_rng(23)
     q = random_measure(rng, grid16, 2, support=6)
@@ -459,6 +465,15 @@ def test_csv_rejects_a_repeated_entry(tmp_path):
         read_measure_csv(bad)
     bad.write_text(header + "3,3,0,0,1,0\n3,3,0,1,2,0\n3,3,1,0,2,0\n")
     assert read_measure_csv(bad).block(3, 3).tolist() == [[1.0, 2.0], [2.0, 0.0]]
+
+
+def test_csv_refuses_asymmetric_entries(tmp_path):
+    # a lone (0, 1) entry would otherwise come back halved at (0, 1) and (1, 0)
+    bad = tmp_path / "asym.csv"
+    header = "# schema=1\n# grid T=1 N=2 n=1\nj,k,row,col,re,im\n"
+    bad.write_text(header + "0,1,0,0,1,0\n")
+    with pytest.raises(ScenarioError, match="asym.csv: entries are not symmetric"):
+        read_measure_csv(bad)
 
 
 def test_symmetrization_keeps_huge_finite_masses_finite():

@@ -285,6 +285,36 @@ def test_imaginary_driver_leaves_t_at_identity(ccr16, pi2):
     assert np.linalg.norm(s_path.mats[-1] - eye) > 1e-3
 
 
+def _full_size_t_nodes(f_path, ccr, s_path):
+    """T_u by the full-size step: conj(S_mid) dT = 4i h Lambda (Re W) S_mid
+    solved densely, S_mid the average of two full nodes."""
+    t_u = np.eye(ccr.big.shape[0], dtype=complex)
+    nodes = [t_u]
+    for u, mid in enumerate(solvers._Midpoints(f_path)):
+        s_mid = 0.5 * (s_path.mats[u] + s_path.mats[u + 1])
+        rhs = (4j * ccr.grid.step) * (ccr.big @ mid.weights.real @ s_mid)
+        t_u = t_u + np.linalg.solve(np.conj(s_mid), rhs)
+        nodes.append(t_u)
+    return nodes
+
+
+def test_t_route_nodes_equal_the_full_size_step(model2, pi2):
+    # N = 16: the corner atom (|C| = 2n) and the recovered driver (|C| = k);
+    # gaps are relative to ||T_u - I|| (measured at most 5.4e-17)
+    grid = make_grid(1.0, 16)
+    ccr = build_ccr_kernel(model2, grid)
+    eye = np.eye(ccr.big.shape[0])
+    recovered = inverse_toe_measure(diagonal_lebesgue_path(grid, pi2), ccr).f_path
+    for f_path in (corner_atom_path(grid, pi2), recovered):
+        s_path = forward_csk_evolution(f_path, ccr)
+        reference = _full_size_t_nodes(f_path, ccr, s_path)
+        t_mats = forward_t_evolution(f_path, ccr)
+        assert len(t_mats) == len(reference)
+        for u, want in enumerate(reference):
+            gap = np.linalg.norm(t_mats[u] - want)
+            assert gap <= 1e-13 * np.linalg.norm(want - eye), (u, gap)
+
+
 def test_two_route_agreement_refines_at_second_order(model2, pi2):
     residuals = []
     for steps in (8, 16):
@@ -866,6 +896,21 @@ def test_kernel_paths_and_matrices_refuse_another_grid(model2, pi2):
         CskPath(other, ccr, path.mats)
     with pytest.raises(ValueError, match="grids differ"):
         CskMatrix(other, np.eye(ccr.big.shape[0]), ccr)
+
+
+def test_extraction_refuses_a_path_of_another_kernel(pi2):
+    # same grid, another model: refused before any node is extracted
+    grid = make_grid(1.0, 8)
+    ccr, other = (
+        build_ccr_kernel(random_model(np.random.default_rng(seed)), grid)
+        for seed in (7, 8)
+    )
+    path = forward_csk_evolution(corner_atom_path(grid, pi2), ccr)
+    with pytest.raises(ValueError, match="another kernel"):
+        qef_from_csk_path(path, other)
+    # an equal kernel built anew is the same kernel
+    same = build_ccr_kernel(random_model(np.random.default_rng(7)), grid)
+    assert qef_from_csk_path(path, same, nodes=[8]).node_indices == (8,)
 
 
 def test_g_path_exponent_matches_flow(model2, pi2):
