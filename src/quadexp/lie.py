@@ -29,9 +29,10 @@ bridge passes here vanish beyond their first k = (u + 1) n columns
 (Hamiltonians, offsets, right-hand sides) or equal the identity there
 (symplectic kernels).  The superoperators, the near-identity logarithm,
 the congruence residual and the kernel solve find that k in their own
-input (a kernel path hands its stored live block to the residual) and
-work on the k live columns, diagonalizing or exponentiating k x k
-blocks only; a dense input is the case k = size.
+input (a kernel path hands its stored live block to the residual, and
+extraction its offset block to the logarithm) and work on the k live
+columns, diagonalizing or exponentiating k x k blocks only; a dense
+input is the case k = size.
 
 Everything here is grid-level linear algebra; the time direction lives
 in the solver module.
@@ -409,6 +410,15 @@ def _check_symplectic(residual, scale):
         )
 
 
+def _widen(live, width):
+    """S[:, :max(k, width)] as a new writable array, from the leading
+    columns live = S[:, :k] of a matrix S that is the identity beyond them."""
+    size, k = live.shape
+    out = np.eye(size, max(k, width), dtype=complex)
+    out[:, :k] = live
+    return out
+
+
 def symplectic_residual_raw(mat, big):
     """(||S Lambda S^T - Lambda||_F, 1 + ||Lambda||_F ||S||_F^2).
 
@@ -581,7 +591,9 @@ def csk_log_near_identity(offset, ccr, anchor=None):
     """Hamiltonian kernel H with exp(H) = I + offset, free of cancellation.
 
     The symplectic kernel S = I + X is given through its offset X, formed
-    by the caller without cancellation.  Near the identity the principal
+    by the caller without cancellation, or through its leading columns
+    X[:, :j], j <= size, beyond which X vanishes (the convention of
+    :func:`symplectic_residual_raw`).  Near the identity the principal
     logarithm is log S = 2 atanh(Z) with Z = X (2I + X)^{-1}, summed by
     its odd (Gregory) power series (Higham, Functions of Matrices, SIAM
     2008, sec. 11.3), so H carries rounding relative to its own size
@@ -600,21 +612,21 @@ def csk_log_near_identity(offset, ccr, anchor=None):
     exp(H) - S = H Ups(H) - X with H Ups(H) = [[H_11 Ups(H_11), 0],
     [H_21 Ups(H_11), 0]] and scaled by ||S||_F from the same columns.
     When ||Z||_1 exceeds GREGORY_RADIUS, or the series result is not
-    within pi of the anchor, the anchored :func:`csk_log` of S, built at
-    full size only then, is returned instead.
+    within pi of the anchor, the anchored :func:`csk_log` of S, widened
+    to full size only then, is returned instead.  H is size x size.
     """
     offset = np.asarray(offset, dtype=complex)
-    size = offset.shape[0]
-    if offset.shape != ccr.big.shape:
+    size = ccr.big.shape[0]
+    if offset.ndim != 2 or offset.shape[0] != size or offset.shape[1] > size:
         raise ValueError("matrix shape does not match the kernel")
-    anchor_mat = _anchor_matrix(anchor, offset.shape)
+    anchor_mat = _anchor_matrix(anchor, ccr.big.shape)
     k = _live_width(offset)
     live = offset[:, :k]
     s_live = live + np.eye(size, k)
     _check_symplectic(*symplectic_residual_raw(s_live, ccr.big))
 
     def fallback():
-        return csk_log(CskMatrix(ccr.grid, np.eye(size) + offset, ccr), anchor_mat)
+        return csk_log(CskMatrix(ccr.grid, _widen(s_live, size), ccr), anchor_mat)
 
     try:
         # X_11 commutes with 2I + X_11, so either side of the division gives Z_11

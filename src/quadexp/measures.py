@@ -65,18 +65,27 @@ __all__ = [
 SUPPORT_TOL = 1e-14
 
 
+def _is_index(u):
+    """u is an int or numpy integer, and not a bool."""
+    return isinstance(u, (int, np.integer)) and not isinstance(u, bool)
+
+
 @dataclass(frozen=True)
 class TimeGrid:
-    """Uniform grid 0 = t_0 < ... < t_N = T with step h = T / N."""
+    """Uniform grid 0 = t_0 < ... < t_N = T with step h = T / N.
+
+    Raises ValueError unless the horizon T is finite and positive and the
+    step count N is an integer (int or numpy integer, not bool) >= 1.
+    """
 
     horizon: float
     steps: int
 
     def __post_init__(self):
-        if not self.horizon > 0.0:
-            raise ValueError(f"horizon must be positive, got {self.horizon}")
-        if self.steps < 1:
-            raise ValueError(f"steps must be at least 1, got {self.steps}")
+        if not (np.isfinite(self.horizon) and self.horizon > 0.0):
+            raise ValueError(f"horizon must be finite and positive, got {self.horizon}")
+        if not (_is_index(self.steps) and self.steps >= 1):
+            raise ValueError(f"steps must be an integer >= 1, got {self.steps!r}")
 
     @property
     def step(self):
@@ -92,8 +101,9 @@ class TimeGrid:
 
 
 def make_grid(horizon, steps):
-    """Uniform :class:`TimeGrid` on [0, horizon] with the given step count."""
-    return TimeGrid(float(horizon), int(steps))
+    """Uniform :class:`TimeGrid` on [0, horizon] with the given step count;
+    steps is not truncated, so a non-integer count raises ValueError."""
+    return TimeGrid(float(horizon), steps)
 
 
 def _check_same_grid(a, b):
@@ -110,6 +120,8 @@ class CcrKernel:
     makes big antisymmetric as a flat matrix, and block (j, j) equals
     Theta for every j.  The kernel owns its factorization, :attr:`solver`,
     built on first use and shared by every later solve against it.
+    big must be a finite square matrix whose size is a multiple of the
+    node count, else ValueError.
     """
 
     grid: TimeGrid
@@ -119,6 +131,8 @@ class CcrKernel:
         big = np.asarray(self.big, dtype=float)
         if big.ndim != 2 or big.shape[0] != big.shape[1]:
             raise ValueError("big must be a square matrix")
+        if not np.isfinite(big).all():
+            raise ValueError("big must be finite")
         if big.shape[0] % self.grid.node_count != 0:
             raise ValueError("big size is not a multiple of the node count")
         big = big.copy()
@@ -166,8 +180,9 @@ def _block_norms(tile, n):
 
 
 def _check_node(u, count, name="node"):
-    """u as an int; raises ValueError unless it is an integer in [0, count)."""
-    if not isinstance(u, (int, np.integer)) or not 0 <= u < count:
+    """u as an int; raises ValueError unless it is an integer (not a bool)
+    in [0, count)."""
+    if not (_is_index(u) and 0 <= u < count):
         raise ValueError(f"{name} must be an integer in [0, {count}), got {u!r}")
     return int(u)
 

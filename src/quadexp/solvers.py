@@ -31,8 +31,10 @@ direction's superoperator images zero there, so extraction and the
 inverse direction work on those k columns only.  A kernel path stores
 just those columns, S_u[:, :k] per node (:class:`LiveColumns`), about
 half of N + 1 dense matrices; its readers (extraction, the congruence
-gates) take the block and its width from the path, and a full node is
-built only when a caller indexes one.
+gates, the integrated T route) take the block and its width from the
+path, and a full node is built only when a caller indexes one.  The
+integrated T route keeps T_u the same way, at the width of S_u, and
+every solve against conj(S_u) returns its k live columns only.
 
 The integrator takes each step's driver as a midpoint measure, read on
 its window, never as a full matrix: the generator is nonzero only in
@@ -55,6 +57,7 @@ from .errors import NumericalFailure
 from .lie import (
     _check_symplectic,
     _ups_series,
+    _widen,
     csk_log_near_identity,
     mho_superop,
     sinhc_superop,
@@ -159,12 +162,12 @@ class LiveColumns:
     caller memory.  The stack reads as a sequence of size x size nodes:
     len(), integer and negative indexing, iteration and shape, with item
     u built on access as the identity with its first k_u columns
-    replaced.  :meth:`live` returns the stored block itself, and nbytes
-    counts the stored blocks, each once.
+    replaced (:func:`lie._widen`).  :meth:`live` returns the stored block
+    itself, and nbytes counts the stored blocks, each once.
 
     A block that is read-only and owns its memory is kept as is (the
-    integrator hands its blocks over this way, and an unchanged node
-    shares its predecessor's); any other is copied.
+    integrator and the T route hand their blocks over this way, and an
+    unchanged node shares its predecessor's); any other is copied.
     """
 
     def __init__(self, blocks, size):
@@ -182,9 +185,7 @@ class LiveColumns:
         return len(self._blocks)
 
     def __getitem__(self, u):
-        block = self.live(u)
-        mat = np.eye(self._size, dtype=complex)
-        mat[:, : block.shape[1]] = block
+        mat = _widen(self.live(u), self._size)
         mat.setflags(write=False)
         return mat
 
@@ -363,23 +364,18 @@ def _live_blocks(mids, ccr):
     """S_0[:, :k_0], S_1[:, :k_1], ... of :func:`csk_path_from_midpoints`,
     each read-only; the step temporaries are gone once the last is out."""
     h = ccr.grid.step
-    size = ccr.big.shape[0]
-    eye = np.eye(size)
-    live = np.empty((size, 0), dtype=complex)
+    live = np.empty((ccr.big.shape[0], 0), dtype=complex)
     live.setflags(write=False)
     yield live
-    k = 0
     for u, mid in enumerate(mids):
         _check_on_kernel(mid, ccr, f"midpoint {u}")
         cols, lam_w = _lambda_columns(ccr, mid)
         if cols.size:
             m_cols = (2j * h) * lam_w
             _check_step_norm(m_cols)
-            width = max(k, int(cols[-1]) + 1)
-            live = np.hstack((live, eye[:, k:width]))
+            live = _widen(live, int(cols[-1]) + 1)
             live += m_cols @ (_ups_series(m_cols[cols]) @ live[cols])
             live.setflags(write=False)
-            k = width
         yield live
 
 
@@ -440,17 +436,17 @@ class QefForwardResult:
 
 
 def _conj_solve(live, rhs):
-    """conj(S)^{-1} R at full size, for S a path node and R zero beyond column k.
+    """(conj(S)^{-1} R)[:, :k], size x k, for S a path node and R zero beyond
+    column k.
 
     live = S[:, :k] is S up to its identity columns, S = [[A, 0], [B, I]],
     and rhs = R[:, :k], so conj(S)^{-1} R = [[X_11, 0], [X_21, 0]] with
-    X_11 = conj(A)^{-1} R_11 (one k x k solve) and X_21 = R_21 - conj(B) X_11.
+    X_11 = conj(A)^{-1} R_11 (one k x k solve) and X_21 = R_21 - conj(B) X_11;
+    the k columns [X_11; X_21] are returned, the zero ones never formed.
     """
-    size, k = live.shape
-    out = np.zeros((size, size), dtype=complex)
-    out[:k, :k] = np.linalg.solve(np.conj(live[:k]), rhs[:k])
-    out[k:, :k] = rhs[k:] - np.conj(live[k:]) @ out[:k, :k]
-    return out
+    k = live.shape[1]
+    x11 = np.linalg.solve(np.conj(live[:k]), rhs[:k])
+    return np.vstack((x11, rhs[k:] - np.conj(live[k:]) @ x11))
 
 
 def qef_from_csk_path(s_path, ccr, nodes=None):
@@ -459,9 +455,9 @@ def qef_from_csk_path(s_path, ccr, nodes=None):
     For each requested node the normal-ordering factorization
     T_u = conj(S_u)^{-1} S_u is taken on the computed kernel through its
     offset T_u - I = 2i conj(S_u)^{-1} Im S_u (:func:`_conj_solve`), which
-    has no cancellation; :func:`csk_log_near_identity` recovers
-    4i Lambda N_u from it, and the kernel solve restricted to [0, t_u]^2
-    yields N_u.  nodes=None
+    has no cancellation and is handed on as its live columns;
+    :func:`csk_log_near_identity` recovers 4i Lambda N_u from it, and the
+    kernel solve restricted to [0, t_u]^2 yields N_u.  nodes=None
     extracts at every node; a sparse selection saves the logarithms.
 
     Each stage works on the live block of its input: the path stores
@@ -514,19 +510,26 @@ def forward_qef_measure(f_path, ccr, nodes=None):
 
 
 def _t_steps(f_path, ccr, s_path):
-    """T_0, T_1, ... of :func:`forward_t_evolution`, one node at a time;
-    with k the stored width of S_{u+1}, Lambda (Re F)_mid S_mid[:, :k] is
-    Re(Lambda[:, C] W[C, C]) S_mid[C, :k] on the midpoint's live columns C
-    (Lambda is real, C[-1] < k), and :func:`_conj_solve` solves on it."""
+    """T_0[:, :k_0], T_1[:, :k_1], ... of :func:`forward_t_evolution`, one
+    read-only block at a time, k_u the stored width of S_u.
+
+    Step u widens the blocks of T_u and S_u to k = k_{u+1} (:func:`lie._widen`),
+    forms S_mid[:, :k] from the two flow blocks, and adds the k columns
+    :func:`_conj_solve` returns for the right-hand side
+    Lambda (Re F)_mid S_mid[:, :k] = Re(Lambda[:, C] W[C, C]) S_mid[C, :k]
+    on the midpoint's live columns C (Lambda is real, C[-1] < k).  No full
+    node and no size x size T is formed."""
     h = f_path.grid.step
-    t_u = np.eye(ccr.big.shape[0], dtype=complex)
+    t_u = s_path.mats.live(0)  # T_0 = S_0 = I
     yield t_u
     for u, mid in enumerate(_Midpoints(f_path)):
         s_hi = s_path.mats.live(u + 1)
-        s_mid = 0.5 * (s_path.mats[u][:, : s_hi.shape[1]] + s_hi)
+        width = s_hi.shape[1]
+        s_mid = 0.5 * (_widen(s_path.mats.live(u), width) + s_hi)
         cols, lam_w = _lambda_columns(ccr, mid)
         rhs = (4j * h) * (lam_w.real @ s_mid[cols])
-        t_u = t_u + _conj_solve(s_mid, rhs)
+        t_u = _widen(t_u, width) + _conj_solve(s_mid, rhs)
+        t_u.setflags(write=False)
         yield t_u
 
 
@@ -538,11 +541,13 @@ def forward_t_evolution(f_path, ccr):
     path entries, so the route is second order and serves as the
     independent cross-check of the factorization in
     :func:`forward_qef_measure`: it integrates T, never factoring S.
-    Returns the read-only :class:`LiveColumns` stack of T: each
-    right-hand side, and so T_u - I, vanishes beyond the width of S_{u+1}.
+    Returns the read-only :class:`LiveColumns` stack of T, each node kept
+    at the stored width of S_u (each right-hand side, and so T_u - I,
+    vanishes beyond it), the blocks :func:`_t_steps` yields kept as they
+    come.
     """
     s_path = forward_csk_evolution(f_path, ccr)
-    return LiveColumns.from_dense(_t_steps(f_path, ccr, s_path), ccr.big.shape[0])
+    return LiveColumns(_t_steps(f_path, ccr, s_path), ccr.big.shape[0])
 
 
 def _inverse_step(superop, n_measure, dn_measure, ccr, support_index):
@@ -701,14 +706,17 @@ def t_route_residual(f_path, ccr):
 
 def _t_route_gap(f_path, ccr, s_path):
     """:func:`t_route_residual` on the driver's flow s_path; the
-    integrated T is compared node by node as its recursion runs."""
-    eye = np.eye(ccr.big.shape[0])
+    integrated T is compared node by node as its recursion runs, on the
+    k live columns both routes share.  Each of the size - k identity
+    columns adds 1 to ||T_u||_F^2, as in :func:`lie.symplectic_residual_raw`."""
     worst = 0.0
     for u, t_direct in enumerate(_t_steps(f_path, ccr, s_path)):
         live = s_path.mats.live(u)
-        t_u = eye + _conj_solve(live, 2j * live.imag)
+        size, k = live.shape
+        t_u = np.eye(size, k) + _conj_solve(live, 2j * live.imag)
         gap = np.linalg.norm(t_u - t_direct)
-        worst = max(worst, float(gap / (1.0 + np.linalg.norm(t_u))))
+        t_norm = np.sqrt(np.linalg.norm(t_u) ** 2 + (size - k))
+        worst = max(worst, float(gap / (1.0 + t_norm)))
     return worst
 
 
@@ -874,8 +882,11 @@ def chk_column_function(model, q, block_col):
     first (j = N).  Each evaluation costs at most two n x n exponentials,
     whatever the node count.
 
-    Raises ValueError unless block_col is an integer in [0, N + 1).
+    Raises ValueError unless block_col is an integer in [0, N + 1), and
+    unless q has the model's n.
     """
+    if q.dim != model.dim:
+        raise ValueError(f"measure has n = {q.dim}, the model n = {model.dim}")
     grid = q.grid
     count = grid.node_count
     _check_node(block_col, count, "block_col")

@@ -39,6 +39,7 @@ from quadexp import (
 from quadexp.cli import bundled_scenario, parse_scenario
 from quadexp import lie
 from quadexp.lie import GREGORY_RADIUS
+from quadexp.measures import _live_width
 
 
 # Reference series, kept local to the tests: 40 Taylor terms bound the
@@ -439,6 +440,32 @@ def test_near_identity_log_falls_back_beyond_series_radius(ccr8, rng):
     assert np.linalg.norm(z, 1) > GREGORY_RADIUS
     direct = csk_log(CskMatrix(ccr8.grid, eye + offset, ccr8))
     assert np.array_equal(csk_log_near_identity(offset, ccr8).ham, direct.ham)
+
+
+def test_near_identity_log_reads_leading_columns_bit_for_bit(ccr8, rng, pi2):
+    # X[:, :j] and X give the same H for every j from the live width to
+    # size: node 3 of a corner-atom flow (live width 8 of 18) in the series
+    # (Pi) and past the series radius (30 Pi), and the fallback test's input
+    size = ccr8.big.shape[0]
+    offsets = []
+    for scale in (1.0, 30.0):
+        flow = forward_csk_evolution(corner_atom_path(ccr8.grid, scale * pi2), ccr8)
+        node = flow.mats[3]
+        offsets.append(np.linalg.solve(np.conj(node), 2j * node.imag))
+    eye = np.eye(size)
+    q = _scaled_measure(rng, ccr8, 3.0)
+    offsets.append(chk_exp(lambda_product(ccr8, q), ccr8).mat - eye)
+    radii = []
+    for offset in offsets:
+        k = _live_width(offset)
+        z = np.linalg.solve(2.0 * eye + offset, offset)
+        radii.append(np.linalg.norm(z, 1))
+        want = csk_log_near_identity(offset, ccr8).ham
+        for j in range(k, size + 1):
+            got = csk_log_near_identity(offset[:, :j], ccr8).ham
+            assert np.array_equal(got, want), j
+    assert radii[0] <= GREGORY_RADIUS < min(radii[1:])
+    assert _live_width(offsets[0]) == _live_width(offsets[1]) == 8
 
 
 def test_near_identity_log_keeps_congruence_gate(ccr8, rng):

@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quadexp import (
+    CcrKernel,
     KernelMeasure,
+    TimeGrid,
     ScenarioError,
     atom_measure,
     atomic_corner_measure,
@@ -44,6 +46,34 @@ def test_grid_validation_and_nodes():
         make_grid(0.0, 8)
     with pytest.raises(ValueError):
         make_grid(1.0, 0)
+
+
+def test_grid_refuses_non_integer_steps_and_non_finite_horizons(tmp_path):
+    # 2.5 and True used to be truncated to 2 and 1 steps; an infinite
+    # horizon gave NaN and infinite nodes
+    for steps in (2.5, True, np.float64(4.0), "4"):
+        with pytest.raises(ValueError, match="steps must be an integer >= 1"):
+            make_grid(1.0, steps)
+        with pytest.raises(ValueError, match="steps must be an integer >= 1"):
+            TimeGrid(1.0, steps)
+    for horizon in (np.inf, -np.inf, np.nan):
+        with pytest.raises(ValueError, match="horizon must be finite and positive"):
+            make_grid(horizon, 4)
+    assert make_grid(1.0, np.int64(4)) == make_grid(1.0, 4)
+    bad = tmp_path / "inf.csv"
+    bad.write_text("# schema=1\n# grid T=inf N=4 n=2\nj,k,row,col,re,im\n")
+    with pytest.raises(ScenarioError, match="malformed grid sidecar"):
+        read_measure_csv(bad)
+
+
+def test_ccr_kernel_refuses_non_finite_entries():
+    # a NaN kernel used to build and fail later in the solver's SVD
+    grid = make_grid(1.0, 4)
+    for bad in (np.nan, np.inf):
+        big = np.zeros((10, 10))
+        big[3, 7] = bad
+        with pytest.raises(ValueError, match="big must be finite"):
+            CcrKernel(grid, big)
 
 
 def test_ccr_kernel_blocks_match_two_point(model2, grid16):
@@ -400,6 +430,16 @@ def test_node_arguments_are_checked(grid16, pi2, u):
         atom_measure(grid16, u, 1, pi2)
     with pytest.raises(ValueError, match=r"k must be an integer in \[0, 17\)"):
         atom_measure(grid16, 1, u, pi2)
+
+
+def test_node_arguments_refuse_bools(grid16, pi2):
+    # True and False used to pass as nodes 1 and 0
+    q = diagonal_lebesgue_measure(grid16, 16, pi2)
+    for u in (True, False):
+        with pytest.raises(ValueError, match=r"must be an integer in \[0, 17\)"):
+            project_support(q, u)
+        with pytest.raises(ValueError, match=r"must be an integer in \[0, 17\)"):
+            diagonal_lebesgue_measure(grid16, u, pi2)
 
 
 def test_midpoint_is_the_halved_sum_bit_for_bit(grid16, pi2):

@@ -124,6 +124,8 @@ def test_step_norm_gate_reports_refinement(ccr16, rng):
         csk_path_from_midpoints([full] * ccr16.grid.steps, ccr16)
 
 
+# the overflow and invalid values inside the gates are expected here
+@np.errstate(over="ignore", invalid="ignore")
 def test_gates_trip_on_non_finite_values(model2, ccr16, pi2):
     # a NaN compares false with any bound, so each gate must test that
     # the value lies within it rather than that it exceeds it
@@ -210,6 +212,13 @@ def test_extraction_rejects_a_non_integer_node(ccr16, pi2):
             qef_from_csk_path(s_path, ccr16, nodes=[4, node])
     qef = qef_from_csk_path(s_path, ccr16, nodes=[np.int64(4), 4])
     assert qef.node_indices == (4,)
+
+
+def test_extraction_refuses_bool_nodes(ccr16, pi2):
+    # [True, False] used to extract nodes (0, 1)
+    s_path = forward_csk_evolution(corner_atom_path(ccr16.grid, pi2), ccr16)
+    with pytest.raises(ValueError, match=r"node must be an integer in \[0, 17\)"):
+        qef_from_csk_path(s_path, ccr16, nodes=[True, False])
 
 
 def _mp_terminal_measure(mp, s, big):
@@ -313,6 +322,22 @@ def test_t_route_nodes_equal_the_full_size_step(model2, pi2):
         for u, want in enumerate(reference):
             gap = np.linalg.norm(t_mats[u] - want)
             assert gap <= 1e-13 * np.linalg.norm(want - eye), (u, gap)
+
+
+def test_t_route_keeps_the_flow_widths_as_read_only_blocks(model2, pi2):
+    # T_u is stored as T_u[:, :k_u], k_u the stored width of S_u, for the
+    # corner atom (|C| = 2n) and the recovered driver (|C| = k)
+    grid = make_grid(1.0, 16)
+    ccr = build_ccr_kernel(model2, grid)
+    recovered = inverse_toe_measure(diagonal_lebesgue_path(grid, pi2), ccr).f_path
+    for f_path in (corner_atom_path(grid, pi2), recovered):
+        s_mats = forward_csk_evolution(f_path, ccr).mats
+        t_mats = forward_t_evolution(f_path, ccr)
+        assert len(t_mats) == len(s_mats)
+        for u in range(len(s_mats)):
+            block = t_mats.live(u)
+            assert block.shape == s_mats.live(u).shape, u
+            assert not block.flags.writeable
 
 
 def test_two_route_agreement_refines_at_second_order(model2, pi2):
@@ -1080,6 +1105,14 @@ def test_chk_column_rejects_a_bad_block_column(block_col):
     q = KernelMeasure(grid, np.zeros((10, 10)))
     with pytest.raises(ValueError, match=r"\[0, 5\)"):
         chk_column_function(_laplace_demo_model(), q, block_col)
+
+
+def test_chk_column_refuses_a_measure_of_another_dimension():
+    # an n = 4 measure against an n = 2 model used to fail inside matmul
+    grid = make_grid(8.0, 4)
+    q = KernelMeasure(grid, np.zeros((20, 20)))
+    with pytest.raises(ValueError, match="measure has n = 4, the model n = 2"):
+        chk_column_function(_laplace_demo_model(), q, 0)
 
 
 def _laplace_scenario_samples(model, grid):
