@@ -14,9 +14,9 @@ the calculus both directions need:
         Ups(ad_x)(y)   = integral_0^1  e^{lam x} y e^{-lam x} dlam,
         sinhc(ad_x)(y) = (1/2) integral_{-1}^{1} e^{lam x} y e^{-lam x} dlam,
 
-    evaluated in closed form as divided differences in the eigenbasis of
-    x (a block exponential when x has no well-conditioned eigenbasis),
-    and Mho(ad_x) by its Bernoulli series (radius 2 pi, guarded);
+    evaluated in closed form in the eigenbasis of x (a block exponential
+    when x has no well-conditioned eigenbasis), and Mho(ad_x) by its
+    Bernoulli series (radius 2 pi, guarded);
   * the exponential of a stacked Hamiltonian kernel, which is a complex
     symplectic kernel preserving the commutator kernel congruence
     S Lambda S^T = Lambda, and the anchored matrix logarithm (with a
@@ -27,12 +27,14 @@ the calculus both directions need:
 Measures at node u are supported in [0, t_u]^2, so the matrices the
 bridge passes here vanish beyond their first k = (u + 1) n columns
 (Hamiltonians, offsets, right-hand sides) or equal the identity there
-(symplectic kernels).  The superoperators, the near-identity logarithm,
-the congruence residual and the kernel solve find that k in their own
-input (a kernel path hands its stored live block to the residual, and
-extraction its offset block to the logarithm) and work on the k live
-columns, diagonalizing or exponentiating k x k blocks only; a dense
-input is the case k = size.
+(symplectic kernels).  The near-identity logarithm, the congruence
+residual and the kernel solve find that k in their own input (a kernel
+path hands its stored live block to the residual, and extraction its
+offset block to the logarithm) and work on the k live columns; a dense
+input is the case k = size.  The superoperators are plain matrix
+functions of ad_x on their whole input: the inverse direction hands
+them the leading k x k blocks and takes the rows below from the kernel
+(solvers._inverse_step).
 
 Everything here is grid-level linear algebra; the time direction lives
 in the solver module.
@@ -185,58 +187,6 @@ def _eigenbasis(x):
     return None
 
 
-def _ups_divided_difference(z1, z2):
-    """Ups[z1, z2] = (Ups(z1) - Ups(z2)) / (z1 - z2) elementwise, Ups'(z1)
-    where z1 = z2.
-
-    Where both points lie in the unit disk the Taylor form
-    sum_{m >= 1} h_{m-1}(z1, z2) / (m+1)! is summed, h_r the complete
-    symmetric polynomial of degree r, |h_{m-1}| <= m r^(m-1) for points
-    within radius r; terms stop once that bound falls below eps/8.
-    Elsewhere, of the equivalent quotients
-
-        (Ups(z1) - Ups(z2)) / (z1 - z2),
-        (e^{z2} Ups(z1 - z2) - Ups(z2)) / z1,
-        (e^{z1} Ups(z2 - z1) - Ups(z1)) / z2,
-
-    the one with the largest denominator is taken, which is then at
-    least 1, so none cancels.
-    """
-    z1, z2 = np.broadcast_arrays(
-        np.asarray(z1, dtype=complex), np.asarray(z2, dtype=complex)
-    )
-    out = np.empty(z1.shape, dtype=complex)
-    inside = np.maximum(np.abs(z1), np.abs(z2)) <= 1.0
-    if inside.any():
-        p, q = z1[inside], z2[inside]
-        radius = max(np.abs(p).max(), np.abs(q).max())
-        series = np.zeros(p.shape, dtype=complex)
-        h = np.ones(p.shape, dtype=complex)
-        q_power = np.ones(p.shape, dtype=complex)
-        factorial = 1.0
-        m = 1
-        while True:
-            factorial *= m + 1
-            series += h / factorial
-            if m * radius ** (m - 1) / factorial <= 0.125 * np.finfo(float).eps:
-                break
-            q_power = q_power * q
-            h = p * h + q_power
-            m += 1
-        out[inside] = series
-    if not inside.all():
-        p, q = z1[~inside], z2[~inside]
-        denominators = np.stack([p - q, p, q])
-        pick = np.argmax(np.abs(denominators), axis=0)
-        numerators = [
-            ups_scalar(p) - ups_scalar(q),
-            np.exp(q) * ups_scalar(p - q) - ups_scalar(q),
-            np.exp(p) * ups_scalar(q - p) - ups_scalar(p),
-        ]
-        out[~inside] = np.choose(pick, numerators) / np.choose(pick, denominators)
-    return out
-
-
 def _adjoint_function(x, y, scalar, symmetric):
     """scalar(ad_x)(y) in closed form and a bound on its rounding error.
 
@@ -244,83 +194,46 @@ def _adjoint_function(x, y, scalar, symmetric):
     sinhc(z) = (Ups(z) + Ups(-z)) / 2, so f = scalar is the mean of
     e^{lam z} over lam in [0, 1] (or [-1, 1]).
 
-    Inputs of the bridge vanish beyond their first k columns, x = [[a, 0],
-    [b, 0]] and y = [[c, 0], [d, 0]] with a, c of size k x k, and so does
-    the value, [[f(ad_a)(c), 0], [R, 0]].  k is found in x and y (k = size
-    is the general case), and only a is diagonalized.  In an eigenbasis
-    a = V D V^{-1} with C = V^{-1} c V the Daleckii-Krein form (Higham,
-    Functions of Matrices, SIAM 2008, Thm 3.11) gives the top block
-    V (f(d_i - d_j) o C) V^{-1}, and averaging e^{lam x} y e^{-lam x}
-    gives the border rows
+    x and y are dense m x m matrices, and the value is too: a zero-padded
+    input costs its full size (the inverse step hands over its leading
+    k x k blocks only, :func:`solvers._inverse_step`).  In an eigenbasis
+    x = V D V^{-1} the Daleckii-Krein form (Higham, Functions of
+    Matrices, SIAM 2008, Thm 3.11) gives V (f(d_i - d_j) o V^{-1} y V)
+    V^{-1}.  Without a well-conditioned eigenbasis of x, one block
+    exponential of [[x, y], [0, x]] (Van Loan, IEEE TAC 1978) gives E = e^x
+    and the corner C, so Ups(ad_x)(y) = C e^{-x} and Ups(-ad_x)(y) =
+    e^{-x} C.
 
-        R = (d V f(-D) + b V (f[d_i - d_j, -d_j] o C)) V^{-1},
-
-    f[., .] the divided difference (:func:`_ups_divided_difference`);
-    d_i = 0, as at a zero measure, is its confluent limit.  Without a
-    well-conditioned eigenbasis of a, one block exponential of
-    [[P, I], [0, 0]], P = [[a, c], [0, a]] (Van Loan, IEEE TAC 1978)
-    gives E = e^P and U = Ups(P), so Ups(ad_x)(y) = C e^{-x} and
-    Ups(-ad_x)(y) = e^{-x} C with the corner C = [[E_12, 0],
-    [b U_12 + d U_11, 0]].
-
-    The bound is sqrt(m) eps kappa (1 + ||x||_F) ||y||_F: m = k and
-    kappa = cond(V) times the largest of 1 and the Hadamard factors used
-    (f(d_i - d_j), and on border rows f(-d_j) and f[d_i - d_j, -d_j]) in
-    the eigenbasis; m = 2k and kappa = cond(E_11) on the block route.
-    That is rounding of length-m inner products, amplified by the change
-    of basis (or the solves) and the factors, for an x known only to
-    rounding relative to its own norm.  sqrt(m) in place of the
-    worst-case m models independent rounding errors (Higham & Mary, SIAM
-    J. Sci. Comput. 41, 2019).  Against 40-digit series every error
-    stayed below 0.46 times the bound on the diagonal measure paths of
-    the bundled model at N = 8 and 16, and below 0.67 times it on 140
-    random block inputs (sizes 5 to 13, Gaussian blocks a scaled by 0.05
-    to 1.5, borders b by up to 3, Jordan blocks for the block route);
-    without the factor 1 + ||x||_F the bound fell short there by up to
-    1.4x.
+    The bound is sqrt(w) eps kappa (1 + ||x||_F) ||y||_F: w = m and
+    kappa = cond(V) times the largest of 1 and |f(d_i - d_j)| in the
+    eigenbasis; w = 2m and kappa = cond(E) on the block route.  That is
+    rounding of length-w inner products, amplified by the change of basis
+    (or the solves) and the factors, for an x known only to rounding
+    relative to its own norm.  sqrt(w) in place of the worst-case w
+    models independent rounding errors (Higham & Mary, SIAM J. Sci.
+    Comput. 41, 2019).  Against 40-digit series every error stayed below
+    0.54 times the bound on the k x k blocks of the diagonal measure paths
+    of the bundled model at N = 8 and 16, below 0.13 times it on the
+    zero-padded inputs of the border-row tests (20 seeds), and below 0.73
+    times it on 140 random inputs (sizes 5 to 13, Gaussian x scaled by
+    0.05 to 1.5, Jordan blocks for the block route).
     """
     x = np.asarray(x, dtype=complex)
     y = np.asarray(y, dtype=complex)
     size = x.shape[0]
-    k = max(_live_width(x), _live_width(y))
-    value = np.zeros((size, size), dtype=complex)
-    if k == 0:
-        return value, 0.0
-    a, b = x[:k, :k], x[k:, :k]
-    c, d = y[:k, :k], y[k:, :k]
-    basis = _eigenbasis(a)
+    basis = _eigenbasis(x)
     if basis is not None:
         dvals, v, vinv, cond = basis
-        diffs = dvals[:, None] - dvals[None, :]
-        factors = [scalar(diffs)]
-        rotated = vinv @ c @ v
-        value[:k, :k] = v @ (factors[0] * rotated) @ vinv
-        if k < size:
-            outer = scalar(-dvals)
-            split = _ups_divided_difference(diffs, -dvals[None, :])
-            if symmetric:
-                split = 0.5 * (split - _ups_divided_difference(-diffs, dvals[None, :]))
-            value[k:, :k] = ((d @ v) * outer + (b @ v) @ (split * rotated)) @ vinv
-            factors += [outer, split]
-        width = k
-        kappa = cond * max(1.0, *(np.abs(f).max() for f in factors))
+        factors = scalar(dvals[:, None] - dvals[None, :])
+        value = v @ (factors * (vinv @ y @ v)) @ vinv
+        width, kappa = size, cond * max(1.0, np.abs(factors).max())
     else:
-        block = np.zeros((4 * k, 4 * k), dtype=complex)
-        block[:k, :k] = block[k : 2 * k, k : 2 * k] = a
-        block[:k, k : 2 * k] = c
-        block[: 2 * k, 2 * k :] = np.eye(2 * k)
-        block = expm(block)
-        ex, corner = block[:k, :k], block[:k, k : 2 * k]
-        ups_a, ups_corner = block[:k, 2 * k : 3 * k], block[:k, 3 * k :]
-        border = b @ ups_corner + d @ ups_a
-        value[:, :k] = np.linalg.solve(ex.T, np.vstack([corner, border]).T).T
+        block = expm(np.block([[x, y], [np.zeros_like(x), x]]))
+        ex, corner = block[:size, :size], block[:size, size:]
+        value = np.linalg.solve(ex.T, corner.T).T
         if symmetric:
-            # Ups(-a) = e^{-a} Ups(a)
-            left = np.linalg.solve(ex, np.hstack([corner, ups_a]))
-            border = border - b @ (left[:, k:] @ corner)
-            value[:, :k] = 0.5 * (value[:, :k] + np.vstack([left[:, :k], border]))
-        width = 2 * k
-        kappa = np.linalg.cond(ex)
+            value = 0.5 * (value + np.linalg.solve(ex, corner))
+        width, kappa = 2 * size, np.linalg.cond(ex)
     bound = np.sqrt(width) * kappa * (1.0 + np.linalg.norm(x))
     return value, float(bound * np.finfo(float).eps * np.linalg.norm(y))
 
@@ -328,7 +241,9 @@ def _adjoint_function(x, y, scalar, symmetric):
 def ups_superop(x, y):
     """Ups(ad_x)(y) = integral_0^1 e^{lam x} y e^{-lam x} dlam.
 
-    Returns (value, bound on its rounding error), both stated in
+    x and y are square matrices of one size, taken as dense: the cost is
+    that of the whole input, zero padding included.  Returns (value,
+    bound on its rounding error), both stated in
     :func:`_adjoint_function`.
     """
     return _adjoint_function(x, y, ups_scalar, symmetric=False)
@@ -337,7 +252,8 @@ def ups_superop(x, y):
 def sinhc_superop(x, y):
     """sinhc(ad_x)(y) = (1/2) integral_{-1}^{1} e^{lam x} y e^{-lam x} dlam.
 
-    Returns (value, rounding bound) like :func:`ups_superop`.
+    Takes dense square x and y and returns (value, rounding bound) like
+    :func:`ups_superop`.
     """
     return _adjoint_function(x, y, sinhc_scalar, symmetric=True)
 

@@ -351,8 +351,11 @@ def atom_measure(grid, j, k, block):
 
 
 def _check_pi(pi):
-    """pi as a float array; raises ValueError unless it is finite and symmetric."""
+    """pi as a float array; raises ValueError unless it is a square 2-D
+    matrix, finite and symmetric."""
     pi = np.asarray(pi, dtype=float)
+    if pi.ndim != 2 or pi.shape[0] != pi.shape[1]:
+        raise ValueError(f"pi must be a square matrix, got shape {pi.shape}")
     if not np.isfinite(pi).all():
         raise ValueError(f"pi must be finite, got {pi.tolist()}")
     if np.linalg.norm(pi - pi.T) > 1e-12 * (1.0 + np.linalg.norm(pi)):

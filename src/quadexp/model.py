@@ -250,8 +250,11 @@ def ccr_two_point(model, tau):
 
     Lambda(tau) = e^{tau A} Theta for tau >= 0 and Theta e^{-tau A^T} for
     tau < 0, so that Lambda(-tau) = -Lambda(tau)^T holds identically.
+    tau must be finite, else ValueError.
     """
     tau = float(tau)
+    if not np.isfinite(tau):
+        raise ValueError(f"tau must be finite, got {tau}")
     if tau == 0.0:
         return model.theta.copy()
     if tau > 0.0:
@@ -277,11 +280,14 @@ class LaplacePoint:
 
 
 def laplace_point(model, s):
-    """Validate s against the strip 0 < Re s < |max Re lambda(A)|."""
+    """Validate s against the strip 0 < Re s < |max Re lambda(A)|; both
+    parts of s must be finite, else ValueError."""
     s = complex(s)
+    if not np.isfinite(s):
+        raise ValueError(f"s must be finite, got {s}")
     half_width = abs(spectral_abscissa(model))
     margin = min(s.real, half_width - s.real)
-    if margin <= 0.0:
+    if not margin > 0.0:
         raise ValueError(
             f"s = {s} lies outside the transform strip 0 < Re s < {half_width:.6g}"
         )

@@ -28,9 +28,11 @@ one n x n block per node of a corner-atom driver.
 Through Q -> 4i Lambda Q the support makes S_u the identity beyond its
 first k = (u + 1) n columns, and T_u - I, 4i Lambda N_u and the inverse
 direction's superoperator images zero there, so extraction and the
-inverse direction work on those k columns only.  A kernel path stores
-just those columns, S_u[:, :k] per node (:class:`LiveColumns`), about
-half of N + 1 dense matrices; its readers (extraction, the congruence
+inverse direction work on those k columns only; the inverse direction
+evaluates its superoperator on the leading k x k blocks and takes the
+rows below them from the kernel.  A kernel path stores just those
+columns, S_u[:, :k] per node (:class:`LiveColumns`), about half of
+N + 1 dense matrices; its readers (extraction, the congruence
 gates, the integrated T route) take the block and its width from the
 path, and a full node is built only when a caller indexes one.  The
 integrated T route keeps T_u the same way, at the width of S_u, and
@@ -553,11 +555,29 @@ def forward_t_evolution(f_path, ccr):
 def _inverse_step(superop, n_measure, dn_measure, ccr, support_index):
     """One pull-back of the inverse bridge: the measure M with
     Lambda M = superop(2i Lambda N, Lambda N'), solved on [0, t_u]^2 for
-    u = support_index.  Returns (measure, rounding bound of the
-    superoperator, solve report)."""
+    u = support_index.
+
+    N, N' and, by the closure of the Lie algebra, M are supported in
+    [0, t_u]^2, so the image vanishes beyond its first k = (u + 1) n
+    columns and its rows below k are Lambda[k:, :k] M_11.  The
+    superoperator runs on the leading k x k blocks only and gives the top
+    block Lambda_11 M_11; the border rows follow by one solve against
+    Lambda_11 (least squares where that block is exactly singular), and
+    the kernel solve's gate checks the whole right-hand side.  Returns
+    (measure, rounding bound of the k x k superoperator evaluation,
+    solve report)."""
+    k = (support_index + 1) * ccr.dim
     h_n = lambda_product(ccr, n_measure).ham
     h_dn = lambda_product(ccr, dn_measure).ham
-    lam_m, err = superop(2j * h_n, h_dn)
+    top, err = superop(2j * h_n[:k, :k], h_dn[:k, :k])
+    lam_m = np.zeros_like(h_n)
+    lam_m[:k, :k] = top
+    if k < len(lam_m):
+        try:
+            lead = np.linalg.solve(ccr.big[:k, :k], top)
+        except np.linalg.LinAlgError:
+            lead = np.linalg.lstsq(ccr.big[:k, :k], top, rcond=None)[0]
+        lam_m[k:, :k] = ccr.big[k:, :k] @ lead
     measure, report = ccr.solver.solve_measure(lam_m, support_index=support_index)
     return measure, err, report
 
@@ -565,7 +585,9 @@ def _inverse_step(superop, n_measure, dn_measure, ccr, support_index):
 @dataclass(frozen=True)
 class InverseResult:
     """Driver path recovered from a measure path, with diagnostics;
-    quad_errors holds the rounding bound of :func:`ups_superop` per node."""
+    quad_errors holds the rounding bound of :func:`ups_superop` per node,
+    on its k x k evaluation (the border rows add one leading-block solve,
+    which the solve gate checks)."""
 
     f_path: MeasurePath
     quad_errors: tuple
@@ -577,8 +599,10 @@ def inverse_toe_measure(n_path, ccr):
 
     Node-aligned form of Lambda F_t = Ups(2i ad_{Lambda N_t})(Lambda N'_t):
     the path must carry derivative entries (the diagonal family has
-    exact ones).  Each node costs one closed-form superoperator and one
-    support-restricted kernel solve.
+    exact ones).  Each node costs one closed-form superoperator on the
+    leading k x k blocks, one solve against the kernel's leading block
+    for the rows below them, and one support-restricted kernel solve
+    (:func:`_inverse_step`).
     """
     if n_path.derivative_entries is None:
         raise ValueError("inverse direction needs derivative entries on the path")
@@ -728,7 +752,8 @@ class PsiDecomposition:
     approaches Pi at first order in the step.  Masses are sums of block
     Frobenius norms over the interior, the two edges, and the corner.
     reality_residual is the measure's, ||Im W|| / (1 + ||W||).
-    quad_error is the rounding bound :func:`sinhc_superop` returns.
+    quad_error is the rounding bound :func:`sinhc_superop` returns on
+    its k x k evaluation (:func:`_inverse_step`).
     """
 
     measure: KernelMeasure
@@ -826,7 +851,10 @@ class ChkColumn:
     backward: np.ndarray
 
     def __call__(self, t):
+        """The column at time t, which must be finite, else ValueError."""
         t, nodes, drift = float(t), self.grid.nodes, self.model.drift
+        if not np.isfinite(t):
+            raise ValueError(f"t must be finite, got {t}")
         j = int(np.searchsorted(nodes, t, side="right")) - 1
         value = np.zeros(self.forward.shape[1:], dtype=complex)
         if j >= 0:
@@ -845,7 +873,8 @@ class ChkColumn:
         -Theta (sI + A^T)^{-1} V_0 and e^{-sT} (sI - A)^{-1} U_N.  Each Phi
         is the top-right block of one 2n x 2n exponential (Van Loan, IEEE
         TAC 23, 1978), whatever the node count.  Raises ValueError unless
-        0 < Re s < |max Re lambda(A)|, where both tails converge.
+        s is finite and 0 < Re s < |max Re lambda(A)|, where both tails
+        converge.
         """
         s = laplace_point(self.model, s).s
         a, theta, h = self.model.drift, self.model.theta, self.grid.step

@@ -37,7 +37,7 @@ from quadexp import (
     ups_superop,
 )
 from quadexp.cli import bundled_scenario, parse_scenario
-from quadexp import lie
+from quadexp import lie, solvers
 from quadexp.lie import GREGORY_RADIUS
 from quadexp.measures import _live_width
 
@@ -190,16 +190,27 @@ def _mp_adjoint_series(mp, x, y):
         return to_numpy(ups), to_numpy(sinhc)
 
 
-def test_superops_match_mpmath_on_the_diagonal_path():
+def test_superops_match_mpmath_on_the_diagonal_path(monkeypatch):
     # every node of the bundled model's diagonal measure path at N = 8:
     # the error against a 40-digit series must sit inside the returned
-    # rounding bound, and the bound itself at rounding level
+    # rounding bound, and the bound itself at rounding level; the
+    # right-hand side the inverse step hands to the kernel solve, its
+    # k x k block plus border rows from the kernel, matches the same
+    # series to 1e-14 relative
     mp = pytest.importorskip("mpmath")
     scn = parse_scenario(bundled_scenario("diagonal_inverse.scn"))
     model = OqhoModel(scn.theta, scn.drift, scn.dispersion)
     ccr = build_ccr_kernel(model, make_grid(1.0, 8))
     path = diagonal_lebesgue_path(ccr.grid, scn.pi)
     n = ccr.dim
+    handed = []
+
+    def capture(self, ham, support_index=None):
+        handed.append(ham)
+        return solve_measure(self, ham, support_index)
+
+    solve_measure = KernelSolver.solve_measure
+    monkeypatch.setattr(KernelSolver, "solve_measure", capture)
     for u, (entry, derivative) in enumerate(
         zip(path.entries, path.derivative_entries)
     ):
@@ -208,11 +219,16 @@ def test_superops_match_mpmath_on_the_diagonal_path():
         references = _mp_adjoint_series(mp, x, y)
         for op, reference in zip((ups_superop, sinhc_superop), references):
             value, bound = op(x, y)
-            # node u is computed on its first (u + 1) n columns; the
-            # border rows below them come from the divided differences
+            # x and y vanish beyond their first (u + 1) n columns, and so
+            # does the value
             assert not value[:, (u + 1) * n :].any()
             assert np.linalg.norm(value - reference) <= bound
             assert bound <= 1e-14 * np.linalg.norm(reference)
+            handed.clear()
+            solvers._inverse_step(op, entry, derivative, ccr, u)
+            (rhs,) = handed
+            gap = np.linalg.norm(rhs - reference)
+            assert gap <= 1e-14 * np.linalg.norm(reference), (u, op, gap)
 
 
 def test_superop_border_rows_match_mpmath(rng):
@@ -242,7 +258,7 @@ def test_superop_border_rows_match_mpmath(rng):
 
 
 def test_bridge_linear_algebra_stays_on_the_live_block(model2, pi2, monkeypatch):
-    # At node u the superoperators diagonalize a k_u x k_u block,
+    # At node u the inverse step diagonalizes a k_u x k_u block,
     # k_u = (u + 1) n, and extraction takes no exponential wider than
     # the 2 k_u of a block exponential.
     seen = []
@@ -261,11 +277,10 @@ def test_bridge_linear_algebra_stays_on_the_live_block(model2, pi2, monkeypatch)
     s_path = forward_csk_evolution(corner_atom_path(ccr.grid, pi2), ccr)
     for u in range(ccr.grid.node_count):
         k = (u + 1) * ccr.dim
-        x = 2j * ccr.big @ path.entries[u].weights
-        y = ccr.big @ path.derivative_entries[u].weights
+        entry, derivative = path.entries[u], path.derivative_entries[u]
         for op in (ups_superop, sinhc_superop):
             seen.clear()
-            op(x, y)
+            solvers._inverse_step(op, entry, derivative, ccr, u)
             assert seen == [k], (u, seen)
         seen.clear()
         qef_from_csk_path(s_path, ccr, nodes=[u])
@@ -285,25 +300,6 @@ def test_ups_series_matches_block_exponential(rng):
         reference = expm(block)[:k, k:]
         gap = np.linalg.norm(lie._ups_series(h) - reference)
         assert gap <= 1e-15 * np.linalg.norm(reference)
-
-
-def test_ups_divided_difference_matches_mpmath():
-    # inside the unit disk, outside it, and coincident points (Ups')
-    mp = pytest.importorskip("mpmath")
-    points = (0.0, 1e-9, 0.3 + 0.2j, -0.8j, 0.99, 1.5 - 0.5j, -3.0 + 2.0j, 4j)
-    z1, z2 = (np.array(p) for p in zip(*[(a, b) for a in points for b in points]))
-    value = lie._ups_divided_difference(z1, z2)
-    with mp.workdps(40):
-        def ups(z):
-            return (mp.exp(z) - 1) / z if z != 0 else mp.mpf(1)
-
-        for got, a, b in zip(value, z1, z2):
-            p, q = mp.mpc(a), mp.mpc(b)
-            if p == q:
-                ref = (mp.exp(p) - ups(p)) / p if p != 0 else mp.mpf(1) / 2
-            else:
-                ref = (ups(p) - ups(q)) / (p - q)
-            assert abs(got - complex(ref)) <= 1e-15 * abs(complex(ref)), (a, b)
 
 
 def test_superop_commuting_case_is_identity(rng):

@@ -180,6 +180,16 @@ def test_kernel_products_refuse_a_measure_of_another_dimension(model2):
         qef_psi_measure(wide, atomic_corner_measure(grid, 2, pi4), ccr)
 
 
+def test_pi_must_be_a_square_matrix():
+    # a 2 x 3 Pi used to fail inside numpy, broadcasting Pi against Pi^T
+    grid = make_grid(1.0, 4)
+    for pi in (np.ones((2, 3)), np.ones(2), np.ones((2, 2, 2)), 0.5):
+        with pytest.raises(ValueError, match="pi must be a square matrix"):
+            diagonal_lebesgue_measure(grid, 2, pi)
+        with pytest.raises(ValueError, match="pi must be a square matrix"):
+            diagonal_lebesgue_path(grid, pi)
+
+
 def test_triple_product_refuses_a_measure_of_another_dimension(model2):
     grid = make_grid(1.0, 8)
     ccr = build_ccr_kernel(model2, grid)

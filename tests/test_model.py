@@ -117,6 +117,19 @@ def test_laplace_point_strip(model2):
         laplace_point(model2, 1.5 * width)
 
 
+def test_non_finite_transform_points_and_lags_are_refused(model2):
+    # a NaN margin compared false with "<= 0" and passed the strip check
+    width = abs(spectral_abscissa(model2))
+    for s in (np.nan, 0.5 * width + np.nan * 1j, complex(0.1, np.inf), np.inf):
+        with pytest.raises(ValueError, match="s must be finite"):
+            laplace_point(model2, s)
+        with pytest.raises(ValueError, match="s must be finite"):
+            laplace_lambda(model2, s)
+    for tau in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="tau must be finite"):
+            ccr_two_point(model2, tau)
+
+
 def test_laplace_rational_matches_quadrature(model2):
     width = abs(spectral_abscissa(model2))
     for frac in (0.25, 0.5, 0.75):

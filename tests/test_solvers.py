@@ -5,6 +5,7 @@ import pytest
 from scipy.linalg import expm
 
 from quadexp import (
+    CcrKernel,
     CskPath,
     KernelMeasure,
     MeasurePath,
@@ -401,6 +402,31 @@ def test_roundtrip_n_direction_small(model2, pi2):
     ccr = build_ccr_kernel(model2, grid)
     residual = roundtrip_n_residual(diagonal_lebesgue_path(grid, pi2), ccr)
     assert residual <= 1e-6
+
+
+def test_inverse_needs_no_markov_structure_in_the_kernel(pi2):
+    # A random antisymmetric kernel has no state-space propagation of its
+    # rows; the inverse step's border rows, taken through the leading
+    # k x k block of the kernel, still pass the solve gate at rounding
+    # (measured 5.0e-15 relative)
+    grid = make_grid(1.0, 8)
+    r = np.random.default_rng(0).normal(size=(18, 18))
+    ccr = CcrKernel(grid, r - r.T)
+    assert max(np.linalg.cond(ccr.big[:k, :k]) for k in range(2, 19, 2)) < 1e3
+    result = inverse_toe_measure(diagonal_lebesgue_path(grid, pi2), ccr)
+    for report in result.solve_reports:
+        assert report.relative <= 1e-12
+    assert np.linalg.norm(result.f_path.entries[-1].weights) > 0.1
+
+
+def test_zero_kernel_inverts_to_zero_drivers(pi2):
+    # every leading block of the zero kernel is singular: the border rows
+    # fall back to least squares, as the kernel solve does
+    grid = make_grid(1.0, 4)
+    ccr = CcrKernel(grid, np.zeros((10, 10)))
+    result = inverse_toe_measure(diagonal_lebesgue_path(grid, pi2), ccr)
+    for entry in result.f_path.entries:
+        assert not entry.weights.any()
 
 
 def test_staggered_inverse_reproduces_flow(model2, pi2):
@@ -1113,6 +1139,21 @@ def test_chk_column_refuses_a_measure_of_another_dimension():
     q = KernelMeasure(grid, np.zeros((20, 20)))
     with pytest.raises(ValueError, match="measure has n = 4, the model n = 2"):
         chk_column_function(_laplace_demo_model(), q, 0)
+
+
+def test_chk_column_refuses_non_finite_times_and_transform_points():
+    # each used to return NaN, and recovery then died inside numpy's SVD
+    model = _laplace_demo_model()
+    grid = make_grid(8.0, 2)
+    column = chk_column_function(model, KernelMeasure(grid, np.zeros((6, 6))), 0)
+    for t in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="t must be finite"):
+            column(t)
+    for s in (np.nan, complex(0.1, np.nan), complex(0.1, np.inf)):
+        with pytest.raises(ValueError, match="s must be finite"):
+            column.transform(s)
+    with pytest.raises(ValueError, match="s must be finite"):
+        laplace_recover_measure(column, [np.nan] * 20)
 
 
 def _laplace_scenario_samples(model, grid):
