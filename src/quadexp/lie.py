@@ -20,20 +20,22 @@ the calculus both directions need:
   * the exponential of a stacked Hamiltonian kernel, which is a complex
     symplectic kernel preserving the commutator kernel congruence
     S Lambda S^T = Lambda, and the anchored matrix logarithm (with a
-    cancellation-free series for kernels near the identity) plus
-    least-squares kernel solve inverting it back to a measure, through
-    the factorization the commutator kernel owns (ccr.solver, built once).
+    cancellation-free series for kernels near the identity) plus the
+    kernel solve inverting it back to a measure (ccr.solver, which the
+    commutator kernel owns and keeps with its condition number).
 
 Measures at node u are supported in [0, t_u]^2, so the matrices the
 bridge passes here vanish beyond their first k = (u + 1) n columns
 (Hamiltonians, offsets, right-hand sides) or equal the identity there
-(symplectic kernels).  The near-identity logarithm, the congruence
-residual and the kernel solve find that k in their own input (a kernel
-path hands its stored live block to the residual, and extraction its
-offset block to the logarithm) and work on the k live columns; a dense
-input is the case k = size.  The superoperators are plain matrix
-functions of ad_x on their whole input: the inverse direction hands
-them the leading k x k blocks and takes the rows below from the kernel
+(symplectic kernels).  The near-identity logarithm and the congruence
+residual find that k in their own input (a kernel path hands its stored
+live block to the residual, and extraction its offset block to the
+logarithm) and work on the k live columns; a dense input is the case
+k = size.  The kernel solve takes k from the node u it is given and
+solves Lambda[:k, :k] W_11 = H_11 alone: the rows below k only check
+consistency.  The superoperators are plain matrix functions of ad_x on
+their whole input: the inverse direction hands them the leading k x k
+blocks and their value to the kernel solve as that leading block
 (solvers._inverse_step).
 
 Everything here is grid-level linear algebra; the time direction lives
@@ -46,10 +48,10 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm, logm, lu_factor, lu_solve
+from scipy.linalg import expm, logm
 
 from .errors import NumericalFailure
-from .measures import ChkMatrix, KernelMeasure, _live_width, project_support
+from .measures import ChkMatrix, KernelMeasure, _check_node, _live_width
 from .measures import lambda_product
 
 __all__ = [
@@ -178,11 +180,15 @@ def _eigenbasis(x):
     try:
         d, v = np.linalg.eig(x)
         cond = float(np.linalg.cond(v))
+        # an ill-conditioned basis is ruled out before V^{-1} is formed:
+        # the reconstruction of a near-defective x can overflow
+        if not cond < 1e6:
+            return None
         vinv = np.linalg.inv(v)
     except np.linalg.LinAlgError:
         return None
     recon = np.linalg.norm((v * d) @ vinv - x)
-    if cond < 1e6 and recon < 1e-10 * (1.0 + np.linalg.norm(x)):
+    if recon < 1e-10 * (1.0 + np.linalg.norm(x)):
         return d, v, vinv, cond
     return None
 
@@ -575,76 +581,85 @@ def csk_log_near_identity(offset, ccr, anchor=None):
 
 @dataclass(frozen=True)
 class ChkSolveReport:
-    """Diagnostics of a kernel least-squares solve."""
+    """Diagnostics of a kernel solve: the residual over the whole
+    right-hand side, absolute and relative to its norm, the kernel's
+    condition number, and ||R - R^T|| of the solution R before it is
+    symmetrized."""
 
     residual: float
     relative: float
     condition: float
     asymmetry: float
-    truncated_mass: float
 
 
 class KernelSolver:
-    """Factorization of a stacked commutator kernel, owned by the kernel.
+    """Solves against a stacked commutator kernel, owned by the kernel.
 
     ccr.solver builds it on first use and keeps it, so the condition
-    number and LU factors of a kernel are computed once however many
-    right-hand sides the bridge solves for.  A rank-deficient kernel (for
-    example when B J B^T is singular) is detected through the condition
-    estimate and falls back to least squares, whose residual then
-    reports the failure.
+    number of a kernel is computed once however many right-hand sides
+    the bridge solves for.  A rank-deficient kernel (for example when
+    B J B^T is singular) is detected through the condition estimate and
+    solved by least squares, whose residual then reports the failure.
 
-    Right-hand sides of the bridge vanish beyond their first k columns
-    (4i Lambda N for N supported in [0, t_u]^2, k = (u + 1) n), and so
-    does the solution: :meth:`solve_measure` finds k and solves for those
-    columns only.
+    A measure supported in [0, t_u]^2 has its masses in the leading
+    k x k block, k = (u + 1) n, so Lambda W = H reduces to
+    Lambda[:k, :k] W_11 = H_11: :meth:`solve_measure` solves that block
+    alone, and the rows below it only check consistency.
     """
 
     def __init__(self, ccr):
         self.ccr = ccr
         self.condition = float(np.linalg.cond(ccr.big))
-        self._lu = None
-        if np.isfinite(self.condition) and self.condition < 1e12:
-            self._lu = lu_factor(ccr.big)
-
-    def solve_raw(self, rhs):
-        if self._lu is not None:
-            return lu_solve(self._lu, rhs)
-        solution, *_ = np.linalg.lstsq(self.ccr.big, rhs, rcond=None)
-        return solution
 
     def solve_measure(self, ham, support_index=None):
-        """Measure with big @ weights = ham, symmetrized and projected.
+        """Measure W supported in [0, t_u]^2, u = support_index, with
+        Lambda W = ham.
 
-        The k live columns of ham are solved for; the solution's other
-        columns are exactly zero.  After symmetrizing and projecting the
-        weights vanish beyond some c x c block, so the residual is formed
-        from Lambda[:, :c] W[:c, :c], whose rows beyond c check the
-        consistency of the solve.
+        One solve, Lambda[:k, :k] R = ham[:k, :k] with k = (u + 1) n (all
+        rows when support_index is None), gives the window
+        W_11 = (R + R^T) / 2; least squares takes over when the kernel's
+        condition is not below 1e12 or the leading block is exactly
+        singular.  ham is the size x size right-hand side or just its
+        leading k x k block, whose rows below k are then
+        Lambda[k:, :k] R.  The residual Lambda W - ham is taken over
+        every row and column of the whole right-hand side.
 
-        Returns (KernelMeasure, ChkSolveReport); raises NumericalFailure
-        when ham is not finite or the final residual is not within
-        SOLVE_RELATIVE_TOL of ||ham|| (plus SOLVE_ABSOLUTE_TOL).
+        Returns (KernelMeasure, ChkSolveReport); raises ValueError unless
+        support_index is None or an integer in [0, N + 1) and ham has one
+        of the two shapes, and NumericalFailure when ham is not finite or
+        the residual is not within SOLVE_RELATIVE_TOL of the right-hand
+        side's norm (plus SOLVE_ABSOLUTE_TOL).
         """
+        big, grid, n = self.ccr.big, self.ccr.grid, self.ccr.dim
+        size = big.shape[0]
+        k = size
+        if support_index is not None:
+            k = (_check_node(support_index, grid.node_count, "support_index") + 1) * n
         ham = np.asarray(ham)
+        if ham.shape not in {(size, size), (k, k)}:
+            raise ValueError(
+                f"ham of shape {ham.shape} is neither {size} x {size} nor "
+                f"the leading {k} x {k} block"
+            )
         if not np.isfinite(ham).all():
             raise NumericalFailure("kernel solve: the Hamiltonian is not finite")
-        n = self.ccr.dim
-        k = _live_width(ham)
-        raw = np.zeros(ham.shape, dtype=complex)
-        raw[:, :k] = self.solve_raw(ham[:, :k])
+        lead = big[:k, :k]
+        raw = None
+        if self.condition < 1e12:  # False for inf and NaN
+            try:
+                raw = np.linalg.solve(lead, ham[:k, :k])
+            except np.linalg.LinAlgError:
+                pass
+        if raw is None:
+            raw = np.linalg.lstsq(lead, ham[:k, :k], rcond=None)[0]
         asymmetry = float(np.linalg.norm(raw - raw.T))
         w = 0.5 * (raw + raw.T)
-        measure = KernelMeasure._from_window(self.ccr.grid, n, 0, w)
-        truncated = 0.0
-        if support_index is not None:
-            measure, truncated = project_support(measure, support_index)
-        c = measure._hi
-        residual = float(np.hypot(
-            np.linalg.norm(self.ccr.big[:, :c] @ w[:c, :c] - ham[:, :c]),
-            np.linalg.norm(ham[:, c:]),
-        ))
-        ham_norm = float(np.linalg.norm(ham))
+        measure = KernelMeasure._from_window(grid, n, 0, w)
+        # the right-hand side's first k columns; those beyond k enter by norm
+        rhs = ham[:, :k] if len(ham) == size else np.vstack((ham, big[k:, :k] @ raw))
+        beyond = np.linalg.norm(ham[:, k:])
+        residual = float(np.hypot(np.linalg.norm(big[:, :k] @ w - rhs), beyond))
+        ham_norm = float(np.hypot(np.linalg.norm(rhs), beyond))
         if not residual <= ham_norm * SOLVE_RELATIVE_TOL + SOLVE_ABSOLUTE_TOL:
             raise NumericalFailure(
                 f"kernel solve residual {residual:.3e} exceeds "
@@ -652,10 +667,7 @@ class KernelSolver:
                 f"(condition {self.condition:.3e})"
             )
         relative = residual / ham_norm if ham_norm > 0.0 else 0.0
-        report = ChkSolveReport(
-            residual, relative, self.condition, asymmetry, truncated
-        )
-        return measure, report
+        return measure, ChkSolveReport(residual, relative, self.condition, asymmetry)
 
 
 def bch_product(q1, q2, ccr):

@@ -118,7 +118,7 @@ class CcrKernel:
     big is the real n(N+1) square matrix with block (j, k) equal to
     Lambda(t_j - t_k).  Kernel antisymmetry Lambda(-tau) = -Lambda(tau)^T
     makes big antisymmetric as a flat matrix, and block (j, j) equals
-    Theta for every j.  The kernel owns its factorization, :attr:`solver`,
+    Theta for every j.  The kernel owns its solver, :attr:`solver`,
     built on first use and shared by every later solve against it.
     big must be a finite square matrix whose size is a multiple of the
     node count, else ValueError.
@@ -149,7 +149,7 @@ class CcrKernel:
 
     @cached_property
     def solver(self):
-        """The :class:`lie.KernelSolver` of this kernel, factorized once."""
+        """The :class:`lie.KernelSolver` of this kernel, built once."""
         from .lie import KernelSolver  # lie imports this module
 
         return KernelSolver(self)

@@ -18,9 +18,10 @@ midpoint), which is exactly symplectic, so group-level invariants hold
 to rounding while node masses converge at second order.
 
 Measures in a path are supported in [0, t_u]^2 at node u; solvers
-restrict their kernel solves to that support and report the truncated
-mass.  Every solve runs through ccr.solver, the factorization the
-commutator kernel owns, so each kernel is factorized at most once.
+restrict their kernel solves to that support, one solve against the
+leading k x k block of Lambda each.  Every solve runs through
+ccr.solver, which the commutator kernel owns, so each kernel's
+condition number is computed at most once.
 Derivative entries, where a path carries them, follow the same
 convention (the diagonal family has the exact corner-atom derivative).
 Each measure stores only the window outside which its masses vanish,
@@ -29,14 +30,15 @@ Through Q -> 4i Lambda Q the support makes S_u the identity beyond its
 first k = (u + 1) n columns, and T_u - I, 4i Lambda N_u and the inverse
 direction's superoperator images zero there, so extraction and the
 inverse direction work on those k columns only; the inverse direction
-evaluates its superoperator on the leading k x k blocks and takes the
-rows below them from the kernel.  A kernel path stores just those
-columns, S_u[:, :k] per node (:class:`LiveColumns`), about half of
-N + 1 dense matrices; its readers (extraction, the congruence
-gates, the integrated T route) take the block and its width from the
-path, and a full node is built only when a caller indexes one.  The
-integrated T route keeps T_u the same way, at the width of S_u, and
-every solve against conj(S_u) returns its k live columns only.
+evaluates its superoperator on the leading k x k blocks and hands the
+value to the kernel solve as the leading block of Lambda M.  A kernel
+path stores just those columns, S_u[:, :k] per node
+(:class:`LiveColumns`), about half of N + 1 dense matrices; its readers
+(extraction, the congruence gates, the integrated T route) take the
+block and its width from the path, and a full node is built only when
+a caller indexes one.  The integrated T route keeps T_u the same way,
+at the width of S_u, and every solve against conj(S_u) returns its k
+live columns only.
 
 The integrator takes each step's driver as a midpoint measure, read on
 its window, never as a full matrix: the generator is nonzero only in
@@ -560,25 +562,16 @@ def _inverse_step(superop, n_measure, dn_measure, ccr, support_index):
     N, N' and, by the closure of the Lie algebra, M are supported in
     [0, t_u]^2, so the image vanishes beyond its first k = (u + 1) n
     columns and its rows below k are Lambda[k:, :k] M_11.  The
-    superoperator runs on the leading k x k blocks only and gives the top
-    block Lambda_11 M_11; the border rows follow by one solve against
-    Lambda_11 (least squares where that block is exactly singular), and
-    the kernel solve's gate checks the whole right-hand side.  Returns
-    (measure, rounding bound of the k x k superoperator evaluation,
-    solve report)."""
+    superoperator runs on the leading k x k blocks only, and its value
+    Lambda_11 M_11 goes to the kernel solve as the leading block of the
+    right-hand side, which solves for M_11 and gates the whole of it,
+    rows below k included.  Returns (measure, rounding bound of the
+    k x k superoperator evaluation, solve report)."""
     k = (support_index + 1) * ccr.dim
     h_n = lambda_product(ccr, n_measure).ham
     h_dn = lambda_product(ccr, dn_measure).ham
     top, err = superop(2j * h_n[:k, :k], h_dn[:k, :k])
-    lam_m = np.zeros_like(h_n)
-    lam_m[:k, :k] = top
-    if k < len(lam_m):
-        try:
-            lead = np.linalg.solve(ccr.big[:k, :k], top)
-        except np.linalg.LinAlgError:
-            lead = np.linalg.lstsq(ccr.big[:k, :k], top, rcond=None)[0]
-        lam_m[k:, :k] = ccr.big[k:, :k] @ lead
-    measure, report = ccr.solver.solve_measure(lam_m, support_index=support_index)
+    measure, report = ccr.solver.solve_measure(top, support_index=support_index)
     return measure, err, report
 
 
@@ -586,8 +579,8 @@ def _inverse_step(superop, n_measure, dn_measure, ccr, support_index):
 class InverseResult:
     """Driver path recovered from a measure path, with diagnostics;
     quad_errors holds the rounding bound of :func:`ups_superop` per node,
-    on its k x k evaluation (the border rows add one leading-block solve,
-    which the solve gate checks)."""
+    on its k x k evaluation, and solve_reports the kernel solve's, whose
+    residual covers the rows below k too."""
 
     f_path: MeasurePath
     quad_errors: tuple
@@ -600,9 +593,8 @@ def inverse_toe_measure(n_path, ccr):
     Node-aligned form of Lambda F_t = Ups(2i ad_{Lambda N_t})(Lambda N'_t):
     the path must carry derivative entries (the diagonal family has
     exact ones).  Each node costs one closed-form superoperator on the
-    leading k x k blocks, one solve against the kernel's leading block
-    for the rows below them, and one support-restricted kernel solve
-    (:func:`_inverse_step`).
+    leading k x k blocks and one kernel solve against the kernel's
+    leading k x k block (:func:`_inverse_step`).
     """
     if n_path.derivative_entries is None:
         raise ValueError("inverse direction needs derivative entries on the path")

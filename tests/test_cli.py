@@ -391,7 +391,7 @@ def test_roundtrip_task_integrates_and_extracts_its_flow_once(tmp_path, monkeypa
     # from the diagonal path are integrated once each; the corner-atom
     # flow, its regenerated flow and the recovered driver's flow are
     # extracted once each.  The task's own extraction feeds the
-    # flow-closure check, and one factorised kernel serves every solve.
+    # flow-closure check, and one kernel solver serves every solve.
     counts = {"forward_csk_evolution": 0, "qef_from_csk_path": 0, "KernelSolver": 0}
     for name in ("forward_csk_evolution", "qef_from_csk_path"):
         original = getattr(solvers, name)
@@ -424,9 +424,11 @@ def test_roundtrip_task_integrates_and_extracts_its_flow_once(tmp_path, monkeypa
 
 
 def test_each_bundled_scenario_factorizes_each_kernel_once(tmp_path, monkeypatch):
-    # The factorization belongs to the kernel (ccr.solver): every solve
-    # against a kernel shares it.  atomic_roundtrip builds one kernel per
-    # refinement level, and the forward task's refined levels solve nothing.
+    # The solver belongs to the kernel (ccr.solver): every solve against a
+    # kernel shares it and the condition number it computes once; each
+    # solve then runs on the kernel's leading block.  atomic_roundtrip
+    # builds one kernel per refinement level, and the forward task's
+    # refined levels solve nothing.
     expected = {"zero_forward": 1, "diagonal_inverse": 1, "spde_fast": 1,
                 "atomic_roundtrip": 3}
     kernels = []

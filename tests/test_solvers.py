@@ -406,9 +406,9 @@ def test_roundtrip_n_direction_small(model2, pi2):
 
 def test_inverse_needs_no_markov_structure_in_the_kernel(pi2):
     # A random antisymmetric kernel has no state-space propagation of its
-    # rows; the inverse step's border rows, taken through the leading
-    # k x k block of the kernel, still pass the solve gate at rounding
-    # (measured 5.0e-15 relative)
+    # rows; the inverse step's rows below the leading k x k block, formed
+    # by the kernel solve from its leading-block solution, still pass the
+    # solve gate at rounding (measured 5.0e-15 relative)
     grid = make_grid(1.0, 8)
     r = np.random.default_rng(0).normal(size=(18, 18))
     ccr = CcrKernel(grid, r - r.T)
@@ -420,13 +420,31 @@ def test_inverse_needs_no_markov_structure_in_the_kernel(pi2):
 
 
 def test_zero_kernel_inverts_to_zero_drivers(pi2):
-    # every leading block of the zero kernel is singular: the border rows
-    # fall back to least squares, as the kernel solve does
+    # the zero kernel and each of its leading blocks are singular: every
+    # solve of the inverse step falls back to least squares
     grid = make_grid(1.0, 4)
     ccr = CcrKernel(grid, np.zeros((10, 10)))
     result = inverse_toe_measure(diagonal_lebesgue_path(grid, pi2), ccr)
     for entry in result.f_path.entries:
         assert not entry.weights.any()
+
+
+def test_asymmetric_superop_image_trips_the_inverse_solve_gate(ccr16, pi2, monkeypatch):
+    # Lambda M is the image of a symmetric M; an antisymmetric term added
+    # to the k x k block the superoperator returns leaves the symmetrized
+    # solution short of the whole right-hand side, rows below k included
+    ups = solvers.ups_superop
+    r = np.random.default_rng(3).normal(size=ccr16.big.shape)
+
+    def skewed(x, y):
+        top, err = ups(x, y)
+        k = len(top)
+        skew = r[:k, :k] - r[:k, :k].T
+        return top + 1e-3 * np.linalg.norm(top) * skew / np.linalg.norm(skew), err
+
+    monkeypatch.setattr(solvers, "ups_superop", skewed)
+    with pytest.raises(NumericalFailure, match="kernel solve residual"):
+        inverse_toe_measure(diagonal_lebesgue_path(ccr16.grid, pi2), ccr16)
 
 
 def test_staggered_inverse_reproduces_flow(model2, pi2):
