@@ -29,14 +29,16 @@ bridge passes here vanish beyond their first k = (u + 1) n columns
 (Hamiltonians, offsets, right-hand sides) or equal the identity there
 (symplectic kernels).  The near-identity logarithm and the congruence
 residual find that k in their own input (a kernel path hands its stored
-live block to the residual, and extraction its offset block to the
-logarithm) and work on the k live columns; a dense input is the case
-k = size.  The kernel solve takes k from the node u it is given and
-solves Lambda[:k, :k] W_11 = H_11 alone: the rows below k only check
-consistency.  The superoperators are plain matrix functions of ad_x on
-their whole input: the inverse direction hands them the leading k x k
-blocks and their value to the kernel solve as that leading block
-(solvers._inverse_step).
+live block to the residual) and work on the k live columns; a dense
+input is the case k = size.  Extraction takes the logarithm of
+T = conj(S)^{-1} S on those columns in real arithmetic, through its
+Cayley form (solvers.qef_from_csk_path), with the series and the
+reconstruction bound supplied here.  The kernel solve takes k from the
+node u it is given and solves Lambda[:k, :k] W_11 = H_11 alone: the
+rows below k only check consistency.  The superoperators are plain
+matrix functions of ad_x on their whole input: the inverse direction
+hands them the leading k x k blocks and their value to the kernel solve
+as that leading block (solvers._inverse_step).
 
 Everything here is grid-level linear algebra; the time direction lives
 in the solver module.
@@ -76,12 +78,15 @@ __all__ = [
 # Safety bound on the 1-norm of an exponent before expm is attempted.
 EXP_NORM_BOUND = 50.0
 
-# The anchored logarithm must reproduce its input to this relative accuracy.
+# The anchored logarithm must reproduce its input to this relative accuracy;
+# extraction's real route holds its bound on ||exp(H) - T||_F to it with
+# scale 1 (lie._cayley_gap_bound).
 LOG_RECONSTRUCTION_TOL = 1e-9
 
 # The Gregory series for the logarithm near the identity is used while the
-# 1-norm of Z = X (2I + X)^{-1} stays below this (at most 24 products);
-# larger offsets go through the anchored principal logarithm.
+# 1-norm of Z = X (2I + X)^{-1}, or of extraction's Y = (Re S)^{-1} Im S
+# with Z = iY, stays below this (at most 24 products); larger offsets go
+# through the anchored principal logarithm.
 GREGORY_RADIUS = 0.5
 
 # Kernel solve acceptance: residual over ||ham||.
@@ -176,9 +181,18 @@ def _adjoint_norm_bound(x):
 
 def _eigenbasis(x):
     """(d, v, v^{-1}, cond(v)) with x = v diag(d) v^{-1}, or None when
-    cond(v) >= 1e6 or the basis misses x by 1e-10 (1 + ||x||)."""
+    cond(v) >= 1e6 or the basis misses x by 1e-10 (1 + ||x||).
+
+    An x with no nonzero real part is i times the real matrix x.imag,
+    whose real eigenproblem (half the work of the complex one) gives v
+    and mu, with d = i mu.
+    """
     try:
-        d, v = np.linalg.eig(x)
+        if x.real.any():
+            d, v = np.linalg.eig(x)
+        else:
+            mu, v = np.linalg.eig(x.imag)
+            d = 1j * mu
         cond = float(np.linalg.cond(v))
         # an ill-conditioned basis is ruled out before V^{-1} is formed:
         # the reconstruction of a near-defective x can overflow
@@ -205,7 +219,11 @@ def _adjoint_function(x, y, scalar, symmetric):
     k x k blocks only, :func:`solvers._inverse_step`).  In an eigenbasis
     x = V D V^{-1} the Daleckii-Krein form (Higham, Functions of
     Matrices, SIAM 2008, Thm 3.11) gives V (f(d_i - d_j) o V^{-1} y V)
-    V^{-1}.  Without a well-conditioned eigenbasis of x, one block
+    V^{-1}.  The basis comes from one eig (:func:`_eigenbasis`), of the
+    real matrix x.imag when x has no nonzero real part, as x = 2i Lambda N
+    has for a measure N stored with an exactly zero imaginary part (the
+    diagonal path, and the staggered inverse of extracted measures).
+    Without a well-conditioned eigenbasis of x, one block
     exponential of [[x, y], [0, x]] (Van Loan, IEEE TAC 1978) gives E = e^x
     and the corner C, so Ups(ad_x)(y) = C e^{-x} and Ups(-ad_x)(y) =
     e^{-x} C.
@@ -403,23 +421,76 @@ def _anchor_matrix(anchor, shape):
     return anchor_mat
 
 
-def _gregory_factor(z, radius):
-    """G = sum_j z^{2j} / (2j + 1), so that 2 atanh(z) = 2 z G.
+def _gregory_factor(w, radius):
+    """G = sum_j w^j / (2j + 1), in the dtype of w: w = z^2 gives
+    2 atanh(z) = 2 z G, and w = -y^2 gives atan(y) = y G.
 
-    With radius r >= ||z||_1, r < 1, the tail of 2 atanh(z) after the
-    degree-d term is at most r^(d+2) / ((d+2)(1 - r^2)); terms stop once
-    that falls below eps/2 relative to the leading term r.
+    With radius r >= ||z||_1 (or ||y||_1), r < 1, ||w^j||_1 <= r^(2j), so
+    the tail of either series after the degree-d term is at most
+    r^(d+2) / ((d+2)(1 - r^2)); terms stop once that falls below eps/2
+    relative to the leading term r.
     """
     eps = np.finfo(float).eps
-    z2 = z @ z
-    term = np.eye(z.shape[0], dtype=complex)
+    term = np.eye(w.shape[0], dtype=w.dtype)
     acc = term.copy()
     degree = 1
     while radius ** (degree + 1) > 0.5 * eps * (degree + 2) * (1.0 - radius * radius):
-        term = term @ z2
+        term = term @ w
         degree += 2
         acc = acc + term / degree
     return acc
+
+
+def _sin_cos_factors(w, radius):
+    """(P, Q) = (sum_m (-w)^m / (2m + 1)!, sum_m (-w)^m / (2m + 2)!), so
+    that sin(x) = x P(x^2) and cos(x) = I - x^2 Q(x^2) for w = x^2.
+
+    With radius r >= ||x||_1, ||w^m||_1 <= r^(2m), and for r <= 1 the
+    tails of both series after the degree-m term are below
+    1.05 r^(2m+2) / (2m+3)!; terms stop once r^(2m+2) / (2m+3)! falls
+    below eps/4.
+    """
+    eps = np.finfo(float).eps
+    term = np.eye(w.shape[0])
+    p, q = term.copy(), 0.5 * term
+    m, factorial = 0, 2.0  # (2m + 2)!
+    while radius ** (2 * m + 2) > 0.25 * eps * factorial * (2 * m + 3):
+        m += 1
+        term = -(term @ w)
+        factorial *= 2 * m + 1
+        p += term / factorial
+        factorial *= 2 * m + 2
+        q += term / factorial
+    return p, q
+
+
+def _cayley_gap_bound(theta, y):
+    """Bound on ||exp(2i Theta) - T||_F, T = (I + iY)(I - iY)^{-1}, for
+    real Theta and Y that vanish beyond their first k columns, given as
+    those columns (size x k), with ||Y||_1 < 1.
+
+    For any Theta, exp(2i Theta) - T = 2i e^{i Theta} R (I - iY)^{-1}
+    exactly, with R = sin(Theta) - cos(Theta) Y, and R vanishes beyond
+    column k, as Theta and Y do.  So the gap is at most
+    sqrt(k) 2 e^{||Theta||_1} ||R||_1 / (1 - ||Y||_1) in the Frobenius
+    norm.  R is formed in real arithmetic on the k columns: with P and Q
+    of :func:`_sin_cos_factors` at Theta_11^2, sin(Theta) = Theta P and
+    cos(Theta) = I - Theta Theta_11 Q there, so
+    R = Theta (P + Theta_11 Q Y_11) - Y.  R is exactly zero when
+    Theta = atan(Y), so the bound is rounding of R (2.4e-17 to 7.4e-16
+    on the corner-atom flows of the test fixtures at N = 8, 2.3 to 8.7
+    times the 40-digit gap), while a wrong series shows at its own size
+    (8.0e-7 to 2.1e-3 there with the atan series cut after one term).
+    """
+    k = theta.shape[1]
+    if not k:
+        return 0.0
+    t11 = theta[:k]
+    radius = float(np.linalg.norm(theta, 1))
+    p, q = _sin_cos_factors(t11 @ t11, radius)
+    r = theta @ (p + (t11 @ q) @ y[:k]) - y
+    scale = 2.0 * np.exp(radius) / (1.0 - np.linalg.norm(y, 1))
+    return float(np.sqrt(k) * scale * np.linalg.norm(r, 1))
 
 
 def _ups_series(h):
@@ -525,8 +596,13 @@ def csk_log_near_identity(offset, ccr, anchor=None):
     X vanishes beyond its first k columns (found in X; k = size is the
     general case), X = [[X_11, 0], [X_21, 0]], and so do Z and H:
     Z_11 = X_11 (2I + X_11)^{-1}, Z_21 = X_21 (I - Z_11) / 2, and with
-    G = sum_j Z_11^{2j} / (2j + 1) the series gives H_11 = 2 Z_11 G and
-    H_21 = 2 Z_21 G.
+    G = sum_j Z_11^{2j} / (2j + 1) (:func:`_gregory_factor` at Z_11^2)
+    the series gives H_11 = 2 Z_11 G and H_21 = 2 Z_21 G.
+
+    This is the complex route for any near-identity offset.  Extraction
+    does not take it: there X = T - I with T = conj(S)^{-1} S, so Z is
+    exactly imaginary, and :func:`solvers.qef_from_csk_path` forms
+    Z / i and the same series in real arithmetic from S itself.
 
     S passes the CskMatrix congruence gate, taken on its live columns
     S[:, :k] = X[:, :k] + I[:, :k] by :func:`symplectic_residual_raw`,
@@ -560,7 +636,7 @@ def csk_log_near_identity(offset, ccr, anchor=None):
     if not radius <= GREGORY_RADIUS:
         return fallback()
     ham = np.zeros((size, size), dtype=complex)
-    ham[:, :k] = 2.0 * (z @ _gregory_factor(z11, radius))
+    ham[:, :k] = 2.0 * (z @ _gregory_factor(z11 @ z11, radius))
     # exp(H) - S = H Ups(H) - X, whose columns beyond k vanish
     residual = np.linalg.norm(ham[:, :k] @ _ups_series(ham[:k, :k]) - live)
     # each of the size - k identity columns adds 1 to ||S||_F^2
@@ -654,7 +730,10 @@ class KernelSolver:
             raw = np.linalg.lstsq(lead, ham[:k, :k], rcond=None)[0]
         asymmetry = float(np.linalg.norm(raw - raw.T))
         w = 0.5 * (raw + raw.T)
-        measure = KernelMeasure._from_window(grid, n, 0, w)
+        # a real right-hand side solves in real arithmetic; the window is
+        # stored complex all the same
+        window = w.astype(complex, copy=False)
+        measure = KernelMeasure._from_window(grid, n, 0, window)
         # the right-hand side's first k columns; those beyond k enter by norm
         rhs = ham[:, :k] if len(ham) == size else np.vstack((ham, big[k:, :k] @ raw))
         beyond = np.linalg.norm(ham[:, k:])

@@ -426,13 +426,18 @@ def split_sym_antisym(raw, ccr):
     return KernelMeasure(ccr.grid, raw), scalar  # the constructor symmetrizes
 
 
+def _check_kernel_measure(ccr, q):
+    """Raise ValueError unless q is on the kernel's grid with its n."""
+    _check_same_grid(ccr.grid, q.grid)
+    if q.dim != ccr.dim:
+        raise ValueError(f"measure has n = {q.dim}, the kernel n = {ccr.dim}")
+
+
 def lambda_product(ccr, q):
     """Complex Hamiltonian kernel of a measure: ham = big @ weights, formed
     as big[:, lo:hi] times the window W[lo:hi, lo:hi] in columns lo:hi.
     Raises ValueError unless q is on the kernel's grid with its n."""
-    _check_same_grid(ccr.grid, q.grid)
-    if q.dim != ccr.dim:
-        raise ValueError(f"measure has n = {q.dim}, the kernel n = {ccr.dim}")
+    _check_kernel_measure(ccr, q)
     ham = np.zeros(ccr.big.shape, dtype=complex)
     ham[:, q._lo : q._hi] = ccr.big[:, q._lo : q._hi] @ q._window
     return ChkMatrix(ccr.grid, ham, q)
@@ -491,9 +496,16 @@ def kernel_weighted_norm(ccr, weights):
             f"weights of shape {weights.shape} are not on the kernel's "
             f"{ccr.big.shape}"
         )
-    k = max(_live_width(weights), _live_width(weights.T))
-    lam = ccr.big[:, :k]
-    return float(np.linalg.norm(lam @ weights[:k, :k] @ lam.T))
+    return _window_weighted_norm(ccr, 0, weights)
+
+
+def _window_weighted_norm(ccr, lo, window):
+    """:func:`kernel_weighted_norm` of masses that vanish outside
+    W[lo:hi, lo:hi] = window, as Lambda[:, lo:lo+k] W[lo:lo+k, lo:lo+k]
+    Lambda[:, lo:lo+k]^T with W zero beyond lo + k."""
+    k = max(_live_width(window), _live_width(window.T))
+    lam = ccr.big[:, lo : lo + k]
+    return float(np.linalg.norm(lam @ window[:k, :k] @ lam.T))
 
 
 def _edge_offset(q, u):

@@ -38,7 +38,10 @@ path stores just those columns, S_u[:, :k] per node
 block and its width from the path, and a full node is built only when
 a caller indexes one.  The integrated T route keeps T_u the same way,
 at the width of S_u, and every solve against conj(S_u) returns its k
-live columns only.
+live columns only.  Extraction needs no such solve: the Cayley
+transform of T_u is i Y_u with the real Y_u = (Re S_u)^{-1} Im S_u, so
+each node's logarithm and kernel solve run in real arithmetic and the
+measures come out real by construction (:func:`qef_from_csk_path`).
 
 The integrator takes each step's driver as a midpoint measure, read on
 its window, never as a full matrix: the generator is nonzero only in
@@ -59,10 +62,15 @@ from scipy.linalg import expm
 
 from .errors import NumericalFailure
 from .lie import (
+    GREGORY_RADIUS,
+    LOG_RECONSTRUCTION_TOL,
+    CskMatrix,
+    _cayley_gap_bound,
     _check_symplectic,
+    _gregory_factor,
     _ups_series,
     _widen,
-    csk_log_near_identity,
+    csk_log,
     mho_superop,
     sinhc_superop,
     symplectic_residual_raw,
@@ -71,15 +79,16 @@ from .lie import (
 from .measures import (
     KernelMeasure,
     _block_norms,
+    _check_kernel_measure,
     _check_node,
     _common_window,
     _lambda_columns,
     _live_width,
     _midpoint,
+    _window_weighted_norm,
     atomic_corner_measure,
     build_ccr_kernel,
     diagonal_lebesgue_measure,
-    kernel_weighted_norm,
     lambda_product,
 )
 from .model import laplace_lambda, laplace_point
@@ -416,14 +425,14 @@ class QefForwardResult:
     """Measures N_{t_u} extracted from a driver path, with diagnostics.
 
     reality_residuals[i] is ||Im W_N|| / (1 + ||W_N||) at the extracted
-    node node_indices[i]; the normal ordering theorem asserts N is real,
-    and the factorization T = conj(S)^{-1} S preserves that exactly.
-    The extraction keeps it: Z = (T - I)(T + I)^{-1} is exactly
-    imaginary when conj(T) T = I, and its series logarithm stays so to
-    rounding, so these sit at rounding level on every grid (measured
-    1e-17 to 3e-15 at N = 8..128), not at eps times cond(Lambda_big).
-    Neither T nor the kernel path is kept: :func:`t_route_residual`
-    forms T from the flow itself.
+    node node_indices[i]; the normal ordering theorem asserts N is real.
+    The extraction keeps it so by construction: the series route forms
+    Lambda N = atan(Y) / 2 from the real Y = (Re S)^{-1} Im S in real
+    arithmetic, so N has no imaginary part and these read exactly 0.
+    Only a node past the series radius, which takes the anchored
+    complex logarithm, can read nonzero, at rounding level.  Neither T
+    nor the kernel path is kept: :func:`t_route_residual` forms T from
+    the flow itself.
     """
 
     grid: object
@@ -453,24 +462,96 @@ def _conj_solve(live, rhs):
     return np.vstack((x11, rhs[k:] - np.conj(live[k:]) @ x11))
 
 
+def _atan_theta(live, prev):
+    """Theta = atan(Y)[:, :k], Y = (Re S)^{-1} Im S, on the series route of
+    :func:`_extract_node`, or None where that route does not apply.
+
+    live = S[:, :k] with S = [[A, 0], [B, I]], so Y = [[Y_11, 0], [Y_21, 0]]
+    with Y_11 = (Re A)^{-1} Im A (one real k x k solve) and
+    Y_21 = Im B - Re B Y_11, and Theta = Y G with G of
+    :func:`lie._gregory_factor` at -Y_11^2.  None when Re A is singular,
+    when ||Y||_1 exceeds GREGORY_RADIUS, or when 2i Theta lies pi or more
+    (in the 2-norm) from the previous node's 4i Lambda N = 2i prev.  Raises
+    NumericalFailure when the bound of :func:`lie._cayley_gap_bound` on
+    ||exp(2i Theta) - T||_F exceeds LOG_RECONSTRUCTION_TOL.
+    """
+    k = live.shape[1]
+    try:
+        y11 = np.linalg.solve(live[:k].real, live[:k].imag)
+    except np.linalg.LinAlgError:
+        return None
+    y = np.vstack((y11, live[k:].imag - live[k:].real @ y11))
+    radius = float(np.linalg.norm(y, 1)) if k else 0.0
+    if not radius <= GREGORY_RADIUS:
+        return None
+    theta = y @ _gregory_factor(-(y11 @ y11), radius)
+    if not _cayley_gap_bound(theta, y) <= LOG_RECONSTRUCTION_TOL:
+        raise NumericalFailure("logarithm failed to reconstruct its input")
+    if prev is not None:
+        gap = np.zeros((len(live), max(k, prev.shape[1])), np.result_type(theta, prev))
+        gap[:, :k] = theta
+        gap[:, : prev.shape[1]] -= prev
+        # ||.||_2 <= ||.||_F: the SVD runs only when the bound does not settle it
+        if 2.0 * np.linalg.norm(gap) >= np.pi and 2.0 * np.linalg.norm(gap, 2) >= np.pi:
+            return None
+    return theta
+
+
+def _extract_node(live, ccr, prev):
+    """(Lambda N_u, Theta_u) at one node from its live block S_u[:, :k].
+
+    S_u passes the CskMatrix congruence gate on its live block.  With
+    T = conj(S)^{-1} S, T + I = 2 conj(S)^{-1} Re S and
+    T - I = 2i conj(S)^{-1} Im S, so Z = (T - I)(T + I)^{-1} = iY with the
+    real Y = (Re S)^{-1} Im S, and log T = 2 atanh(Z) = 2i atan(Y): the
+    series route (:func:`_atan_theta`) gives 4i Lambda N_u = 2i Theta
+    with Lambda N_u = Theta / 2 real, returned as a real size x size
+    right-hand side zero beyond column k.  Where that route does not
+    apply, T is formed through its offset (:func:`_conj_solve`) and the
+    anchored :func:`lie.csk_log` gives 4i Lambda N_u = H, anchored at
+    2i prev, and Lambda N_u = H / 4i.  Theta_u = 4i Lambda N_u / 2i, the
+    next node's prev, is the real k columns of Theta or H / 2i.
+    """
+    _check_symplectic(*symplectic_residual_raw(live, ccr.big))
+    size, k = live.shape
+    theta = _atan_theta(live, prev)
+    if theta is not None:
+        rhs = np.zeros((size, size))
+        rhs[:, :k] = 0.5 * theta
+        return rhs, theta
+    t_mat = _widen(np.eye(size, k) + _conj_solve(live, 2j * live.imag), size)
+    anchor = None
+    if prev is not None:
+        anchor = np.zeros((size, size), dtype=complex)
+        anchor[:, : prev.shape[1]] = 2j * prev
+    ham = csk_log(CskMatrix(ccr.grid, t_mat, ccr), anchor).ham
+    return ham / 4j, ham / 2j
+
+
 def qef_from_csk_path(s_path, ccr, nodes=None):
     """Quadratic-exponential measures extracted from a computed kernel path.
 
     For each requested node the normal-ordering factorization
-    T_u = conj(S_u)^{-1} S_u is taken on the computed kernel through its
-    offset T_u - I = 2i conj(S_u)^{-1} Im S_u (:func:`_conj_solve`), which
-    has no cancellation and is handed on as its live columns;
-    :func:`csk_log_near_identity` recovers 4i Lambda N_u from it, and the
-    kernel solve restricted to [0, t_u]^2 yields N_u.  nodes=None
-    extracts at every node; a sparse selection saves the logarithms.
+    T_u = conj(S_u)^{-1} S_u = exp(4i Lambda N_u) is taken through its
+    Cayley form: Z = (T - I)(T + I)^{-1} is i times the real
+    Y = (Re S_u)^{-1} Im S_u, so 4i Lambda N_u = log T = 2i atan(Y), and
+    the node runs in real arithmetic throughout (:func:`_extract_node`):
+    one real k x k solve for Y, the alternating Gregory series for
+    Theta = atan(Y) within GREGORY_RADIUS, and the kernel solve
+    restricted to [0, t_u]^2 of the real right-hand side Theta / 2.  N_u
+    is then real by construction.  Past the series radius, or when the
+    anchor test fails, the node forms T and takes the anchored complex
+    logarithm instead.  nodes=None extracts at every node; a sparse
+    selection saves the logarithms.
 
     Each stage works on the live block of its input: the path stores
     S_u as its first k columns, beyond which it is the identity (k =
     (u + 1) n for the flows of nonanticipative drivers, k = size
-    otherwise), the offset, the logarithm and the solve then take
-    O(size^2 k) work in place of O(size^3), and every gate
-    (congruence, reconstruction, anchor, solve residual) still runs on
-    its full-size quantity.
+    otherwise), so Y, Theta and the solve take O(size k^2) work in place
+    of O(size^3).  Every gate runs at every node: the congruence of S_u,
+    the reconstruction of T (on the series route by the real bound of
+    :func:`lie._cayley_gap_bound`, against LOG_RECONSTRUCTION_TOL), the
+    anchor, and the solve residual over every row of Theta / 2.
 
     The logarithm anchor is carried from the previously extracted node,
     keeping the branch continuous along the path.  Raises ValueError
@@ -489,12 +570,10 @@ def qef_from_csk_path(s_path, ccr, nodes=None):
     measures = []
     reality = []
     reports = []
-    anchor = None
+    prev = None
     for u in indices:
-        live = s_path.mats.live(u)
-        offset = _conj_solve(live, 2j * live.imag)
-        anchor = csk_log_near_identity(offset, ccr, anchor=anchor).ham
-        measure, report = ccr.solver.solve_measure(anchor / 4j, support_index=u)
+        rhs, prev = _extract_node(s_path.mats.live(u), ccr, prev)
+        measure, report = ccr.solver.solve_measure(rhs, support_index=u)
         measures.append(measure)
         reports.append(report)
         reality.append(measure.reality_residual)
@@ -562,17 +641,29 @@ def _inverse_step(superop, n_measure, dn_measure, ccr, support_index):
     N, N' and, by the closure of the Lie algebra, M are supported in
     [0, t_u]^2, so the image vanishes beyond its first k = (u + 1) n
     columns and its rows below k are Lambda[k:, :k] M_11.  The
-    superoperator runs on the leading k x k blocks only, and its value
+    superoperator runs on the leading k x k blocks only, each formed
+    from its measure's window (:func:`_leading_lambda`), and its value
     Lambda_11 M_11 goes to the kernel solve as the leading block of the
     right-hand side, which solves for M_11 and gates the whole of it,
     rows below k included.  Returns (measure, rounding bound of the
     k x k superoperator evaluation, solve report)."""
     k = (support_index + 1) * ccr.dim
-    h_n = lambda_product(ccr, n_measure).ham
-    h_dn = lambda_product(ccr, dn_measure).ham
-    top, err = superop(2j * h_n[:k, :k], h_dn[:k, :k])
+    x = 2j * _leading_lambda(ccr, n_measure, k)
+    top, err = superop(x, _leading_lambda(ccr, dn_measure, k))
     measure, report = ccr.solver.solve_measure(top, support_index=support_index)
     return measure, err, report
+
+
+def _leading_lambda(ccr, q, k):
+    """(Lambda W)[:k, :k] for the masses W of q, formed from its window as
+    Lambda[:k, lo:hi] W[lo:hi, lo:k]; raises ValueError unless q is on
+    the kernel's grid with its n."""
+    _check_kernel_measure(ccr, q)
+    lo, hi = q._lo, q._hi
+    out = np.zeros((k, k), dtype=complex)
+    if lo < k:
+        out[:, lo : min(hi, k)] = ccr.big[:k, lo:hi] @ q._window[:, : k - lo]
+    return out
 
 
 @dataclass(frozen=True)
@@ -659,16 +750,18 @@ def _relative_gaps(ccr, got, want):
     """Per-node gaps ||got_u - want_u|| over the largest ||want_u||.
 
     got and want are sequences of measures, both norms kernel-weighted
-    (:func:`kernel_weighted_norm` of the weights): node masses of singular
-    measures depend on grid alignment at order one, so raw weight
-    distances overstate the gap between equal measures.  When every
-    target vanishes the gaps are returned unscaled.
+    (:func:`measures.kernel_weighted_norm`, here of the windows, the
+    difference taken on :func:`measures._common_window`): node masses of
+    singular measures depend on grid alignment at order one, so raw
+    weight distances overstate the gap between equal measures.  When
+    every target vanishes the gaps are returned unscaled.
     """
     gaps = []
     den = 0.0
     for g, w in zip(got, want):
-        gaps.append(kernel_weighted_norm(ccr, g.weights - w.weights))
-        den = max(den, kernel_weighted_norm(ccr, w.weights))
+        lo, _, w_g, w_w = _common_window(g, w)
+        gaps.append(_window_weighted_norm(ccr, lo, w_g - w_w))
+        den = max(den, _window_weighted_norm(ccr, w._lo, w._window))
     return [gap / den if den > 0.0 else gap for gap in gaps]
 
 

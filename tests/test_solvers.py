@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.linalg import expm
+from scipy.linalg import expm, logm
 
 from quadexp import (
     CcrKernel,
@@ -270,6 +270,102 @@ def test_terminal_measure_matches_mpmath_reference():
         assert qef.reality_residuals[0] <= 1e-14
 
 
+def _mp_to_numpy(m):
+    return np.array([[complex(m[i, j]) for j in range(m.cols)] for i in range(m.rows)])
+
+
+def _mp_log_near_identity(mp, t):
+    """log T = 2 atanh(Z), Z = (T - I)(T + I)^{-1}, at the working
+    precision: terms are summed until one has 1-norm below 1e-45, and
+    with ||Z||_1 <= 1/2 the tail after it is at most a third of that."""
+    eye = mp.eye(t.rows)
+    z = (t - eye) * mp.inverse(t + eye)
+    z2 = z * z
+    term, acc, degree = z, z, 1
+    while mp.mnorm(term, 1) > mp.mpf(10) ** -45:
+        term = term * z2
+        degree += 2
+        acc += term / degree
+    return 2 * acc
+
+
+def test_real_extraction_matches_mpmath_and_its_gate_bound(
+    model2, model4, pi2, monkeypatch
+):
+    # Nodes 2, 5 and 8 of the N = 8 corner-atom flows of both fixture
+    # models (Pi = pi2 and 0.05 I) against 40 digits from the same float
+    # S: T = conj(S)^{-1} S, log T_11 by the atanh series of its Cayley
+    # transform, and the solve of Lambda_11 N_11 = log T_11 / 4i.
+    #  - the extracted N_11 lies within 4 eps cond(Lambda_11) ||N_11||_F;
+    #    measured 0.11 to 0.24 times eps cond(Lambda_11) ||N_11||_F;
+    #  - the reconstruction gate's bound is at least the 40-digit
+    #    ||exp(2i Theta) - T||_1 of the Theta the route formed; measured
+    #    2.3 to 8.7 times it;
+    #  - with the atan series cut after one term (Theta = Y) the gate
+    #    trips; its bound then read 8.0e-7 to 2.1e-3 against 1e-9.
+    mp = pytest.importorskip("mpmath")
+    eps = np.finfo(float).eps
+    gap_bound = solvers._cayley_gap_bound
+    for model, pi in ((model2, pi2), (model4, 0.05 * np.eye(4))):
+        ccr = build_ccr_kernel(model, make_grid(1.0, 8))
+        s_path = forward_csk_evolution(corner_atom_path(ccr.grid, pi), ccr)
+        size = ccr.big.shape[0]
+        for u in (2, 5, 8):
+            k = (u + 1) * ccr.dim
+            seen = []
+
+            def capture(theta, y):
+                seen.append((theta, gap_bound(theta, y)))
+                return seen[-1][1]
+
+            with monkeypatch.context() as patch:
+                patch.setattr(solvers, "_cayley_gap_bound", capture)
+                got = qef_from_csk_path(s_path, ccr, nodes=[u]).measures[0].weights
+            ((theta, bound),) = seen
+            assert theta.shape == (size, k)
+            lead = ccr.big[:k, :k]
+            with mp.workdps(40):
+                s = mp.matrix(s_path.mats[u].tolist())
+                t = mp.inverse(s.conjugate()) * s
+                ham11 = _mp_log_near_identity(mp, t[:k, :k])
+                w = mp.inverse(mp.matrix(lead.tolist())) * (ham11 / mp.mpc(0, 4))
+                want = _mp_to_numpy((w + w.T) / 2)
+                exponent = np.zeros((size, size), dtype=complex)
+                exponent[:, :k] = 2j * theta
+                gap = float(mp.mnorm(mp.expm(mp.matrix(exponent.tolist())) - t, 1))
+            assert not got[k:].any() and not got[:, k:].any()
+            err = np.linalg.norm(got[:k, :k] - want)
+            scale = eps * np.linalg.cond(lead) * np.linalg.norm(want)
+            assert err <= 4 * scale, (u, err / scale)
+            assert gap <= bound, (u, gap, bound)
+            with monkeypatch.context() as patch:
+                # G = I: Theta = Y, the atan series cut after one term
+                patch.setattr(solvers, "_gregory_factor", lambda w, r: np.eye(len(w)))
+                with pytest.raises(NumericalFailure, match="failed to reconstruct"):
+                    qef_from_csk_path(s_path, ccr, nodes=[u])
+
+
+def test_extraction_past_the_series_radius_takes_the_anchored_logarithm(model2, pi2):
+    # at 30 Pi the N = 8 flow leaves the series radius after node 1: the
+    # series nodes come out exactly real, the later ones through the
+    # anchored complex logarithm of T, anchored node to node, real to
+    # rounding; every node matches scipy's logm of the full T, solved
+    # against the full kernel and cropped to [0, t_u]^2, within 1e-11
+    # (measured at most 7.3e-13, with entries up to 0.76)
+    ccr = build_ccr_kernel(model2, make_grid(1.0, 8))
+    s_path = forward_csk_evolution(corner_atom_path(ccr.grid, 30.0 * pi2), ccr)
+    qef = qef_from_csk_path(s_path, ccr)
+    assert qef.reality_residuals[1] == 0.0
+    assert 0.0 < min(qef.reality_residuals[2:]) and max(qef.reality_residuals) <= 1e-12
+    for u, measure in enumerate(qef.measures):
+        s_u = s_path.mats[u]
+        raw = np.linalg.solve(ccr.big, logm(np.linalg.solve(np.conj(s_u), s_u)) / 4j)
+        want = 0.5 * (raw + raw.T)
+        edge = (u + 1) * ccr.dim
+        want[edge:], want[:, edge:] = 0.0, 0.0
+        assert np.abs(measure.weights - want).max() <= 1e-11, u
+
+
 def test_spde_scenario_terminal_measure_is_real_to_rounding():
     # eps * cond(Lambda_big) would be about 1e-11 on this grid
     scn, model = _spde_scenario()
@@ -354,8 +450,10 @@ def test_two_route_agreement_refines_at_second_order(model2, pi2):
 
 def test_t_route_check_runs_no_extraction(ccr16, pi2, monkeypatch):
     # The factorized T is formed from the flow itself: no extraction,
-    # logarithm or kernel solve runs inside the check.
-    zero = {"qef_from_csk_path": 0, "csk_log_near_identity": 0, "solve_measure": 0}
+    # logarithm (the series route of an extracted node or the anchored
+    # csk_log) or kernel solve runs inside the check.
+    names = ("qef_from_csk_path", "_extract_node", "csk_log")
+    zero = dict.fromkeys((*names, "solve_measure"), 0)
     counts = dict(zero)
 
     def counting(name, original):
@@ -365,7 +463,7 @@ def test_t_route_check_runs_no_extraction(ccr16, pi2, monkeypatch):
 
         return counted
 
-    for name in ("qef_from_csk_path", "csk_log_near_identity"):
+    for name in names:
         monkeypatch.setattr(solvers, name, counting(name, getattr(solvers, name)))
     monkeypatch.setattr(
         KernelSolver,
