@@ -15,11 +15,10 @@ index set: only the kept rows and columns of each commutator are formed.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm, schur
 
 from .errors import NumericalFailure
 from .measures import build_ccr_kernel
-from .model import symplectic_j
+from .model import expm, symplectic_j
 
 __all__ = [
     "TruncatedMode",
@@ -155,6 +154,10 @@ class VariableSet:
 
 def _positive_schur_blocks(theta):
     """Real Schur congruence theta = Z T Z^T with T in 2x2 blocks [[0, v], [-v, 0]], v > 0."""
+    # Local import: scipy.linalg costs about 0.3 s per process, and only
+    # the oracle needs a real Schur form
+    from scipy.linalg import schur
+
     t, z = schur(np.asarray(theta, dtype=float), output="real")
     n = theta.shape[0]
     scales = []

@@ -50,11 +50,11 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm, logm
 
 from .errors import NumericalFailure
 from .measures import ChkMatrix, KernelMeasure, _check_node, _live_width
 from .measures import lambda_product
+from .model import expm
 
 __all__ = [
     "CskMatrix",
@@ -373,7 +373,9 @@ def symplectic_residual_raw(mat, big):
     size = mat.shape[0]
     k = _live_width(mat - np.eye(size, mat.shape[1]))
     offset = mat[:, :k] - np.eye(size, k)
-    m = offset @ big[:k, :]
+    # Lambda is real: two real products in place of one complex zgemm
+    lead = big[:k, :]
+    m = offset.real @ lead + 1j * (offset.imag @ lead)
     residual = m - m.T
     residual += m[:, :k] @ offset.T
     norm2 = np.linalg.norm(mat[:, :k]) ** 2 + (size - k)
@@ -401,6 +403,10 @@ def chk_exp(chk, ccr):
 
 
 def _principal_log(mat):
+    # Local import: scipy.linalg costs about 0.3 s per process, and only
+    # this fallback takes a general logarithm
+    from scipy.linalg import logm
+
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         ham = logm(mat)
@@ -535,10 +541,8 @@ def csk_log(csk, anchor=None):
     mat = csk.mat
     anchor_mat = _anchor_matrix(anchor, mat.shape)
 
-    ham = _principal_log(mat)
-    if not _log_reconstruction_ok(ham, mat):
-        raise NumericalFailure("logarithm failed to reconstruct its input")
-
+    # the ambiguity is checked first: at an eigenvalue on the axis the
+    # principal logarithm itself may fail, by rounding, to reconstruct S
     if anchor_mat is None:
         eigvals = np.linalg.eigvals(mat)
         angles = np.abs(np.pi - np.abs(np.angle(eigvals)))
@@ -547,6 +551,12 @@ def csk_log(csk, anchor=None):
                 "eigenvalue on the negative real axis: logarithm branch is "
                 "ambiguous without an anchor"
             )
+
+    ham = _principal_log(mat)
+    if not _log_reconstruction_ok(ham, mat):
+        raise NumericalFailure("logarithm failed to reconstruct its input")
+
+    if anchor_mat is None:
         return ChkMatrix(csk.grid, ham, None)
 
     if np.linalg.norm(ham - anchor_mat, 2) < np.pi:

@@ -58,7 +58,6 @@ import operator
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import NumericalFailure
 from .lie import (
@@ -91,7 +90,7 @@ from .measures import (
     diagonal_lebesgue_measure,
     lambda_product,
 )
-from .model import laplace_lambda, laplace_point
+from .model import expm, laplace_lambda, laplace_point
 
 __all__ = [
     "MeasurePath",

@@ -63,8 +63,16 @@ def _fresh_modules(code, prefixes, *args):
 
 
 # scipy.integrate drags optimize, sparse and special in with it, about
-# 0.3 s per process; quadrature imports it where it runs
-HEAVY_SCIPY = ("scipy.integrate", "scipy.optimize", "scipy.special", "scipy.sparse")
+# 0.3 s per process; quadrature imports it where it runs.  scipy.linalg
+# costs about as much again: the matrix exponential is model.expm, and
+# scipy.linalg loads only for the oracle's Schur form and csk_log's logm
+HEAVY_SCIPY = (
+    "scipy.integrate",
+    "scipy.linalg",
+    "scipy.optimize",
+    "scipy.special",
+    "scipy.sparse",
+)
 
 
 def test_import_loads_no_heavy_scipy_subpackage():
@@ -81,3 +89,25 @@ def test_laplace_task_loads_no_scipy_integrate(tmp_path):
         "assert code == 0, code"
     )
     assert _fresh_modules(run, HEAVY_SCIPY, tmp_path / "out") == "[]"
+
+
+def test_tasks_but_the_oracle_load_no_heavy_scipy_subpackage(tmp_path):
+    # each bundled scenario but the oracle's, at N = 4, in one process
+    run = (
+        "import re, shutil, sys\n"
+        "from pathlib import Path\n"
+        "from quadexp.cli import bundled_scenario, run_scenario\n"
+        "out = Path(sys.argv[1])\n"
+        "shutil.copy(bundled_scenario('oscillator.mod'), out)\n"
+        "for name in ('zero_forward', 'diagonal_inverse', 'spde_fast',\n"
+        "             'laplace_recovery', 'atomic_roundtrip'):\n"
+        "    text = bundled_scenario(name + '.scn').read_text()\n"
+        "    path = out / (name + '.scn')\n"
+        "    path.write_text(re.sub(r'(?m)^N = \\d+$', 'N = 4', text))\n"
+        "    code = run_scenario(path, output_dir=out / name)\n"
+        "    assert code == 0, (name, code)\n"
+    )
+    assert _fresh_modules(run, HEAVY_SCIPY, tmp_path) == "[]"
+    for scenario in tmp_path.glob("*.scn"):
+        assert "N = 4" in scenario.read_text()
+    assert len(list(tmp_path.glob("*.scn"))) == 5

@@ -916,10 +916,12 @@ def _dense_update_loop(mids, ccr):
 
 
 def _dense_expm_loop(mids, ccr):
-    """expm(M_u) @ S_u on dense matrices, as the reference integrator steps."""
+    """expm(M_u) @ S_u on dense matrices, as the reference integrator steps,
+    with the library's expm so that both sides run the same arithmetic."""
     mats = [np.eye(ccr.big.shape[0], dtype=complex)]
     for q in mids:
-        mats.append(expm(2j * ccr.grid.step * (ccr.big @ q.weights)) @ mats[-1])
+        step = solvers.expm(2j * ccr.grid.step * (ccr.big @ q.weights))
+        mats.append(step @ mats[-1])
     return mats
 
 
