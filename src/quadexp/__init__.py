@@ -51,7 +51,6 @@ from .lie import (
     bch_product,
     chk_exp,
     csk_log,
-    csk_log_near_identity,
     magnus_derivative_check,
     mho_scalar,
     mho_superop,

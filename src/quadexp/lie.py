@@ -19,26 +19,29 @@ the calculus both directions need:
     Bernoulli series (radius 2 pi, guarded);
   * the exponential of a stacked Hamiltonian kernel, which is a complex
     symplectic kernel preserving the commutator kernel congruence
-    S Lambda S^T = Lambda, and the anchored matrix logarithm (with a
-    cancellation-free series for kernels near the identity) plus the
-    kernel solve inverting it back to a measure (ccr.solver, which the
-    commutator kernel owns and keeps with its condition number).
+    S Lambda S^T = Lambda, the anchored matrix logarithm, and the kernel
+    solve inverting it back to a measure (ccr.solver, which the
+    commutator kernel owns and keeps with its condition number);
+  * the power series in one matrix that the other layers sum near zero
+    (atan's Gregory series, sin and cos, Ups), each a coefficient rule
+    and a degree handed to one Horner evaluation.
 
 Measures at node u are supported in [0, t_u]^2, so the matrices the
 bridge passes here vanish beyond their first k = (u + 1) n columns
 (Hamiltonians, offsets, right-hand sides) or equal the identity there
-(symplectic kernels).  The near-identity logarithm and the congruence
-residual find that k in their own input (a kernel path hands its stored
-live block to the residual) and work on the k live columns; a dense
-input is the case k = size.  Extraction takes the logarithm of
-T = conj(S)^{-1} S on those columns in real arithmetic, through its
-Cayley form (solvers.qef_from_csk_path), with the series and the
-reconstruction bound supplied here.  The kernel solve takes k from the
-node u it is given and solves Lambda[:k, :k] W_11 = H_11 alone: the
-rows below k only check consistency.  The superoperators are plain
-matrix functions of ad_x on their whole input: the inverse direction
-hands them the leading k x k blocks and their value to the kernel solve
-as that leading block (solvers._inverse_step).
+(symplectic kernels).  The congruence residual finds that k in its own
+input (a kernel path hands its stored live block to it) and works on
+the k live columns; a dense input is the case k = size.  Extraction
+takes the logarithm of T = conj(S)^{-1} S on those columns in real
+arithmetic, through its Cayley form (solvers.qef_from_csk_path), with
+the atan series and the reconstruction bound supplied here; past the
+series radius it takes the anchored logarithm of T.  The kernel solve
+takes k from the node u it is given and solves
+Lambda[:k, :k] W_11 = H_11 alone: the rows below k only check
+consistency.  The superoperators are plain matrix functions of ad_x on
+their whole input: the inverse direction hands them the leading k x k
+blocks and their value to the kernel solve as that leading block
+(solvers._inverse_step).
 
 Everything here is grid-level linear algebra; the time direction lives
 in the solver module.
@@ -46,6 +49,7 @@ in the solver module.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -69,7 +73,6 @@ __all__ = [
     "mho_superop",
     "chk_exp",
     "csk_log",
-    "csk_log_near_identity",
     "symplectic_residual",
     "bch_product",
     "magnus_derivative_check",
@@ -83,9 +86,8 @@ EXP_NORM_BOUND = 50.0
 # scale 1 (lie._cayley_gap_bound).
 LOG_RECONSTRUCTION_TOL = 1e-9
 
-# The Gregory series for the logarithm near the identity is used while the
-# 1-norm of Z = X (2I + X)^{-1}, or of extraction's Y = (Re S)^{-1} Im S
-# with Z = iY, stays below this (at most 24 products); larger offsets go
+# Extraction sums the Gregory series for atan(Y), Y = (Re S)^{-1} Im S,
+# while ||Y||_1 stays below this (at most 24 products); larger offsets go
 # through the anchored principal logarithm.
 GREGORY_RADIUS = 0.5
 
@@ -350,15 +352,6 @@ def _check_symplectic(residual, scale):
         )
 
 
-def _widen(live, width):
-    """S[:, :max(k, width)] as a new writable array, from the leading
-    columns live = S[:, :k] of a matrix S that is the identity beyond them."""
-    size, k = live.shape
-    out = np.eye(size, max(k, width), dtype=complex)
-    out[:, :k] = live
-    return out
-
-
 def symplectic_residual_raw(mat, big):
     """(||S Lambda S^T - Lambda||_F, 1 + ||Lambda||_F ||S||_F^2).
 
@@ -418,33 +411,35 @@ def _log_reconstruction_ok(ham, mat):
     return residual <= LOG_RECONSTRUCTION_TOL * max(np.linalg.norm(mat), 1.0)
 
 
-def _anchor_matrix(anchor, shape):
-    if anchor is None:
-        return None
-    anchor_mat = anchor.ham if isinstance(anchor, ChkMatrix) else np.asarray(anchor)
-    if anchor_mat.shape != shape:
-        raise ValueError("anchor shape does not match the kernel")
-    return anchor_mat
+def _polynomial(w, coeffs):
+    """sum_j coeffs[j] w^j for a square matrix w, in the dtype of w.
+
+    Horner's rule (Higham, Functions of Matrices, SIAM 2008, sec. 4.2):
+    one product per degree above 0 and no stored powers.
+    """
+    k = w.shape[0]
+    acc = coeffs[-1] * np.eye(k, dtype=w.dtype)
+    for coeff in reversed(coeffs[:-1]):
+        acc = w @ acc
+        acc.flat[:: k + 1] += coeff
+    return acc
 
 
 def _gregory_factor(w, radius):
-    """G = sum_j w^j / (2j + 1), in the dtype of w: w = z^2 gives
-    2 atanh(z) = 2 z G, and w = -y^2 gives atan(y) = y G.
+    """G = sum_j w^j / (2j + 1) for the real w = -y^2, so that
+    atan(y) = y G: the Gregory series (Higham, Functions of Matrices,
+    SIAM 2008, sec. 11.3) with alternating signs.
 
-    With radius r >= ||z||_1 (or ||y||_1), r < 1, ||w^j||_1 <= r^(2j), so
-    the tail of either series after the degree-d term is at most
+    With radius r >= ||y||_1, r < 1, ||w^j||_1 <= r^(2j), so the tail of
+    the series after the degree-d term in y is at most
     r^(d+2) / ((d+2)(1 - r^2)); terms stop once that falls below eps/2
     relative to the leading term r.
     """
     eps = np.finfo(float).eps
-    term = np.eye(w.shape[0], dtype=w.dtype)
-    acc = term.copy()
     degree = 1
     while radius ** (degree + 1) > 0.5 * eps * (degree + 2) * (1.0 - radius * radius):
-        term = term @ w
         degree += 2
-        acc = acc + term / degree
-    return acc
+    return _polynomial(w, 1.0 / np.arange(1, degree + 1, 2))
 
 
 def _sin_cos_factors(w, radius):
@@ -457,17 +452,12 @@ def _sin_cos_factors(w, radius):
     below eps/4.
     """
     eps = np.finfo(float).eps
-    term = np.eye(w.shape[0])
-    p, q = term.copy(), 0.5 * term
-    m, factorial = 0, 2.0  # (2m + 2)!
-    while radius ** (2 * m + 2) > 0.25 * eps * factorial * (2 * m + 3):
+    m = 0
+    while radius ** (2 * m + 2) > 0.25 * eps * math.factorial(2 * m + 3):
         m += 1
-        term = -(term @ w)
-        factorial *= 2 * m + 1
-        p += term / factorial
-        factorial *= 2 * m + 2
-        q += term / factorial
-    return p, q
+    # (-1)^(j // 2) / (j + 1)!: P takes the even j, Q the odd
+    coeffs = [(-1) ** (j // 2) / math.factorial(j + 1) for j in range(2 * m + 2)]
+    return _polynomial(w, coeffs[0::2]), _polynomial(w, coeffs[1::2])
 
 
 def _cayley_gap_bound(theta, y):
@@ -483,8 +473,8 @@ def _cayley_gap_bound(theta, y):
     of :func:`_sin_cos_factors` at Theta_11^2, sin(Theta) = Theta P and
     cos(Theta) = I - Theta Theta_11 Q there, so
     R = Theta (P + Theta_11 Q Y_11) - Y.  R is exactly zero when
-    Theta = atan(Y), so the bound is rounding of R (2.4e-17 to 7.4e-16
-    on the corner-atom flows of the test fixtures at N = 8, 2.3 to 8.7
+    Theta = atan(Y), so the bound is rounding of R (1.9e-17 to 5.4e-16
+    on the corner-atom flows of the test fixtures at N = 8, 2.5 to 9.1
     times the 40-digit gap), while a wrong series shows at its own size
     (8.0e-7 to 2.1e-3 there with the atan series cut after one term).
     """
@@ -500,28 +490,33 @@ def _cayley_gap_bound(theta, y):
 
 
 def _ups_series(h):
-    """Ups(h) = sum_m h^m / (m+1)! by Horner's rule.
+    """Ups(h) = sum_m h^m / (m+1)!, summed by :func:`_polynomial`.
 
     With r = ||h||_1 the tail after degree d is at most
-    r^(d+1) / (d+2)! / (1 - r/(d+3)); terms stop once r^(d+1) / (d+2)!
-    falls below eps/4.  Its two callers bound the radius: the Gregory
-    series of :func:`csk_log_near_identity` keeps ||H||_1 below
-    2 atanh(GREGORY_RADIUS) < 1.1, where at most 18 terms are needed and
-    none cancels, and the integrator's step gate keeps ||M_CC||_1 <= 1.
+    r^(d+1) / (d+2)! / (1 - r/(d+3)).  The one caller, the integrator's
+    step (solvers._live_blocks), multiplies the value by M_C, whose rows
+    C are h, and adds the product to a node of norm at least 1, so the
+    tail is measured after that factor r: terms stop once
+    r^(d+2) / (d+2)! falls below eps/4.  The step gate keeps
+    ||M_CC||_1 <= 1, where at most 18 terms are needed and none cancels.
     """
     eps = np.finfo(float).eps
     radius = float(np.linalg.norm(h, 1)) if h.size else 0.0
     coeffs = [1.0]
-    tail = 0.5 * radius
+    tail = 0.5 * radius * radius
     while tail > 0.25 * eps:
         coeffs.append(coeffs[-1] / (len(coeffs) + 1))
         tail *= radius / (len(coeffs) + 1)
-    k = h.shape[0]
-    acc = coeffs[-1] * np.eye(k, dtype=complex)
-    for coeff in reversed(coeffs[:-1]):
-        acc = h @ acc
-        acc.flat[:: k + 1] += coeff
-    return acc
+    return _polynomial(h, coeffs)
+
+
+def _within_pi(gap):
+    """||gap||_2 < pi, the test for a logarithm near its anchor.
+
+    ||.||_2 <= ||.||_F, so the SVD runs only when the Frobenius norm does
+    not settle it.
+    """
+    return np.linalg.norm(gap) < np.pi or np.linalg.norm(gap, 2) < np.pi
 
 
 def csk_log(csk, anchor=None):
@@ -539,7 +534,11 @@ def csk_log(csk, anchor=None):
     LOG_RECONSTRUCTION_TOL relative accuracy is enforced.
     """
     mat = csk.mat
-    anchor_mat = _anchor_matrix(anchor, mat.shape)
+    anchor_mat = anchor.ham if isinstance(anchor, ChkMatrix) else anchor
+    if anchor_mat is not None:
+        anchor_mat = np.asarray(anchor_mat)
+        if anchor_mat.shape != mat.shape:
+            raise ValueError("anchor shape does not match the kernel")
 
     # the ambiguity is checked first: at an eigenvalue on the axis the
     # principal logarithm itself may fail, by rounding, to reconstruct S
@@ -559,7 +558,7 @@ def csk_log(csk, anchor=None):
     if anchor_mat is None:
         return ChkMatrix(csk.grid, ham, None)
 
-    if np.linalg.norm(ham - anchor_mat, 2) < np.pi:
+    if _within_pi(ham - anchor_mat):
         return ChkMatrix(csk.grid, ham, None)
 
     # Principal branch is far from the anchor: look for 2 pi i shifts of
@@ -582,84 +581,12 @@ def csk_log(csk, anchor=None):
         raise NumericalFailure(
             "branch-corrected logarithm failed to reconstruct its input"
         )
-    if np.linalg.norm(ham - anchor_mat, 2) >= np.pi:
+    if not _within_pi(ham - anchor_mat):
         raise NumericalFailure(
             "negative-axis crossing: no branch of the logarithm lies near "
             "the anchor"
         )
     return ChkMatrix(csk.grid, ham, None)
-
-
-def csk_log_near_identity(offset, ccr, anchor=None):
-    """Hamiltonian kernel H with exp(H) = I + offset, free of cancellation.
-
-    The symplectic kernel S = I + X is given through its offset X, formed
-    by the caller without cancellation, or through its leading columns
-    X[:, :j], j <= size, beyond which X vanishes (the convention of
-    :func:`symplectic_residual_raw`).  Near the identity the principal
-    logarithm is log S = 2 atanh(Z) with Z = X (2I + X)^{-1}, summed by
-    its odd (Gregory) power series (Higham, Functions of Matrices, SIAM
-    2008, sec. 11.3), so H carries rounding relative to its own size
-    rather than to ||S||.  For ||Z|| < 1 the spectrum of S lies in the
-    right half-plane, away from the branch cut.
-
-    X vanishes beyond its first k columns (found in X; k = size is the
-    general case), X = [[X_11, 0], [X_21, 0]], and so do Z and H:
-    Z_11 = X_11 (2I + X_11)^{-1}, Z_21 = X_21 (I - Z_11) / 2, and with
-    G = sum_j Z_11^{2j} / (2j + 1) (:func:`_gregory_factor` at Z_11^2)
-    the series gives H_11 = 2 Z_11 G and H_21 = 2 Z_21 G.
-
-    This is the complex route for any near-identity offset.  Extraction
-    does not take it: there X = T - I with T = conj(S)^{-1} S, so Z is
-    exactly imaginary, and :func:`solvers.qef_from_csk_path` forms
-    Z / i and the same series in real arithmetic from S itself.
-
-    S passes the CskMatrix congruence gate, taken on its live columns
-    S[:, :k] = X[:, :k] + I[:, :k] by :func:`symplectic_residual_raw`,
-    and H the reconstruction check of :func:`csk_log`, evaluated as
-    exp(H) - S = H Ups(H) - X with H Ups(H) = [[H_11 Ups(H_11), 0],
-    [H_21 Ups(H_11), 0]] and scaled by ||S||_F from the same columns.
-    When ||Z||_1 exceeds GREGORY_RADIUS, or the series result is not
-    within pi of the anchor, the anchored :func:`csk_log` of S, widened
-    to full size only then, is returned instead.  H is size x size.
-    """
-    offset = np.asarray(offset, dtype=complex)
-    size = ccr.big.shape[0]
-    if offset.ndim != 2 or offset.shape[0] != size or offset.shape[1] > size:
-        raise ValueError("matrix shape does not match the kernel")
-    anchor_mat = _anchor_matrix(anchor, ccr.big.shape)
-    k = _live_width(offset)
-    live = offset[:, :k]
-    s_live = live + np.eye(size, k)
-    _check_symplectic(*symplectic_residual_raw(s_live, ccr.big))
-
-    def fallback():
-        return csk_log(CskMatrix(ccr.grid, _widen(s_live, size), ccr), anchor_mat)
-
-    try:
-        # X_11 commutes with 2I + X_11, so either side of the division gives Z_11
-        z11 = np.linalg.solve(2.0 * np.eye(k) + live[:k], live[:k])
-    except np.linalg.LinAlgError:
-        return fallback()
-    z = np.vstack([z11, 0.5 * (live[k:] - live[k:] @ z11)])
-    radius = float(np.linalg.norm(z, 1)) if k else 0.0
-    if not radius <= GREGORY_RADIUS:
-        return fallback()
-    ham = np.zeros((size, size), dtype=complex)
-    ham[:, :k] = 2.0 * (z @ _gregory_factor(z11 @ z11, radius))
-    # exp(H) - S = H Ups(H) - X, whose columns beyond k vanish
-    residual = np.linalg.norm(ham[:, :k] @ _ups_series(ham[:k, :k]) - live)
-    # each of the size - k identity columns adds 1 to ||S||_F^2
-    s_norm = np.sqrt(np.linalg.norm(s_live) ** 2 + (size - k))
-    if not residual <= LOG_RECONSTRUCTION_TOL * max(s_norm, 1.0):
-        raise NumericalFailure("logarithm failed to reconstruct its input")
-    if anchor_mat is not None:
-        wide = max(k, _live_width(anchor_mat))
-        gap = ham[:, :wide] - anchor_mat[:, :wide]
-        # ||.||_2 <= ||.||_F: the SVD runs only when the bound does not settle it
-        if np.linalg.norm(gap) >= np.pi and np.linalg.norm(gap, 2) >= np.pi:
-            return fallback()
-    return ChkMatrix(ccr.grid, ham, None)
 
 
 # ---------------------------------------------------------------------------

@@ -68,7 +68,7 @@ from .lie import (
     _check_symplectic,
     _gregory_factor,
     _ups_series,
-    _widen,
+    _within_pi,
     csk_log,
     mho_superop,
     sinhc_superop,
@@ -165,6 +165,15 @@ class MeasurePath:
         return self.entries[0].dim
 
 
+def _widen(live, width):
+    """S[:, :max(k, width)] as a new writable array, from the leading
+    columns live = S[:, :k] of a matrix S that is the identity beyond them."""
+    size, k = live.shape
+    out = np.eye(size, max(k, width), dtype=complex)
+    out[:, :k] = live
+    return out
+
+
 class LiveColumns:
     """Read-only stack of kernel path nodes, each kept as its live columns.
 
@@ -174,7 +183,7 @@ class LiveColumns:
     caller memory.  The stack reads as a sequence of size x size nodes:
     len(), integer and negative indexing, iteration and shape, with item
     u built on access as the identity with its first k_u columns
-    replaced (:func:`lie._widen`).  :meth:`live` returns the stored block
+    replaced (:func:`_widen`).  :meth:`live` returns the stored block
     itself, and nbytes counts the stored blocks, each once.
 
     A block that is read-only and owns its memory is kept as is (the
@@ -490,8 +499,7 @@ def _atan_theta(live, prev):
         gap = np.zeros((len(live), max(k, prev.shape[1])), np.result_type(theta, prev))
         gap[:, :k] = theta
         gap[:, : prev.shape[1]] -= prev
-        # ||.||_2 <= ||.||_F: the SVD runs only when the bound does not settle it
-        if 2.0 * np.linalg.norm(gap) >= np.pi and 2.0 * np.linalg.norm(gap, 2) >= np.pi:
+        if not _within_pi(2.0 * gap):
             return None
     return theta
 
@@ -595,7 +603,7 @@ def _t_steps(f_path, ccr, s_path):
     """T_0[:, :k_0], T_1[:, :k_1], ... of :func:`forward_t_evolution`, one
     read-only block at a time, k_u the stored width of S_u.
 
-    Step u widens the blocks of T_u and S_u to k = k_{u+1} (:func:`lie._widen`),
+    Step u widens the blocks of T_u and S_u to k = k_{u+1} (:func:`_widen`),
     forms S_mid[:, :k] from the two flow blocks, and adds the k columns
     :func:`_conj_solve` returns for the right-hand side
     Lambda (Re F)_mid S_mid[:, :k] = Re(Lambda[:, C] W[C, C]) S_mid[C, :k]

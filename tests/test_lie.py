@@ -19,7 +19,6 @@ from quadexp import (
     chk_exp,
     corner_atom_path,
     csk_log,
-    csk_log_near_identity,
     diagonal_lebesgue_path,
     forward_csk_evolution,
     lambda_product,
@@ -39,7 +38,6 @@ from quadexp import (
 from quadexp.cli import bundled_scenario, parse_scenario
 from quadexp import lie, solvers
 from quadexp.lie import GREGORY_RADIUS
-from quadexp.measures import _live_width
 
 
 # Reference series, kept local to the tests: 40 Taylor terms bound the
@@ -348,8 +346,8 @@ def test_staggered_inverse_real_eigenbasis_matches_the_complex_route(model2, pi2
 
 
 def test_ups_series_matches_block_exponential(rng):
-    # the reconstruction check's Ups(H_11), up to the largest 1-norm the
-    # Gregory series admits, against the block exponential [[H, I], [0, 0]]
+    # the integrator step's Ups(M_CC), at 1-norms from 0 past the step
+    # gate's 1, against the block exponential [[H, I], [0, 0]]
     k = 6
     for norm in (0.0, 0.05, 1.1):
         h = rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
@@ -360,6 +358,96 @@ def test_ups_series_matches_block_exponential(rng):
         reference = expm(block)[:k, k:]
         gap = np.linalg.norm(lie._ups_series(h) - reference)
         assert gap <= 1e-15 * np.linalg.norm(reference)
+
+
+def _norm1_sum(coeffs, norm):
+    """p~(norm) = sum_j |c_j| norm^j."""
+    return sum(abs(c) * norm**j for j, c in enumerate(coeffs))
+
+
+def test_polynomial_matches_explicit_power_sums(rng):
+    # Horner's rule against sum_j c_j w^j formed term by term, both in
+    # floating point.  Each is within d k eps p~(||w||_1) of the exact
+    # value in the 1-norm for degree d (Higham, Functions of Matrices,
+    # 2008, Thm 4.5, with constant 2 for complex products and eps = 2u),
+    # so the bound is twice that.  A real w gives a real value.
+    eps = np.finfo(float).eps
+    worst = 0.0
+    for k in (0, 1, 6):
+        real = rng.normal(size=(k, k))
+        for w in (real, real + 1j * rng.normal(size=(k, k))):
+            if k:
+                w = w * (0.9 / np.linalg.norm(w, 1))
+            norm = np.linalg.norm(w, 1) if k else 0.0
+            for coeffs in ([2.5], list(rng.normal(size=7))):
+                value = lie._polynomial(w, coeffs)
+                assert value.dtype == w.dtype and value.shape == (k, k)
+                reference = sum(
+                    c * np.linalg.matrix_power(w, j) for j, c in enumerate(coeffs)
+                )
+                degree = len(coeffs) - 1
+                bound = 2.0 * degree * k * eps * _norm1_sum(coeffs, norm)
+                gap = np.linalg.norm(value - reference, 1) if k else 0.0
+                assert gap <= bound, (k, w.dtype, degree, gap, bound)
+                if bound:
+                    worst = max(worst, gap / bound)
+    assert worst < 1.0
+
+
+def _mp_to_numpy(mp_mat):
+    return np.array(mp_mat.tolist(), dtype=complex)
+
+
+def test_sin_cos_factors_match_mpmath():
+    # x P(x^2) and I - x^2 Q(x^2) against 40-digit sin(x) and cos(x) at
+    # ||x||_1 = r up to 1.  Bound in the 1-norm: the stop rule's tail,
+    # 1.05 eps / 4, plus rounding: Horner's (m + 2) k eps p~ with degree
+    # m <= 8 at radius 1 and p~ <= sinh(1) < 1.2, the products forming x^2
+    # and applying x included, plus eps for the reference's rounding to
+    # double; times r for sin(x), whose every term carries a factor x.
+    mp = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(23)
+    eps = np.finfo(float).eps
+    k = 5
+    bound = eps * (1.05 / 4 + 1.2 * (8 + 2) * k + 1.0)
+    for norm in (1e-3, 0.3, 1.0):
+        x = rng.normal(size=(k, k))
+        x *= norm / np.linalg.norm(x, 1)
+        p, q = lie._sin_cos_factors(x @ x, norm)
+        assert p.dtype == q.dtype == np.dtype(float)
+        with mp.workdps(40):
+            xm = mp.matrix(x.tolist())
+            sin_ref, cos_ref = _mp_to_numpy(mp.sinm(xm)), _mp_to_numpy(mp.cosm(xm))
+        sin_gap = np.linalg.norm(x @ p - sin_ref, 1)
+        cos_gap = np.linalg.norm(np.eye(k) - (x @ x) @ q - cos_ref, 1)
+        assert sin_gap <= norm * bound, (norm, sin_gap, norm * bound)
+        assert cos_gap <= bound, (norm, cos_gap, bound)
+
+
+def test_gregory_factor_matches_mpmath_atan():
+    # y G(-y^2) against 40-digit atan(y) = log((I + iy)(I - iy)^{-1}) / 2i
+    # at ||y||_1 up to GREGORY_RADIUS.  Bound in the 1-norm, relative to
+    # r = ||y||_1: the stop rule's tail, eps / 2, plus rounding: Horner's
+    # (J + 2) k eps p~ with degree J <= 24 at the radius and
+    # p~ = atanh(r) / r < 1.1, the products forming y^2 and applying y
+    # included, plus eps for the reference's rounding to double.
+    mp = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(29)
+    eps = np.finfo(float).eps
+    k = 5
+    for norm in (1e-3, 0.25, GREGORY_RADIUS):
+        y = rng.normal(size=(k, k))
+        y *= norm / np.linalg.norm(y, 1)
+        g = lie._gregory_factor(-(y @ y), norm)
+        assert g.dtype == np.dtype(float)
+        with mp.workdps(40):
+            iy = mp.mpc(0, 1) * mp.matrix(y.tolist())
+            eye = mp.eye(k)
+            cayley = (eye + iy) * mp.inverse(eye - iy)
+            reference = _mp_to_numpy(mp.logm(cayley) / mp.mpc(0, 2))
+        gap = np.linalg.norm(y @ g - reference, 1)
+        bound = norm * eps * (0.5 + 1.1 * (24 + 2) * k + 1.0)
+        assert gap <= bound, (norm, gap, bound)
 
 
 def test_superop_commuting_case_is_identity(rng):
@@ -483,64 +571,6 @@ def test_log_negative_axis_raises(ccr8, rng):
     s = CskMatrix(ccr8.grid, expm(factor * exponent), ccr8)
     with pytest.raises(NumericalFailure, match="branch"):
         csk_log(s)
-
-
-def test_near_identity_log_matches_principal_and_anchor(ccr8, rng):
-    eye = np.eye(ccr8.big.shape[0])
-    q = _scaled_measure(rng, ccr8, 0.2)
-    exponent = 4j * ccr8.big @ q.weights
-    offset = expm(exponent) - eye
-    ham = csk_log_near_identity(offset, ccr8)
-    assert np.linalg.norm(ham.ham - exponent) <= 1e-12 * (
-        1.0 + np.linalg.norm(exponent)
-    )
-    # the series result is a full turn from this anchor, so the anchored
-    # logarithm takes over and lands on the anchor's branch
-    shifted = exponent + 2j * np.pi * eye
-    ham = csk_log_near_identity(offset, ccr8, anchor=shifted)
-    assert np.linalg.norm(ham.ham - shifted) <= 1e-8 * (1.0 + np.linalg.norm(shifted))
-
-
-def test_near_identity_log_falls_back_beyond_series_radius(ccr8, rng):
-    eye = np.eye(ccr8.big.shape[0])
-    q = _scaled_measure(rng, ccr8, 3.0)
-    offset = chk_exp(lambda_product(ccr8, q), ccr8).mat - eye
-    z = np.linalg.solve(2.0 * eye + offset, offset)
-    assert np.linalg.norm(z, 1) > GREGORY_RADIUS
-    direct = csk_log(CskMatrix(ccr8.grid, eye + offset, ccr8))
-    assert np.array_equal(csk_log_near_identity(offset, ccr8).ham, direct.ham)
-
-
-def test_near_identity_log_reads_leading_columns_bit_for_bit(ccr8, rng, pi2):
-    # X[:, :j] and X give the same H for every j from the live width to
-    # size: node 3 of a corner-atom flow (live width 8 of 18) in the series
-    # (Pi) and past the series radius (30 Pi), and the fallback test's input
-    size = ccr8.big.shape[0]
-    offsets = []
-    for scale in (1.0, 30.0):
-        flow = forward_csk_evolution(corner_atom_path(ccr8.grid, scale * pi2), ccr8)
-        node = flow.mats[3]
-        offsets.append(np.linalg.solve(np.conj(node), 2j * node.imag))
-    eye = np.eye(size)
-    q = _scaled_measure(rng, ccr8, 3.0)
-    offsets.append(chk_exp(lambda_product(ccr8, q), ccr8).mat - eye)
-    radii = []
-    for offset in offsets:
-        k = _live_width(offset)
-        z = np.linalg.solve(2.0 * eye + offset, offset)
-        radii.append(np.linalg.norm(z, 1))
-        want = csk_log_near_identity(offset, ccr8).ham
-        for j in range(k, size + 1):
-            got = csk_log_near_identity(offset[:, :j], ccr8).ham
-            assert np.array_equal(got, want), j
-    assert radii[0] <= GREGORY_RADIUS < min(radii[1:])
-    assert _live_width(offsets[0]) == _live_width(offsets[1]) == 8
-
-
-def test_near_identity_log_keeps_congruence_gate(ccr8, rng):
-    offset = 0.01 * rng.normal(size=ccr8.big.shape)
-    with pytest.raises(NumericalFailure, match="symplectic"):
-        csk_log_near_identity(offset, ccr8)
 
 
 def test_kernel_solver_roundtrip(ccr8, rng):

@@ -300,7 +300,7 @@ def test_real_extraction_matches_mpmath_and_its_gate_bound(
     #    measured 0.11 to 0.24 times eps cond(Lambda_11) ||N_11||_F;
     #  - the reconstruction gate's bound is at least the 40-digit
     #    ||exp(2i Theta) - T||_1 of the Theta the route formed; measured
-    #    2.3 to 8.7 times it;
+    #    2.5 to 9.1 times it;
     #  - with the atan series cut after one term (Theta = Y) the gate
     #    trips; its bound then read 8.0e-7 to 2.1e-3 against 1e-9.
     mp = pytest.importorskip("mpmath")
