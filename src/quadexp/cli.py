@@ -550,7 +550,10 @@ def _run_oracle(scn, model, out_dir):
     keys, times, residuals = [], [], []
     table = [CSV_SCHEMA, "case,cutoff,residual,tolerance,pass"]
     for d in cutoffs:
-        vars_d = build_single_time(scn.theta, d)
+        try:
+            vars_d = build_single_time(scn.theta, d)
+        except ValueError as exc:
+            raise NumericalFailure(f"theta rejected: {exc}") from exc
         for idx, (q1, q2) in enumerate(cases):
             rep = oracle_bracket_check(vars_d, q1, q2, tol=ORACLE_GATE)
             table.append(

@@ -3,8 +3,9 @@
 Everything else in the package manipulates kernels; this module builds
 actual operators.  Canonical pairs are represented by ladder-matrix
 truncations on d levels, general variable sets by real linear maps of
-canonical pairs realizing a target commutator table, and the bracket
-identity for quadratic forms is checked by dense matrix commutators.
+canonical pairs realizing a target commutator table (read from one
+Hermitian eigenproblem), and the bracket identity for quadratic forms is
+checked by dense matrix commutators.
 
 Truncation breaks the CCRs only at the top of the ladder, so every
 comparison is made on the kept low Fock levels, with a margin of two
@@ -152,30 +153,6 @@ class VariableSet:
         return max(gap for _, _, gap in gaps)
 
 
-def _positive_schur_blocks(theta):
-    """Real Schur congruence theta = Z T Z^T with T in 2x2 blocks [[0, v], [-v, 0]], v > 0."""
-    # Local import: scipy.linalg costs about 0.3 s per process, and only
-    # the oracle needs a real Schur form
-    from scipy.linalg import schur
-
-    t, z = schur(np.asarray(theta, dtype=float), output="real")
-    n = theta.shape[0]
-    scales = []
-    for k in range(0, n, 2):
-        v = t[k, k + 1]
-        if abs(v) < 1e-12 * (1.0 + np.linalg.norm(theta)):
-            raise NumericalFailure(
-                "commutator table is numerically singular; no canonical pair "
-                "decomposition exists"
-            )
-        if v < 0.0:
-            # swapping the block's basis vectors transposes the block
-            z[:, [k, k + 1]] = z[:, [k + 1, k]]
-            v = -v
-        scales.append(v)
-    return z, np.asarray(scales)
-
-
 def _combine(row, ops):
     """The operator sum_b row[b] ops[b]."""
     return sum(c * op for c, op in zip(row, ops))
@@ -197,8 +174,25 @@ def _canonical_pairs(modes):
 
 
 def _realize(theta, canon):
-    """Variables L canon with table theta, L = Z diag(sqrt(2 v_k) I_2)."""
-    z, scales = _positive_schur_blocks(theta)
+    """Variables L canon with table theta, L = Z diag(sqrt(2 v_k) I_2).
+
+    i theta is Hermitian; the upper half of its ascending spectrum holds
+    the block scales v_k > 0, with eigenvectors w_k = x_k + i y_k, so
+    theta x_k = v_k y_k and theta y_k = -v_k x_k.  conj(w_k) belongs to
+    -v_k and is orthogonal to every w_j, so all x and y have norm
+    1/sqrt(2) and are mutually orthogonal, repeated scales included.
+    Z = sqrt(2) (y_1, x_1, y_2, x_2, ...) is then orthogonal with
+    theta = Z T Z^T, T in 2x2 blocks [[0, v_k], [-v_k, 0]].
+    """
+    n = theta.shape[0]
+    scales, w = np.linalg.eigh(1j * theta)
+    scales, w = scales[n // 2 :], w[:, n // 2 :]
+    if scales[0] < 1e-12 * (1.0 + np.linalg.norm(theta)):
+        raise NumericalFailure(
+            "commutator table is numerically singular; no canonical pair "
+            "decomposition exists"
+        )
+    z = np.sqrt(2.0) * np.stack([w.imag, w.real], axis=2).reshape(n, n)
     lmap = z * np.repeat(np.sqrt(2.0 * scales), 2)
     return [_combine(row, canon) for row in lmap]
 
@@ -207,17 +201,19 @@ def build_single_time(theta, cutoff):
     """Variables with commutator table [X, X^T] = 2i theta from ladder pairs.
 
     theta is brought to canonical antisymmetric form theta = Z T Z^T with
-    positive block scales v_k; the map L = Z diag(sqrt(2 v_k) I_2) turns
+    positive block scales v_k, read from the eigenpairs of the Hermitian
+    matrix i theta (see _realize); the map L = Z diag(sqrt(2 v_k) I_2) turns
     n/2 canonical pairs into X = L (q_1, p_1, ...) with the target table,
     since each pair contributes [q, p] = i and the congruence gives
     L J_canonical L^T = 2 theta.
     """
     theta = np.asarray(theta, dtype=float)
     n = theta.shape[0]
-    if theta.shape != (n, n) or n % 2 != 0:
-        raise ValueError("commutator table must be square of even size")
-    if np.linalg.norm(theta + theta.T) > 1e-12 * (1.0 + np.linalg.norm(theta)):
-        raise ValueError("commutator table must be antisymmetric")
+    if theta.shape != (n, n) or n == 0 or n % 2 != 0:
+        raise ValueError("commutator table must be square of even, nonzero size")
+    tol = 1e-12 * (1.0 + np.linalg.norm(theta))
+    if not np.isfinite(theta).all() or np.linalg.norm(theta + theta.T) > tol:
+        raise ValueError("commutator table must be finite and antisymmetric")
     modes = tuple(make_mode(cutoff) for _ in range(n // 2))
     variables = _realize(theta, _canonical_pairs(modes))
     return VariableSet(modes, tuple(variables), theta)

@@ -144,7 +144,9 @@ class CcrKernel:
         return self.big.shape[0] // self.grid.node_count
 
     def block(self, j, k):
-        n = self.dim
+        """Lambda(t_j - t_k); ValueError unless j, k are nodes of the grid."""
+        n, count = self.dim, self.grid.node_count
+        j, k = _check_node(j, count, "j"), _check_node(k, count, "k")
         return self.big[j * n : (j + 1) * n, k * n : (k + 1) * n]
 
     @cached_property
@@ -261,7 +263,9 @@ class KernelMeasure:
         return float(np.linalg.norm(w.imag) / (1.0 + np.linalg.norm(w)))
 
     def block(self, j, k):
-        n, lo = self.dim, self._lo
+        """Mass block (j, k); ValueError unless j, k are nodes of the grid."""
+        n, lo, count = self.dim, self._lo, self.grid.node_count
+        j, k = _check_node(j, count, "j"), _check_node(k, count, "k")
         if not lo <= min(j, k) * n <= max(j, k) * n < self._hi:
             return np.broadcast_to(0j, (n, n))  # read-only, as the window
         r, c = j * n - lo, k * n - lo

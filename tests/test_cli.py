@@ -299,6 +299,26 @@ def test_inadmissible_model_shape_exits_three(tmp_path):
     assert "antisymmetric" in summary
 
 
+@pytest.mark.parametrize(
+    "theta, reason",
+    [
+        ("[[0, 1, 0], [-1, 0, 0], [0, 0, 0]]", "even"),
+        ("[[0, 1], [1, 0]]", "antisymmetric"),
+    ],
+    ids=["odd", "symmetric"],
+)
+def test_inadmissible_oracle_theta_exits_three(tmp_path, capsys, theta, reason):
+    # without model keys the oracle's table reaches build_single_time
+    # unchecked; its refusal is a wrapped rejection, not a traceback
+    path = write(tmp_path, f"task = oracle\ncutoff = 8\ntheta = {theta}\n")
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--output-dir", str(out)]) == 3
+    summary = (out / "summary.txt").read_text()
+    assert "theta rejected:" in summary and reason in summary
+    assert "result: FAIL" in summary
+    assert "theta rejected:" in capsys.readouterr().err
+
+
 def test_seed_override_changes_oracle_draws(tmp_path):
     outs = []
     for seed in (3, 4):

@@ -65,7 +65,7 @@ def _fresh_modules(code, prefixes, *args):
 # scipy.integrate drags optimize, sparse and special in with it, about
 # 0.3 s per process; quadrature imports it where it runs.  scipy.linalg
 # costs about as much again: the matrix exponential is model.expm, and
-# scipy.linalg loads only for the oracle's Schur form and csk_log's logm
+# scipy.linalg loads only for csk_log's logm, which no bundled task reaches
 HEAVY_SCIPY = (
     "scipy.integrate",
     "scipy.linalg",
@@ -91,8 +91,9 @@ def test_laplace_task_loads_no_scipy_integrate(tmp_path):
     assert _fresh_modules(run, HEAVY_SCIPY, tmp_path / "out") == "[]"
 
 
-def test_tasks_but_the_oracle_load_no_heavy_scipy_subpackage(tmp_path):
-    # each bundled scenario but the oracle's, at N = 4, in one process
+def test_bundled_tasks_load_no_heavy_scipy_subpackage(tmp_path):
+    # each bundled scenario in one process: the oracle at its own N = 2,
+    # so that its multitime check runs too, the others at N = 4
     run = (
         "import re, shutil, sys\n"
         "from pathlib import Path\n"
@@ -100,14 +101,19 @@ def test_tasks_but_the_oracle_load_no_heavy_scipy_subpackage(tmp_path):
         "out = Path(sys.argv[1])\n"
         "shutil.copy(bundled_scenario('oscillator.mod'), out)\n"
         "for name in ('zero_forward', 'diagonal_inverse', 'spde_fast',\n"
-        "             'laplace_recovery', 'atomic_roundtrip'):\n"
+        "             'laplace_recovery', 'atomic_roundtrip', 'oracle_single'):\n"
         "    text = bundled_scenario(name + '.scn').read_text()\n"
+        "    if name != 'oracle_single':\n"
+        "        text = re.sub(r'(?m)^N = \\d+$', 'N = 4', text)\n"
         "    path = out / (name + '.scn')\n"
-        "    path.write_text(re.sub(r'(?m)^N = \\d+$', 'N = 4', text))\n"
+        "    path.write_text(text)\n"
         "    code = run_scenario(path, output_dir=out / name)\n"
         "    assert code == 0, (name, code)\n"
     )
     assert _fresh_modules(run, HEAVY_SCIPY, tmp_path) == "[]"
     for scenario in tmp_path.glob("*.scn"):
-        assert "N = 4" in scenario.read_text()
-    assert len(list(tmp_path.glob("*.scn"))) == 5
+        steps = 2 if scenario.stem == "oracle_single" else 4
+        assert f"N = {steps}" in scenario.read_text()
+    assert len(list(tmp_path.glob("*.scn"))) == 6
+    summary = (tmp_path / "oracle_single" / "summary.txt").read_text()
+    assert "check oracle_multitime: PASS" in summary

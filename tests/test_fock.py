@@ -76,12 +76,20 @@ def test_single_time_canonical_scaling_gives_number_operator():
 
 def test_single_time_matches_arbitrary_table(rng):
     raw = rng.normal(size=(4, 4))
-    theta = 0.5 * (raw - raw.T)
-    vars_set = build_single_time(theta, 8)
-    assert vars_set.dimension == 64
-    assert vars_set.ccr_residual() <= 1e-10
-    for x in vars_set.variables:
-        assert np.linalg.norm(x - x.conj().T) <= 1e-12 * (1.0 + np.linalg.norm(x))
+    q, _ = np.linalg.qr(rng.normal(size=(4, 4)))
+    tables = (
+        0.5 * (raw - raw.T),
+        # repeated block scales: the positive eigenspace is two-dimensional
+        q @ (0.5 * symplectic_j(4)) @ q.T,
+        # the block scale sits below the diagonal
+        -0.5 * symplectic_j(2),
+    )
+    for theta in tables:
+        vars_set = build_single_time(theta, 8)
+        assert vars_set.dimension == 8 ** (len(theta) // 2)
+        assert vars_set.ccr_residual() <= 1e-10
+        for x in vars_set.variables:
+            assert np.linalg.norm(x - x.conj().T) <= 1e-12 * (1.0 + np.linalg.norm(x))
 
 
 def test_single_time_validation():
@@ -96,6 +104,15 @@ def test_single_time_validation():
         build_single_time(singular, 8)
     with pytest.raises(NumericalFailure, match="budget"):
         build_single_time(symplectic_j(4), 80)
+
+
+def test_single_time_refuses_empty_and_non_finite_tables():
+    # eigh returns NaN pairs for a NaN table rather than raising
+    with pytest.raises(ValueError, match="nonzero size"):
+        build_single_time(np.zeros((0, 0)), 8)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            build_single_time(np.array([[0.0, bad], [-bad, 0.0]]), 8)
 
 
 def test_quadratic_form_validation(rng):

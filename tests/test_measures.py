@@ -442,6 +442,22 @@ def test_node_arguments_are_checked(grid16, pi2, u):
         atom_measure(grid16, 1, u, pi2)
 
 
+@pytest.mark.parametrize("u", [-1, 5, 7, 2.0, True, np.int64(-1)])
+def test_block_accessors_check_node_indices(model2, pi2, u):
+    # out-of-range nodes used to return empty or zero blocks
+    grid = make_grid(1.0, 4)
+    ccr = build_ccr_kernel(model2, grid)
+    q = atomic_corner_measure(grid, 4, pi2)
+    for block in (ccr.block, q.block):
+        with pytest.raises(ValueError, match=r"j must be an integer in \[0, 5\)"):
+            block(u, 0)
+        with pytest.raises(ValueError, match=r"k must be an integer in \[0, 5\)"):
+            block(0, u)
+    assert np.array_equal(ccr.block(np.int64(4), 1), ccr.big[8:10, 2:4])
+    assert np.array_equal(q.block(4, 4), q.weights[8:10, 8:10])
+    assert not q.block(0, 4).any()
+
+
 def test_node_arguments_refuse_bools(grid16, pi2):
     # True and False used to pass as nodes 1 and 0
     q = diagonal_lebesgue_measure(grid16, 16, pi2)
