@@ -32,16 +32,20 @@ direction's superoperator images zero there, so extraction and the
 inverse direction work on those k columns only; the inverse direction
 evaluates its superoperator on the leading k x k blocks and hands the
 value to the kernel solve as the leading block of Lambda M.  A kernel
-path stores just those columns, S_u[:, :k] per node
-(:class:`LiveColumns`), about half of N + 1 dense matrices; its readers
-(extraction, the congruence gates, the integrated T route) take the
-block and its width from the path, and a full node is built only when
-a caller indexes one.  The integrated T route keeps T_u the same way,
-at the width of S_u, and every solve against conj(S_u) returns its k
-live columns only.  Extraction needs no such solve: the Cayley
-transform of T_u is i Y_u with the real Y_u = (Re S_u)^{-1} Im S_u, so
-each node's logarithm and kernel solve run in real arithmetic and the
-measures come out real by construction (:func:`qef_from_csk_path`).
+path stores just those columns (:class:`LiveColumns`): S_u[:, :k] per
+node, or, for a flow whose step adds fewer entries than the block
+holds (the rank-2n steps of an atomic driver), the two thin factors of
+that step, O(N n size) entries in all against about half of N + 1
+dense matrices for the blocks.  Its readers (extraction, the
+congruence gates, the integrated T route) take each block and its
+width from one ordered pass over the path, which replays the steps
+bit for bit, and a full node is built only when a caller indexes one.
+The integrated T route keeps T_u as its block, at the width of S_u,
+and every solve against conj(S_u) returns its k live columns only.
+Extraction needs no such solve: the Cayley transform of T_u is i Y_u
+with the real Y_u = (Re S_u)^{-1} Im S_u, so each node's logarithm and
+kernel solve run in real arithmetic and the measures come out real by
+construction (:func:`qef_from_csk_path`).
 
 The integrator takes each step's driver as a midpoint measure, read on
 its window, never as a full matrix: the generator is nonzero only in
@@ -178,55 +182,148 @@ class LiveColumns:
     """Read-only stack of kernel path nodes, each kept as its live columns.
 
     Node u of a kernel path (S_u of a flow, T_u of the integrated T
-    route) is the identity beyond its first k_u columns, so only the
-    block S_u[:, :k_u] is stored, in a read-only array that aliases no
-    caller memory.  The stack reads as a sequence of size x size nodes:
-    len(), integer and negative indexing, iteration and shape, with item
-    u built on access as the identity with its first k_u columns
-    replaced (:func:`_widen`).  :meth:`live` returns the stored block
-    itself, and nbytes counts the stored blocks, each once.
+    route) is the identity beyond its first k_u columns, so it is held
+    either as the block S_u[:, :k_u] or as the step increment
+    (m_cols, r_u) that produces it from node u - 1:
 
-    A block that is read-only and owns its memory is kept as is (the
-    integrator and the T route hand their blocks over this way, and an
-    unchanged node shares its predecessor's); any other is copied.
+        S_u[:, :k_u] = _widen(S_{u-1}[:, :k_{u-1}], k_u) + m_cols @ r_u,
+
+    m_cols of shape (size, c) and r_u of shape (c, k_u), k_u no less
+    than k_{u-1}, and no product added when c = 0.  Each entry of the
+    constructor's iterable is a 2-D block or such a pair; node 0 is a
+    block.  The integrator
+    (:func:`_live_blocks`) stores an increment where it holds fewer
+    entries than the block, a rank-2n step of an atomic driver, and the
+    block otherwise; every other producer stores blocks.  Replay runs
+    that expression, so every node comes back bit for bit.
+
+    The stack reads as a sequence of size x size nodes: len(), integer
+    and negative indexing, iteration and shape, with item u built on
+    access as the identity with its first k_u columns replaced
+    (:func:`_widen`).  :meth:`blocks` reads nodes in one ordered pass,
+    replaying each increment once; :meth:`live` and item access replay
+    from the nearest stored block, for random access.  nbytes counts
+    the stored arrays, each once.  Every array is read-only: one that
+    is read-only and owns its memory is kept as is (the integrator and
+    the T route hand theirs over this way, and an unchanged node shares
+    its predecessor's block); any other is copied.  A block that is not
+    2-D, has other than size rows or is wider than size raises
+    ValueError, as does an increment of another shape.
     """
 
-    def __init__(self, blocks, size):
-        self._blocks = tuple(map(_read_only, blocks))
+    def __init__(self, entries, size):
         self._size = size
+        self._entries = []
+        self._bases = []  # the nearest stored block at or before each node
+        width = 0
+        for u, entry in enumerate(entries):
+            if isinstance(entry, tuple):
+                m_cols, r_u = entry = tuple(map(_read_only, entry))
+                if not (
+                    u
+                    and m_cols.ndim == r_u.ndim == 2
+                    and m_cols.shape == (size, len(r_u))
+                    and width <= r_u.shape[1] <= size
+                ):
+                    raise ValueError(
+                        f"node {u}: increment of shapes {m_cols.shape} and "
+                        f"{r_u.shape} does not widen a {size} x {width} block"
+                    )
+                width = r_u.shape[1]
+                self._bases.append(self._bases[-1])
+            else:
+                entry = _read_only(entry)
+                if entry.ndim != 2 or len(entry) != size or entry.shape[1] > size:
+                    raise ValueError(
+                        f"node {u}: block of shape {entry.shape} is not {size} "
+                        f"rows by at most {size} columns"
+                    )
+                width = entry.shape[1]
+                self._bases.append(u)
+            self._entries.append(entry)
+        self._entries = tuple(self._entries)
 
     @classmethod
     def from_dense(cls, nodes, size):
         """Compress an iterable of full size x size nodes: each is scanned
         once for its live width as it arrives and those columns copied."""
         eye = np.eye(size)
-        return cls((mat[:, : _live_width(mat - eye)] for mat in nodes), size)
+
+        def blocks():
+            for u, mat in enumerate(nodes):
+                if np.shape(mat) != (size, size):
+                    raise ValueError(
+                        f"node {u} of shape {np.shape(mat)} is not {size} x {size}"
+                    )
+                yield mat[:, : _live_width(mat - eye)]
+
+        return cls(blocks(), size)
 
     def __len__(self):
-        return len(self._blocks)
+        return len(self._entries)
 
     def __getitem__(self, u):
-        mat = _widen(self.live(u), self._size)
+        return self._full(self.live(u))
+
+    def __iter__(self):
+        return map(self._full, self.blocks())
+
+    def _full(self, block):
+        mat = _widen(block, self._size)
         mat.setflags(write=False)
         return mat
 
-    def __iter__(self):
-        return (self[u] for u in range(len(self)))
-
     @property
     def shape(self):
-        return (len(self._blocks), self._size, self._size)
+        return (len(self._entries), self._size, self._size)
 
     @property
     def nbytes(self):
-        return sum({id(block): block.nbytes for block in self._blocks}.values())
+        arrays = itertools.chain.from_iterable(
+            entry if isinstance(entry, tuple) else (entry,) for entry in self._entries
+        )
+        return sum({id(a): a.nbytes for a in arrays}.values())
 
     def live(self, u):
-        """The stored block S_u[:, :k_u]."""
-        return self._blocks[operator.index(u)]
+        """The block S_u[:, :k_u]: the stored one, or one replayed from the
+        nearest stored block before it."""
+        return next(self.blocks((u,)))
+
+    def blocks(self, nodes=None):
+        """The blocks S_u[:, :k_u] of the given nodes (all by default), in
+        the order given.  A stored block is handed out as is; a node held
+        as an increment is replayed in one size x size working buffer,
+        carried on from the last node read when no stored block lies
+        between the two, and handed out as a fresh read-only array.  An
+        ascending pass therefore applies each increment once."""
+        nodes = range(len(self)) if nodes is None else map(self._index, nodes)
+        buf, at = None, None  # buf holds node `at`, the identity beyond k_at
+        for u in nodes:
+            entry = self._entries[u]
+            if not isinstance(entry, tuple):
+                yield entry
+                continue
+            base = self._bases[u]
+            if at is None or not base <= at <= u:
+                buf, at = _widen(self._entries[base], self._size), base
+            for m_cols, r_u in self._entries[at + 1 : u + 1]:
+                if len(r_u):  # as in the integrator, which skips an empty C
+                    buf[:, : r_u.shape[1]] += m_cols @ r_u
+            at = u
+            block = buf[:, : entry[1].shape[1]].copy()
+            block.setflags(write=False)
+            yield block
+
+    def _index(self, u):
+        """u as a node index in [0, len); TypeError for a bool or a
+        non-integer, IndexError out of range, negative u from the end."""
+        if isinstance(u, bool):
+            raise TypeError("path nodes are not indexed by bools")
+        return range(len(self))[operator.index(u)]
 
 
 def _read_only(block):
+    block = np.asarray(block)
     if block.flags.writeable or not block.flags.owndata:
         block = block.copy()
         block.setflags(write=False)
@@ -238,14 +335,16 @@ class CskPath:
     """Stack of symplectic kernels S_{t_u} along the grid.
 
     mats is a :class:`LiveColumns` stack (any other raises TypeError):
-    node u keeps only its live block S_u[:, :k_u], which mats.live(u)
-    returns, and mats[u] builds the full matrix on access.  The
-    integrators hand over the blocks they write; full nodes go through
-    :meth:`LiveColumns.from_dense`.  Entries are stored raw so that fast
-    solvers are not forced through per-node validation; the terminal
-    entry is checked at construction and :meth:`validate` re-checks
-    every node on demand, both from the stored widths.  grid must be
-    the kernel's grid, else ValueError.
+    node u keeps only its live columns S_u[:, :k_u], as a block or as
+    the step increment from S_{u-1}; mats.blocks() reads them in one
+    ordered pass, mats.live(u) one at a time, and mats[u] builds the
+    full matrix on access.  The integrators hand over what they write,
+    increments of an atomic driver's flow with the last node a block;
+    full nodes go through :meth:`LiveColumns.from_dense`.  Entries are
+    stored raw so that fast solvers are not forced through per-node
+    validation; the terminal entry is checked at construction and
+    :meth:`validate` re-checks every node on demand, both from the
+    stored widths.  grid must be the kernel's grid, else ValueError.
     """
 
     grid: object
@@ -263,15 +362,13 @@ class CskPath:
         if self.mats.shape != (self.grid.node_count, *self.ccr.big.shape):
             raise ValueError("matrix stack shape does not match grid and kernel")
         # terminal gate; full sweeps go through validate()
-        _check_symplectic(*self._residual(self.grid.steps))
-
-    def _residual(self, u):
-        return symplectic_residual_raw(self.mats.live(u), self.ccr.big)
+        _check_symplectic(*symplectic_residual_raw(self.mats.live(-1), self.ccr.big))
 
     def residuals(self):
         """Relative symplectic residual of every node, residual / scale of
         :func:`lie.symplectic_residual_raw`."""
-        return [r / scale for r, scale in map(self._residual, range(len(self.mats)))]
+        raw = (symplectic_residual_raw(b, self.ccr.big) for b in self.mats.blocks())
+        return [r / scale for r, scale in raw]
 
     def validate(self):
         """Max relative symplectic residual over all nodes; NaN when any
@@ -369,35 +466,51 @@ def csk_path_from_midpoints(mids, ccr):
     |C| = k for drivers recovered by :func:`inverse_toe_measure`,
     supported in [0, t_{u+1}]^2.
 
-    Only the live block S_u[:, :k] of each node is written and kept (see
+    Only the live block S_u[:, :k] of each node is written (see
     :class:`LiveColumns`): step u pads the block of S_u with identity
-    columns to the new width and applies the update to that, so the
-    path holds sum_u size k_u entries, about half of N + 1 dense
-    matrices, and no (N + 1) x size^2 stack is ever allocated.
+    columns to the new width and adds the product of the two thin
+    factors m_cols = M_C and r_u = Ups(M_CC) S_u[C, :k] to that.  The
+    path keeps node u + 1 as that pair where m_cols.size + r_u.size is
+    below size k, the block's entry count, and as the block otherwise,
+    the last node always as its block: an atomic driver's flow then
+    holds O(N n size) entries in place of sum_u size k_u, about half of
+    N + 1 dense matrices, while a recovered driver's (|C| = k) keeps its
+    blocks.  Its readers replay the pairs in node order, bit for bit,
+    and no (N + 1) x size^2 stack is ever allocated.
     """
     if len(mids) != ccr.grid.node_count - 1:
         raise ValueError("need one midpoint measure per step")
-    blocks = _live_blocks(mids, ccr)
-    return CskPath(ccr.grid, ccr, LiveColumns(blocks, ccr.big.shape[0]))
+    entries = _live_blocks(mids, ccr)
+    return CskPath(ccr.grid, ccr, LiveColumns(entries, ccr.big.shape[0]))
 
 
 def _live_blocks(mids, ccr):
-    """S_0[:, :k_0], S_1[:, :k_1], ... of :func:`csk_path_from_midpoints`,
-    each read-only; the step temporaries are gone once the last is out."""
+    """The :class:`LiveColumns` entries of :func:`csk_path_from_midpoints`:
+    the block S_0[:, :k_0], then per step the increment (m_cols, r_u) of
+    S_{u+1} or, where that holds no fewer entries, its block, and the
+    last node as its block; each array read-only.  An empty C leaves
+    S_{u+1} = S_u, kept as a pair with no columns once k > 0.  The step
+    temporaries are gone once the last entry is out."""
     h = ccr.grid.step
+    last = len(mids) - 1
     live = np.empty((ccr.big.shape[0], 0), dtype=complex)
     live.setflags(write=False)
     yield live
     for u, mid in enumerate(mids):
         _check_on_kernel(mid, ccr, f"midpoint {u}")
         cols, lam_w = _lambda_columns(ccr, mid)
+        m_cols = (2j * h) * lam_w
+        r_u = np.empty((0, live.shape[1]), dtype=complex)
         if cols.size:
-            m_cols = (2j * h) * lam_w
             _check_step_norm(m_cols)
-            live = _widen(live, int(cols[-1]) + 1)
-            live += m_cols @ (_ups_series(m_cols[cols]) @ live[cols])
-            live.setflags(write=False)
-        yield live
+            wide = _widen(live, int(cols[-1]) + 1)
+            r_u = _ups_series(m_cols[cols]) @ wide[cols]
+            wide += m_cols @ r_u
+            live = wide
+        for a in (m_cols, r_u, live):
+            a.setflags(write=False)
+        thin = u < last and m_cols.size + r_u.size < live.size
+        yield (m_cols, r_u) if thin else live
 
 
 def forward_csk_evolution(f_path, ccr):
@@ -578,8 +691,8 @@ def qef_from_csk_path(s_path, ccr, nodes=None):
     reality = []
     reports = []
     prev = None
-    for u in indices:
-        rhs, prev = _extract_node(s_path.mats.live(u), ccr, prev)
+    for u, live in zip(indices, s_path.mats.blocks(indices)):
+        rhs, prev = _extract_node(live, ccr, prev)
         measure, report = ccr.solver.solve_measure(rhs, support_index=u)
         measures.append(measure)
         reports.append(report)
@@ -607,15 +720,17 @@ def _t_steps(f_path, ccr, s_path):
     forms S_mid[:, :k] from the two flow blocks, and adds the k columns
     :func:`_conj_solve` returns for the right-hand side
     Lambda (Re F)_mid S_mid[:, :k] = Re(Lambda[:, C] W[C, C]) S_mid[C, :k]
-    on the midpoint's live columns C (Lambda is real, C[-1] < k).  No full
-    node and no size x size T is formed."""
+    on the midpoint's live columns C (Lambda is real, C[-1] < k).  The
+    flow blocks come in pairs from one ordered pass of s_path.mats.  No
+    full node and no size x size T is formed."""
     h = f_path.grid.step
-    t_u = s_path.mats.live(0)  # T_0 = S_0 = I
+    s_blocks = s_path.mats.blocks()
+    t_u = s_lo = next(s_blocks)  # T_0 = S_0 = I
     yield t_u
-    for u, mid in enumerate(_Midpoints(f_path)):
-        s_hi = s_path.mats.live(u + 1)
+    for mid, s_hi in zip(_Midpoints(f_path), s_blocks):
         width = s_hi.shape[1]
-        s_mid = 0.5 * (_widen(s_path.mats.live(u), width) + s_hi)
+        s_mid = 0.5 * (_widen(s_lo, width) + s_hi)
+        s_lo = s_hi
         cols, lam_w = _lambda_columns(ccr, mid)
         rhs = (4j * h) * (lam_w.real @ s_mid[cols])
         t_u = _widen(t_u, width) + _conj_solve(s_mid, rhs)
@@ -826,8 +941,7 @@ def _t_route_gap(f_path, ccr, s_path):
     k live columns both routes share.  Each of the size - k identity
     columns adds 1 to ||T_u||_F^2, as in :func:`lie.symplectic_residual_raw`."""
     worst = 0.0
-    for u, t_direct in enumerate(_t_steps(f_path, ccr, s_path)):
-        live = s_path.mats.live(u)
+    for t_direct, live in zip(_t_steps(f_path, ccr, s_path), s_path.mats.blocks()):
         size, k = live.shape
         t_u = np.eye(size, k) + _conj_solve(live, 2j * live.imag)
         gap = np.linalg.norm(t_u - t_direct)

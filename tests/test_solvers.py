@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -759,9 +763,13 @@ def test_integrators_hand_over_one_read_only_stack(model2, pi2):
     stack[grid.steps] += 1.0
     fast = spde_fast_path(model2, pi2, grid)
     paths = (general, csk_path_from_midpoints(mids, ccr), fast, *compressed)
-    for path in paths:
+    # integrated: nodes 0, 1 and 8 as blocks, nodes 2 to 7 as their
+    # rank-4 steps; compressed: every node as its block
+    widths = [0] + [(u + 1) * ccr.dim for u in range(1, grid.node_count)]
+    integrated = _flow_bytes(size, widths, 2 * ccr.dim)
+    for path, nbytes in zip(paths, [integrated] * 3 + [_block_bytes(size, widths)] * 2):
         assert path.mats.shape == (grid.node_count, *ccr.big.shape)
-        assert path.mats.nbytes == general.mats.nbytes
+        assert path.mats.nbytes == nbytes
         for u in range(grid.node_count):
             block = path.mats.live(u)
             assert np.array_equal(block, general.mats.live(u))
@@ -805,8 +813,11 @@ def test_csk_path_takes_only_a_live_column_stack(ccr16, pi2):
         with pytest.raises(TypeError, match="LiveColumns.from_dense"):
             CskPath(ccr16.grid, ccr16, mats)
     nodes = iter(stack)  # any iterable of full nodes, consumed once
-    path = CskPath(ccr16.grid, ccr16, LiveColumns.from_dense(nodes, len(ccr16.big)))
-    assert path.mats.nbytes == flow.mats.nbytes
+    size = len(ccr16.big)
+    path = CskPath(ccr16.grid, ccr16, LiveColumns.from_dense(nodes, size))
+    widths = [path.mats.live(u).shape[1] for u in range(len(path.mats))]
+    assert path.mats.nbytes == _block_bytes(size, widths)
+    assert flow.mats.nbytes == _flow_bytes(size, widths, 2 * ccr16.dim)
 
 
 def test_reference_routes_hold_no_dense_stack(model2, pi2):
@@ -937,8 +948,181 @@ def test_live_columns_equal_the_dense_stack_loops(model2, pi2):
             assert np.array_equal(s_path.mats[u], want), (name, u)
 
 
+def test_ordered_pass_and_random_access_read_the_same_nodes(model2, pi2):
+    # the corner-atom flow keeps most nodes as their steps, the other
+    # three flows every node as its block; an ordered pass, iteration,
+    # live(u) and item access all read the same bits, in any order
+    ccr, flows, _ = _n16_flows(model2, pi2)
+    size, count = ccr.big.shape[0], ccr.grid.node_count
+    picks = [16, 3, 3, 9, 0, 10, -1]
+    for name, s_path in flows.items():
+        mats = s_path.mats
+        passed = list(mats.blocks())
+        full = list(mats)
+        assert len(passed) == len(full) == len(mats) == count, name
+        for u, block in enumerate(passed):
+            assert not block.flags.writeable, (name, u)
+            assert np.array_equal(block, mats.live(u)), (name, u)
+            assert np.array_equal(full[u], mats[u]), (name, u)
+            assert np.array_equal(full[u], mats[u - count]), (name, u)
+            assert np.array_equal(full[u][:, : block.shape[1]], block), (name, u)
+        for u, block in zip(picks, mats.blocks(picks)):
+            assert np.array_equal(block, passed[u]), (name, u)
+        widths = [block.shape[1] for block in passed]
+        if name == "corner-atom":
+            assert mats.nbytes == _flow_bytes(size, widths, 2 * ccr.dim)
+            assert mats.nbytes < _block_bytes(size, widths) / 2
+        else:
+            assert mats.nbytes == _block_bytes(size, widths), name
+
+
+def test_replayed_and_stored_nodes_extract_alike(ccr16, pi2):
+    # extraction, the congruence sweep and the T route on the flow equal,
+    # bit for bit, the same on a stack holding its nodes as blocks
+    f_path = corner_atom_path(ccr16.grid, pi2)
+    path = forward_csk_evolution(f_path, ccr16)
+    stored = CskPath(ccr16.grid, ccr16, LiveColumns.from_dense(path.mats, len(ccr16.big)))
+    steps = ccr16.grid.steps
+    assert [b.shape for b in stored.mats.blocks()] == [b.shape for b in path.mats.blocks()]
+    assert stored.mats.nbytes > 2 * path.mats.nbytes
+    for nodes in ([0, steps // 2, steps], None):
+        got, want = (qef_from_csk_path(p, ccr16, nodes=nodes) for p in (path, stored))
+        assert got.node_indices == want.node_indices
+        for a, b in zip(got.measures, want.measures):
+            assert np.array_equal(a.weights, b.weights)
+        assert got.reality_residuals == want.reality_residuals
+        assert got.solve_reports == want.solve_reports
+    assert path.residuals() == stored.residuals()
+    gap = solvers._t_route_gap(f_path, ccr16, stored)
+    assert t_route_residual(f_path, ccr16) == gap
+    assert solvers._t_route_gap(f_path, ccr16, path) == gap
+
+
+@pytest.mark.parametrize(
+    "blocks, node",
+    [
+        ([np.ones((13, 2))], 0),  # too many rows
+        ([np.ones((7, 2))], 0),  # too few
+        ([np.eye(10, 0), np.ones((10, 13))], 1),  # wider than the node
+        ([np.eye(10, 2), np.ones(10)], 1),  # not 2-D
+        ([np.ones((10, 2, 1))], 0),
+        ([(np.ones((10, 2)), np.ones((2, 3)))], 0),  # an increment first
+        ([np.eye(10, 4), (np.ones((10, 2)), np.ones((3, 5)))], 1),  # c mismatch
+        ([np.eye(10, 4), (np.ones((10, 2)), np.ones((2, 3)))], 1),  # narrows
+        ([np.eye(10, 4), (np.ones((10, 2)), np.ones((2, 11)))], 1),  # too wide
+        ([np.eye(10, 4), (np.ones((9, 2)), np.ones((2, 5)))], 1),  # short rows
+    ],
+)
+def test_live_columns_refuse_malformed_entries(blocks, node):
+    with pytest.raises(ValueError, match=f"node {node}"):
+        LiveColumns(blocks, 10)
+
+
+def test_malformed_nodes_are_refused_where_the_stack_is_built(ccr16, pi2):
+    flow = forward_csk_evolution(corner_atom_path(ccr16.grid, pi2), ccr16)
+    size = len(ccr16.big)
+    blocks = list(flow.mats.blocks())
+    blocks[5] = np.vstack((blocks[5], blocks[5][:3]))  # a tall block mid-path
+    with pytest.raises(ValueError, match="node 5"):
+        CskPath(ccr16.grid, ccr16, LiveColumns(blocks, size))
+    nodes = list(flow.mats)
+    nodes[2] = np.eye(size + 1)
+    with pytest.raises(ValueError, match="node 2"):
+        LiveColumns.from_dense(nodes, size)
+    nodes[2] = np.eye(size)[:, :-1]
+    with pytest.raises(ValueError, match="node 2"):
+        LiveColumns.from_dense(nodes, size)
+
+
+def test_path_nodes_are_not_indexed_by_bools(ccr16, pi2):
+    mats = forward_csk_evolution(corner_atom_path(ccr16.grid, pi2), ccr16).mats
+    for index in (True, False, np.True_, 2.0, slice(1, 3)):
+        with pytest.raises(TypeError):
+            mats.live(index)
+        with pytest.raises(TypeError):
+            mats[index]
+        with pytest.raises(TypeError):
+            next(mats.blocks([index]))
+    # negative indices and out-of-range nodes behave as for a sequence
+    count = len(mats)
+    assert np.array_equal(mats[-1], mats[count - 1])
+    assert np.array_equal(mats.live(-count), mats.live(0))
+    for index in (count, -count - 1):
+        with pytest.raises(IndexError):
+            mats.live(index)
+        with pytest.raises(IndexError):
+            mats[index]
+
+
+def test_empty_step_replays_its_predecessor_bit_for_bit():
+    # a step whose driver has no live columns leaves S_u as it was, signed
+    # zeros included, as the integrator does; adding the empty product
+    # would turn -0.0 into 0.0
+    block = np.eye(4, 2, dtype=complex)
+    block[1, 0] = complex(-0.0, 0.0)
+    block[2, 1] = complex(-0.0, -0.0)
+    empty = (np.empty((4, 0), dtype=complex), np.empty((0, 2), dtype=complex))
+    mats = LiveColumns([block, empty, empty], 4)
+    for replayed in (mats.live(2), *mats.blocks()):
+        assert replayed.tobytes() == block.tobytes()
+
+
+def test_terminal_extraction_at_n256_peaks_near_the_import():
+    # a fresh process integrates the n = 2 corner-atom flow on N = 256
+    # steps and extracts its terminal node; the flow keeps its rank-4
+    # steps, about 16 MiB, where the blocks took over 0.5 GB.  A child
+    # starts with its parent's peak RSS, so a small launcher runs it and
+    # reads its peak from RUSAGE_CHILDREN, kilobytes on Linux.
+    pytest.importorskip("resource")
+    code = (
+        "import numpy as np\n"
+        "from quadexp import build_ccr_kernel, make_grid, random_model\n"
+        "from quadexp import corner_atom_path, forward_csk_evolution, qef_from_csk_path\n"
+        "model = random_model(np.random.default_rng(7), n=2, m=2)\n"
+        "grid = make_grid(1.0, 256)\n"
+        "ccr = build_ccr_kernel(model, grid)\n"
+        "pi = 0.2 * np.array([[1.0, 0.3], [0.3, 0.8]])\n"
+        "s_path = forward_csk_evolution(corner_atom_path(grid, pi), ccr)\n"
+        "qef_from_csk_path(s_path, ccr, nodes=[256])\n"
+    )
+    launcher = (
+        "import resource, subprocess, sys\n"
+        "subprocess.run([sys.executable, '-c', sys.argv[1]], check=True)\n"
+        "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(solvers.__file__).parents[1]), env.get("PYTHONPATH")])
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", launcher, code],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    peak_mb = int(proc.stdout.split()[-1]) / 1024
+    assert peak_mb < 200.0, peak_mb
+
+
+def _block_bytes(size, widths):
+    """Bytes of a stack holding node u as its size x k_u block."""
+    return 16 * size * sum(widths)
+
+
+def _flow_bytes(size, widths, rank):
+    """Bytes of an integrated flow of live widths k_u whose steps have
+    rank |C| = rank: nodes 0 and N as blocks, and node u in between as
+    its step's factors, size x rank and rank x k_u, where they hold
+    fewer entries than its block."""
+    steps = [min(size * rank + rank * k, size * k) for k in widths[1:-1]]
+    return 16 * (size * widths[0] + sum(steps) + size * widths[-1])
+
+
 def test_corner_atom_flow_stores_its_live_columns_only(model2, pi2):
-    # N = 32: node u keeps size x k_u entries, k_0 = 0 and k_u = (u + 1) n
+    # N = 32: node u has size x k_u live entries, k_0 = 0 and
+    # k_u = (u + 1) n, kept as the rank-2n step that forms it from node
+    # u - 1 from u = 2 on, the last node as its block
     grid = make_grid(1.0, 32)
     ccr = build_ccr_kernel(model2, grid)
     size, n = ccr.big.shape[0], ccr.dim
@@ -950,7 +1134,12 @@ def test_corner_atom_flow_stores_its_live_columns_only(model2, pi2):
         assert [s_path.mats.live(u).shape for u in range(grid.node_count)] == [
             (size, k) for k in widths
         ]
-        assert s_path.mats.nbytes == sum(size * k * 16 for k in widths)
+        assert s_path.mats.nbytes == _flow_bytes(size, widths, 2 * n)
+        assert s_path.mats.nbytes == 16 * (
+            size * 2 * n
+            + sum(size * 2 * n + 2 * n * k for k in widths[2:-1])
+            + size * size
+        )
 
 
 def test_integrators_peak_memory_stays_below_one_dense_stack(model2, pi2):
