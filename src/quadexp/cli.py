@@ -49,16 +49,19 @@ from .measures import (
 )
 from .model import OqhoModel, spectral_abscissa
 from .solvers import (
+    _closure,
     _dense_csk_evolution,
-    _flow_closure,
-    _forward_gaps,
-    _roundtrip_n_gaps,
+    _extraction,
+    _inversion,
+    _relative,
+    _roundtrip_f_nodes,
+    _roundtrip_n_nodes,
     _t_route_gap,
+    _target_pairs,
     chk_column_function,
     corner_atom_path,
     diagonal_lebesgue_path,
     forward_csk_evolution,
-    inverse_toe_measure,
     laplace_recover_measure,
     qef_from_csk_path,
     roundtrip_n_residual,
@@ -325,14 +328,20 @@ class TaskResult:
     notes: tuple = ()
 
 
-def _flow_columns(s_path, qef=None):
-    """Symplectic column of a kernel flow, plus the reality and
-    reconstruction columns of an extraction at every node when given."""
-    columns = {"symplectic": s_path.residuals()}
-    if qef is not None:
-        columns["reality"] = list(qef.reality_residuals)
-        columns["reconstruction"] = [r.relative for r in qef.solve_reports]
-    return columns
+def _flow_columns(nodes):
+    """(columns, terminal measure, extras) of an extraction at every node
+    of a flow, read as they come from the iterable nodes
+    (measure, solve report, congruence residual, *extra) that
+    :func:`solvers._extraction` and the roundtrip passes yield:
+    symplectic is the residual each node's gate read, reality and
+    reconstruction those of its measure and solve, and extras the list
+    of each node's extra values.  Only the last measure is kept."""
+    rows, extras = [], []
+    for measure, report, residual, *extra in nodes:
+        rows.append((residual, measure.reality_residual, report.relative))
+        extras.append(extra)
+    names = ("symplectic", "reality", "reconstruction")
+    return dict(zip(names, map(list, zip(*rows)))), measure, extras
 
 
 def _refine(scn, model, error, level0):
@@ -362,9 +371,10 @@ def _run_forward(scn, model, out_dir):
     pi = scn.pi if scn.pi is not None else np.zeros((model.dim, model.dim))
     f_path = corner_atom_path(grid, pi)
     s_path = forward_csk_evolution(f_path, ccr)
-    qef = qef_from_csk_path(s_path, ccr)
-    write_measure_csv(Path(out_dir) / "n_terminal.csv", qef.measures[-1])
-    columns = _flow_columns(s_path, qef)
+    columns, terminal, _ = _flow_columns(
+        _extraction(enumerate(s_path.mats.blocks()), ccr)
+    )
+    write_measure_csv(Path(out_dir) / "n_terminal.csv", terminal)
     checks = (
         ("symplectic", max(columns["symplectic"]), SYMPLECTIC_GATE),
         ("reality", max(columns["reality"]), REALITY_GATE),
@@ -393,21 +403,25 @@ def _run_inverse(scn, model, out_dir):
     grid = make_grid(scn.horizon, scn.steps)
     ccr = build_ccr_kernel(model, grid)
     n_path = diagonal_lebesgue_path(grid, scn.pi)
-    result = inverse_toe_measure(n_path, ccr)
-    write_measure_csv(Path(out_dir) / "f_terminal.csv", result.f_path.entries[-1])
-    columns = {
-        "reality": [q.reality_residual for q in result.f_path.entries],
-        "reconstruction": [r.relative for r in result.solve_reports],
-    }
+    # the closure level needs the forward map of every recovered driver;
+    # one pass inverts, integrates and compares, node by node
+    if scn.levels >= 3:
+        nodes = _roundtrip_n_nodes(n_path, ccr)
+    else:
+        nodes = _inversion(_target_pairs(n_path, ccr), ccr)
+    rows, gaps = [], []
+    for f, err, report, *gap in nodes:
+        rows.append((f.reality_residual, report.relative, err))
+        gaps += gap
+    write_measure_csv(Path(out_dir) / "f_terminal.csv", f)
+    reality, reconstruction, quad_errors = map(list, zip(*rows))
+    columns = {"reality": reality, "reconstruction": reconstruction}
     checks = (
-        ("reconstruction", max(columns["reconstruction"]), RECONSTRUCTION_GATE),
-        ("quadrature", max(result.quad_errors), QUADRATURE_GATE),
+        ("reconstruction", max(reconstruction), RECONSTRUCTION_GATE),
+        ("quadrature", max(quad_errors), QUADRATURE_GATE),
     )
     convergence = _refine(
-        scn,
-        model,
-        _measure_closure(scn.pi),
-        lambda: max(_forward_gaps(result.f_path, n_path, ccr)),
+        scn, model, _measure_closure(scn.pi), lambda: max(_relative(gaps))
     )
     notes = ()
     if convergence:
@@ -420,15 +434,13 @@ def _run_inverse(scn, model, out_dir):
 def _run_roundtrip(scn, model, out_dir):
     grid = make_grid(scn.horizon, scn.steps)
     ccr = build_ccr_kernel(model, grid)
-    f_path = corner_atom_path(grid, scn.pi)
-    s_path = forward_csk_evolution(f_path, ccr)
-    qef = qef_from_csk_path(s_path, ccr)
-    trip = _flow_closure(f_path, ccr, qef)
-    write_measure_csv(Path(out_dir) / "n_terminal.csv", qef.measures[-1])
-    columns = _flow_columns(s_path, qef)
-    columns["roundtrip"] = _roundtrip_n_gaps(
-        diagonal_lebesgue_path(grid, scn.pi), ccr
+    columns, terminal, gaps = _flow_columns(
+        _roundtrip_f_nodes(corner_atom_path(grid, scn.pi), ccr)
     )
+    trip = _closure(gaps)
+    write_measure_csv(Path(out_dir) / "n_terminal.csv", terminal)
+    n_nodes = _roundtrip_n_nodes(diagonal_lebesgue_path(grid, scn.pi), ccr)
+    columns["roundtrip"] = _relative([node[-1] for node in n_nodes])
     checks = [
         ("symplectic", max(columns["symplectic"]), SYMPLECTIC_GATE),
         ("reality", max(columns["reality"]), REALITY_GATE),
@@ -481,7 +493,7 @@ def _run_spde(scn, model, out_dir):
     t_fast = time.perf_counter() - t0
     qef = qef_from_csk_path(fast, ccr, nodes=[grid.node_count - 1])
     write_measure_csv(Path(out_dir) / "n_terminal.csv", qef.measures[-1])
-    columns = _flow_columns(fast)
+    columns = {"symplectic": fast.residuals()}
     columns["reconstruction"] = _route_gaps(fast, dense)
     checks = (
         ("symplectic", max(columns["symplectic"]), SYMPLECTIC_GATE),

@@ -53,10 +53,27 @@ the measure's live columns, and the exponential acts as a low-rank
 update on them (rank 2n for the atomic driver F_t = delta_{(t,t)} Pi of
 :func:`corner_atom_path`, which :func:`spde_fast_path` integrates),
 never as a dense exponential.
+
+Each stage of the bridge is a recursion on the grid, and each is one
+generator that walks the nodes in order: the integrator step
+(:func:`_flow`), extraction at a node (:func:`_extraction`), the inverse
+step (:func:`_inversion`), the staggered inverse of consecutive
+measures (:func:`_staggered`), and the kernel-weighted gap at a node
+(:func:`_node_gap`).  The public stage functions collect their
+generator (:func:`csk_path_from_midpoints`, :func:`qef_from_csk_path`,
+:func:`inverse_toe_measure`, :func:`staggered_inverse_measures`); the
+roundtrip residuals and the CLI's forward, inverse and roundtrip tasks
+chain the generators into one ordered pass, which holds each stage's
+nodes at u - 1 and u only (one sweep's storage, Griewank & Walther,
+*Evaluating Derivatives*, 2nd ed., SIAM 2008, ch. 12), runs every gate
+on every node and returns the stage-by-stage values bit for bit.  The
+diagonal path of :func:`diagonal_lebesgue_path` forms its entries on
+access, so the pass reads each target once and keeps none.
 """
 
 from __future__ import annotations
 
+import collections
 import itertools
 import operator
 from dataclasses import dataclass
@@ -84,6 +101,7 @@ from .measures import (
     _block_norms,
     _check_kernel_measure,
     _check_node,
+    _check_pi,
     _common_window,
     _lambda_columns,
     _live_width,
@@ -134,7 +152,11 @@ class MeasurePath:
 
     entries[u] is the measure at time t_u, supported in [0, t_u]^2;
     derivative_entries, when present, hold the time derivative measures
-    under the same support convention.
+    under the same support convention.  Each family is stored as a tuple
+    and checked entry by entry at construction, or, when it is given as
+    an :class:`_OnAccess` sequence (:func:`diagonal_lebesgue_path`), kept
+    as one that forms and checks each entry on access.  Either reads by
+    len(), integer and negative indexing and iteration.
     """
 
     grid: object
@@ -142,31 +164,75 @@ class MeasurePath:
     derivative_entries: tuple | None = None
 
     def __post_init__(self):
-        entries = tuple(self.entries)
-        object.__setattr__(self, "entries", entries)
+        entries = _as_family(self.entries)
         if len(entries) != self.grid.node_count:
             raise ValueError(
                 f"path has {len(entries)} entries for {self.grid.node_count} nodes"
             )
-        families = [("entry", entries)]
+        families = {"entries": ("entry", entries)}
         if self.derivative_entries is not None:
-            dents = tuple(self.derivative_entries)
-            object.__setattr__(self, "derivative_entries", dents)
+            dents = _as_family(self.derivative_entries)
             if len(dents) != len(entries):
                 raise ValueError("derivative entries do not match path length")
-            families.append(("derivative entry", dents))
-        for label, family in families:
-            for u, q in enumerate(family):
-                if q.grid != self.grid:
-                    raise ValueError(f"{label} {u} lives on a different grid")
-                if q.support_index > u:
-                    raise ValueError(
-                        f"{label} {u} anticipates: support index {q.support_index}"
-                    )
+            families["derivative_entries"] = ("derivative entry", dents)
+        for name, (label, family) in families.items():
+            object.__setattr__(self, name, self._checked(family, label))
+
+    def _checked(self, family, label):
+        """family with each entry checked by :func:`_check_entry`: a tuple
+        at once, an :class:`_OnAccess` sequence as each is formed."""
+        grid = self.grid
+        if isinstance(family, _OnAccess):
+            return _OnAccess(
+                len(family), lambda u: _check_entry(family[u], grid, u, label)
+            )
+        for u, q in enumerate(family):
+            _check_entry(q, grid, u, label)
+        return family
 
     @property
     def dim(self):
         return self.entries[0].dim
+
+
+class _OnAccess:
+    """Read-only sequence of count items, item u formed by build(u) on each
+    access: len(), integer and negative indexing, and iteration."""
+
+    def __init__(self, count, build):
+        self._count, self._build = count, build
+
+    def __len__(self):
+        return self._count
+
+    def __getitem__(self, u):
+        return self._build(_node_index(u, self._count))
+
+    def __iter__(self):
+        return map(self._build, range(self._count))
+
+
+def _check_entry(q, grid, u, label):
+    """q as entry u of a path on grid; ValueError unless it lives on the
+    grid and is supported in [0, t_u]^2."""
+    if q.grid != grid:
+        raise ValueError(f"{label} {u} lives on a different grid")
+    if q.support_index > u:
+        raise ValueError(f"{label} {u} anticipates: support index {q.support_index}")
+    return q
+
+
+def _as_family(entries):
+    """entries kept as an :class:`_OnAccess` sequence, else as a tuple."""
+    return entries if isinstance(entries, _OnAccess) else tuple(entries)
+
+
+def _node_index(u, count):
+    """u as an index in [0, count); TypeError for a bool or a non-integer,
+    IndexError out of range, negative u from the end."""
+    if isinstance(u, bool):
+        raise TypeError("path nodes are not indexed by bools")
+    return range(count)[operator.index(u)]
 
 
 def _widen(live, width):
@@ -315,11 +381,7 @@ class LiveColumns:
             yield block
 
     def _index(self, u):
-        """u as a node index in [0, len); TypeError for a bool or a
-        non-integer, IndexError out of range, negative u from the end."""
-        if isinstance(u, bool):
-            raise TypeError("path nodes are not indexed by bools")
-        return range(len(self))[operator.index(u)]
+        return _node_index(u, len(self))
 
 
 def _read_only(block):
@@ -399,29 +461,32 @@ def _profile_factor(profile, t):
 
 
 def diagonal_lebesgue_path(grid, pi):
-    """Diagonal family N_u with its exact corner-atom derivative entries."""
-    entries = tuple(
-        diagonal_lebesgue_measure(grid, u, pi) for u in range(grid.node_count)
+    """Diagonal family N_u with its exact corner-atom derivative entries.
+
+    Pi is checked at once (finite, real, square and symmetric, else
+    ValueError); each entry and derivative entry is formed on access
+    (:class:`_OnAccess`) and checked for grid and support as it is
+    formed, so the path holds no measure: a pass over it keeps only the
+    node it reads.
+    """
+    pi = _check_pi(pi)
+    count = grid.node_count
+    return MeasurePath(
+        grid,
+        _OnAccess(count, lambda u: diagonal_lebesgue_measure(grid, u, pi)),
+        _OnAccess(count, lambda u: atomic_corner_measure(grid, u, pi)),
     )
-    derivs = tuple(
-        atomic_corner_measure(grid, u, pi) for u in range(grid.node_count)
-    )
-    return MeasurePath(grid, entries, derivs)
 
 
-class _Midpoints:
+class _Midpoints(_OnAccess):
     """Midpoint measures of a driver path, one per step, formed on access:
     item u is the average of node entries u and u + 1, on their window."""
 
     def __init__(self, f_path):
-        self._entries = f_path.entries
-
-    def __len__(self):
-        return len(self._entries) - 1
-
-    def __getitem__(self, u):
-        u = range(len(self))[u]
-        return _midpoint(self._entries[u], self._entries[u + 1])
+        entries = f_path.entries
+        super().__init__(
+            len(entries) - 1, lambda u: _midpoint(entries[u], entries[u + 1])
+        )
 
 
 def _check_on_kernel(q, ccr, label):
@@ -476,7 +541,9 @@ def csk_path_from_midpoints(mids, ccr):
     holds O(N n size) entries in place of sum_u size k_u, about half of
     N + 1 dense matrices, while a recovered driver's (|C| = k) keeps its
     blocks.  Its readers replay the pairs in node order, bit for bit,
-    and no (N + 1) x size^2 stack is ever allocated.
+    and no (N + 1) x size^2 stack is ever allocated.  The steps are those
+    of :func:`_flow`, the one integrator step, which the roundtrip
+    residuals read node by node without storing the path.
     """
     if len(mids) != ccr.grid.node_count - 1:
         raise ValueError("need one midpoint measure per step")
@@ -486,16 +553,27 @@ def csk_path_from_midpoints(mids, ccr):
 
 def _live_blocks(mids, ccr):
     """The :class:`LiveColumns` entries of :func:`csk_path_from_midpoints`:
-    the block S_0[:, :k_0], then per step the increment (m_cols, r_u) of
-    S_{u+1} or, where that holds no fewer entries, its block, and the
-    last node as its block; each array read-only.  An empty C leaves
-    S_{u+1} = S_u, kept as a pair with no columns once k > 0.  The step
-    temporaries are gone once the last entry is out."""
+    of each node the step :func:`_flow` yields, where that holds fewer
+    entries than the block, else the block, and node 0 and the last node
+    as their blocks.  An empty C leaves S_{u+1} = S_u, kept as a pair
+    with no columns once k > 0."""
+    last = len(mids)
+    for u, (step, live) in enumerate(_flow(mids, ccr)):
+        thin = 0 < u < last and step[0].size + step[1].size < live.size
+        yield step if thin else live
+
+
+def _flow(mids, ccr):
+    """The midpoint rule of :func:`csk_path_from_midpoints`, one node at a
+    time: (None, S_0[:, :0]), then per midpoint u of the iterable mids
+    ((m_cols, r_u), S_{u+1}[:, :k]), each array read-only and none
+    written again.  Only the current block is held, so a pass that
+    consumes the blocks as they come (the roundtrip residuals) never
+    stores the path."""
     h = ccr.grid.step
-    last = len(mids) - 1
     live = np.empty((ccr.big.shape[0], 0), dtype=complex)
     live.setflags(write=False)
-    yield live
+    yield None, live
     for u, mid in enumerate(mids):
         _check_on_kernel(mid, ccr, f"midpoint {u}")
         cols, lam_w = _lambda_columns(ccr, mid)
@@ -509,8 +587,12 @@ def _live_blocks(mids, ccr):
             live = wide
         for a in (m_cols, r_u, live):
             a.setflags(write=False)
-        thin = u < last and m_cols.size + r_u.size < live.size
-        yield (m_cols, r_u) if thin else live
+        yield (m_cols, r_u), live
+
+
+def _flow_blocks(mids, ccr):
+    """The blocks S_u[:, :k_u] of :func:`_flow`, one at a time."""
+    return (live for _, live in _flow(mids, ccr))
 
 
 def forward_csk_evolution(f_path, ccr):
@@ -618,9 +700,12 @@ def _atan_theta(live, prev):
 
 
 def _extract_node(live, ccr, prev):
-    """(Lambda N_u, Theta_u) at one node from its live block S_u[:, :k].
+    """(Lambda N_u, Theta_u, congruence residual) at one node from its live
+    block S_u[:, :k].
 
-    S_u passes the CskMatrix congruence gate on its live block.  With
+    S_u passes the CskMatrix congruence gate on its live block, and the
+    relative residual the gate read, residual / scale of
+    :func:`lie.symplectic_residual_raw`, is returned with the node.  With
     T = conj(S)^{-1} S, T + I = 2 conj(S)^{-1} Re S and
     T - I = 2i conj(S)^{-1} Im S, so Z = (T - I)(T + I)^{-1} = iY with the
     real Y = (Re S)^{-1} Im S, and log T = 2 atanh(Z) = 2i atan(Y): the
@@ -632,20 +717,34 @@ def _extract_node(live, ccr, prev):
     2i prev, and Lambda N_u = H / 4i.  Theta_u = 4i Lambda N_u / 2i, the
     next node's prev, is the real k columns of Theta or H / 2i.
     """
-    _check_symplectic(*symplectic_residual_raw(live, ccr.big))
+    residual, scale = symplectic_residual_raw(live, ccr.big)
+    _check_symplectic(residual, scale)
     size, k = live.shape
     theta = _atan_theta(live, prev)
     if theta is not None:
         rhs = np.zeros((size, size))
         rhs[:, :k] = 0.5 * theta
-        return rhs, theta
+        return rhs, theta, residual / scale
     t_mat = _widen(np.eye(size, k) + _conj_solve(live, 2j * live.imag), size)
     anchor = None
     if prev is not None:
         anchor = np.zeros((size, size), dtype=complex)
         anchor[:, : prev.shape[1]] = 2j * prev
     ham = csk_log(CskMatrix(ccr.grid, t_mat, ccr), anchor).ham
-    return ham / 4j, ham / 2j
+    return ham / 4j, ham / 2j, residual / scale
+
+
+def _extraction(nodes, ccr):
+    """Extraction at each (u, S_u[:, :k]) of the iterable nodes, in order:
+    (N_u, solve report, relative congruence residual of S_u), each node's
+    logarithm anchored at the one before (:func:`_extract_node`) and its
+    kernel solve restricted to [0, t_u]^2.  Only the anchor is carried
+    from node to node."""
+    prev = None
+    for u, live in nodes:
+        rhs, prev, residual = _extract_node(live, ccr, prev)
+        measure, report = ccr.solver.solve_measure(rhs, support_index=u)
+        yield measure, report, residual
 
 
 def qef_from_csk_path(s_path, ccr, nodes=None):
@@ -674,7 +773,10 @@ def qef_from_csk_path(s_path, ccr, nodes=None):
     anchor, and the solve residual over every row of Theta / 2.
 
     The logarithm anchor is carried from the previously extracted node,
-    keeping the branch continuous along the path.  Raises ValueError
+    keeping the branch continuous along the path.  The nodes are those
+    of :func:`_extraction`, which the roundtrip residuals and the CLI
+    tasks read one at a time, with the congruence residual each gate
+    read, keeping no measure they do not print.  Raises ValueError
     unless every requested node is an integer in [0, N + 1), and unless
     s_path was integrated on ccr or on a kernel with equal entries.
     """
@@ -690,10 +792,9 @@ def qef_from_csk_path(s_path, ccr, nodes=None):
     measures = []
     reality = []
     reports = []
-    prev = None
-    for u, live in zip(indices, s_path.mats.blocks(indices)):
-        rhs, prev = _extract_node(live, ccr, prev)
-        measure, report = ccr.solver.solve_measure(rhs, support_index=u)
+    for measure, report, _ in _extraction(
+        zip(indices, s_path.mats.blocks(indices)), ccr
+    ):
         measures.append(measure)
         reports.append(report)
         reality.append(measure.reality_residual)
@@ -807,19 +908,31 @@ def inverse_toe_measure(n_path, ccr):
     the path must carry derivative entries (the diagonal family has
     exact ones).  Each node costs one closed-form superoperator on the
     leading k x k blocks and one kernel solve against the kernel's
-    leading k x k block (:func:`_inverse_step`).
+    leading k x k block (:func:`_inverse_step`).  Collects the nodes of
+    :func:`_inversion`, in which :func:`roundtrip_n_residual` reads them
+    one at a time.
     """
+    entries, quad_errors, reports = zip(*_inversion(_target_pairs(n_path, ccr), ccr))
+    return InverseResult(MeasurePath(n_path.grid, entries), quad_errors, reports)
+
+
+def _target_pairs(n_path, ccr):
+    """(N_u, N'_u) per node of a measure path, for :func:`_inversion`;
+    ValueError without derivative entries or off the kernel's grid."""
     if n_path.derivative_entries is None:
         raise ValueError("inverse direction needs derivative entries on the path")
-    grid = n_path.grid
-    if grid != ccr.grid:
+    if n_path.grid != ccr.grid:
         raise ValueError("path and kernel grids differ")
-    pairs = zip(n_path.entries, n_path.derivative_entries)
-    entries, quad_errors, reports = zip(*(
-        _inverse_step(ups_superop, n, dn, ccr, u)
-        for u, (n, dn) in enumerate(pairs)
-    ))
-    return InverseResult(MeasurePath(grid, entries), quad_errors, reports)
+    return zip(n_path.entries, n_path.derivative_entries)
+
+
+def _inversion(pairs, ccr):
+    """The inverse step at each node u of the iterable pairs (N_u, N'_u), in
+    order: (F_u, quadrature bound, solve report) of :func:`_inverse_step`,
+    F_u checked as entry u of a driver path (:func:`_check_entry`)."""
+    for u, (n, dn) in enumerate(pairs):
+        f, err, report = _inverse_step(ups_superop, n, dn, ccr, u)
+        yield _check_entry(f, ccr.grid, u, "entry"), err, report
 
 
 def staggered_inverse_measures(measures, ccr):
@@ -836,19 +949,29 @@ def staggered_inverse_measures(measures, ccr):
     directly, while a general real driver is matched only up to the
     phase of its root, an O(N^2) gap independent of the step.  The
     measure path itself is always reproduced; compare through the
-    regenerated flow when the driver class is unknown.
+    regenerated flow when the driver class is unknown.  Collects
+    :func:`_staggered`, which :func:`roundtrip_f_residual` reads one
+    driver at a time.
     """
+    count = ccr.grid.node_count
+    if len(measures) != count:
+        raise ValueError(f"need {count} measures, got {len(measures)}")
+    return tuple(_staggered(measures, ccr))
+
+
+def _staggered(measures, ccr):
+    """The midpoint driver of each consecutive pair (N_u, N_{u+1}) of the
+    iterable measures, in order, each measure checked to lie on ccr.grid
+    with ccr.dim as it arrives; only the previous measure is held."""
     grid, n = ccr.grid, ccr.dim
-    if len(measures) != grid.node_count:
-        raise ValueError(f"need {grid.node_count} measures, got {len(measures)}")
+    prev = None
     for u, q in enumerate(measures):
         _check_on_kernel(q, ccr, f"measure {u}")
-    out = []
-    for u, (a, b) in enumerate(zip(measures, measures[1:])):
-        lo, _, w_lo, w_hi = _common_window(a, b)
-        slope = KernelMeasure._from_window(grid, n, lo, (w_hi - w_lo) / grid.step)
-        out.append(_inverse_step(ups_superop, _midpoint(a, b), slope, ccr, u + 1)[0])
-    return tuple(out)
+        if prev is not None:
+            lo, _, w_lo, w_hi = _common_window(prev, q)
+            slope = KernelMeasure._from_window(grid, n, lo, (w_hi - w_lo) / grid.step)
+            yield _inverse_step(ups_superop, _midpoint(prev, q), slope, ccr, u)[0]
+        prev = q
 
 
 @dataclass(frozen=True)
@@ -868,61 +991,122 @@ class RoundtripReport:
     direct_residual: float
 
 
-def _relative_gaps(ccr, got, want):
-    """Per-node gaps ||got_u - want_u|| over the largest ||want_u||.
+def _node_gap(ccr, got, want):
+    """(||got - want||, ||want||) at one node, both kernel-weighted.
 
-    got and want are sequences of measures, both norms kernel-weighted
-    (:func:`measures.kernel_weighted_norm`, here of the windows, the
-    difference taken on :func:`measures._common_window`): node masses of
-    singular measures depend on grid alignment at order one, so raw
-    weight distances overstate the gap between equal measures.  When
-    every target vanishes the gaps are returned unscaled.
+    The norms are :func:`measures.kernel_weighted_norm`, here of the
+    windows, the difference taken on :func:`measures._common_window`:
+    node masses of singular measures depend on grid alignment at order
+    one, so raw weight distances overstate the gap between equal
+    measures.
     """
-    gaps = []
-    den = 0.0
-    for g, w in zip(got, want):
-        lo, _, w_g, w_w = _common_window(g, w)
-        gaps.append(_window_weighted_norm(ccr, lo, w_g - w_w))
-        den = max(den, _window_weighted_norm(ccr, w._lo, w._window))
-    return [gap / den if den > 0.0 else gap for gap in gaps]
+    lo, _, w_g, w_w = _common_window(got, want)
+    return (
+        _window_weighted_norm(ccr, lo, w_g - w_w),
+        _window_weighted_norm(ccr, want._lo, want._window),
+    )
+
+
+def _relative(gaps):
+    """Per-node gaps over the largest target norm, from the pairs of
+    :func:`_node_gap`; unscaled when every target vanishes."""
+    den = max([0.0, *(norm for _, norm in gaps)])
+    return [gap / den if den > 0.0 else gap for gap, _ in gaps]
 
 
 def roundtrip_f_residual(f_path, ccr):
     """Forward a driver path, invert the measures, report both gaps.
 
     Both are kernel-weighted gaps at the worst node, relative to the
-    largest target norm.
+    largest target norm, from one ordered pass (:func:`_roundtrip_f_nodes`)
+    that holds the nodes of each stage at u - 1 and u only.
     """
-    return _flow_closure(f_path, ccr, forward_qef_measure(f_path, ccr))
+    return _closure([node[-2:] for node in _roundtrip_f_nodes(f_path, ccr)])
 
 
-def _flow_closure(f_path, ccr, qef):
-    """:func:`roundtrip_f_residual` from the driver's measures qef,
-    extracted at every node."""
-    recovered = staggered_inverse_measures(qef.measures, ccr)
-    direct = max(_relative_gaps(ccr, recovered, _Midpoints(f_path)))
-    regen = csk_path_from_midpoints(recovered, ccr)
-    check = qef_from_csk_path(regen, ccr)
-    invariant = max(_relative_gaps(ccr, check.measures, qef.measures))
-    return RoundtripReport(invariant, direct)
+def _roundtrip_f_nodes(f_path, ccr):
+    """:func:`roundtrip_f_residual` node by node.
+
+    Per node u the driver's flow takes its step and is extracted to N_u;
+    the staggered inverse of N_{u-1} and N_u gives the recovered driver
+    at the midpoint of step u - 1, whose direct gap against the input's
+    midpoint average is taken there; the regenerated flow takes its step
+    with it and is extracted, and compared with N_u.  Yields
+    (N_u, solve report, congruence residual) of the driver's flow, as
+    :func:`_extraction` does, followed by the invariant gap and the
+    direct gap (None at node 0), each a pair of :func:`_node_gap`.  The
+    stages are the generators of the stored routes (:func:`_flow`,
+    :func:`_extraction`, :func:`_staggered`), so every gate runs on
+    every node as in :func:`forward_qef_measure`,
+    :func:`staggered_inverse_measures`, :func:`csk_path_from_midpoints`
+    and :func:`qef_from_csk_path`, and each value is theirs bit for bit.
+    """
+    if f_path.grid != ccr.grid:
+        raise ValueError("path and kernel grids differ")
+    flow = _extraction(enumerate(_flow_blocks(_Midpoints(f_path), ccr)), ccr)
+    nodes, staggered = _fork(flow)
+    recovered, regen = _fork(_staggered((q for q, *_ in staggered), ccr))
+    check = _extraction(enumerate(_flow_blocks(regen, ccr)), ccr)
+    direct = (_node_gap(ccr, f, m) for f, m in zip(recovered, _Midpoints(f_path)))
+    for node, (q, *_), step_gap in zip(nodes, check, itertools.chain([None], direct)):
+        yield *node, _node_gap(ccr, q, node[0]), step_gap
 
 
-def _roundtrip_n_gaps(n_path, ccr):
-    """Per-node relative gaps of forward(inverse(N)) against N."""
-    return _forward_gaps(inverse_toe_measure(n_path, ccr).f_path, n_path, ccr)
+def _fork(items):
+    """Two iterators over the iterable items, for two consumers that stay
+    within a few items of each other: each item is held from its first
+    read to its second, then dropped.  itertools.tee would hold it until
+    both have passed its whole block of 57 items, most of a pass at the
+    node counts the residuals run at."""
+    items = iter(items)
+    queues = (collections.deque(), collections.deque())
+
+    def reader(mine, other):
+        while True:
+            if mine:
+                yield mine.popleft()
+                continue
+            try:
+                item = next(items)
+            except StopIteration:
+                return
+            other.append(item)
+            yield item
+
+    return reader(*queues), reader(*queues[::-1])
 
 
-def _forward_gaps(f_path, n_path, ccr):
-    """:func:`_roundtrip_n_gaps` from the driver f_path already recovered
-    from n_path."""
-    qef = forward_qef_measure(f_path, ccr)
-    return _relative_gaps(ccr, qef.measures, n_path.entries)
+def _closure(gaps):
+    """:class:`RoundtripReport` from the last two values of each node of
+    :func:`_roundtrip_f_nodes`, its invariant and direct gaps."""
+    invariant, direct = zip(*gaps)
+    return RoundtripReport(max(_relative(invariant)), max(_relative(direct[1:])))
+
+
+def _roundtrip_n_nodes(n_path, ccr):
+    """:func:`roundtrip_n_residual` node by node.
+
+    Per node u, N_u and N'_u are read once and inverted to F_u
+    (:func:`_inversion`); the flow steps with the midpoint of F_{u-1} and
+    F_u and is extracted to M_u, which is compared with the same N_u.
+    Yields (F_u, quadrature bound, inverse solve report, gap of M_u
+    against N_u as a pair of :func:`_node_gap`); every gate of
+    :func:`inverse_toe_measure` and :func:`forward_qef_measure` runs on
+    every node, and each value is theirs bit for bit.
+    """
+    pairs, targets = _fork(_target_pairs(n_path, ccr))
+    drivers, nodes = _fork(_inversion(pairs, ccr))
+    mids = itertools.starmap(_midpoint, itertools.pairwise(f for f, *_ in drivers))
+    check = _extraction(enumerate(_flow_blocks(mids, ccr)), ccr)
+    for node, (q, *_), (n, _) in zip(nodes, check, targets):
+        yield *node, _node_gap(ccr, q, n)
 
 
 def roundtrip_n_residual(n_path, ccr):
     """Relative gap of forward(inverse(N)) against N in the weighted norm,
-    at the worst node."""
-    return max(_roundtrip_n_gaps(n_path, ccr))
+    at the worst node, from one ordered pass (:func:`_roundtrip_n_nodes`)
+    that holds the nodes of each stage at u - 1 and u only."""
+    return max(_relative([node[-1] for node in _roundtrip_n_nodes(n_path, ccr)]))
 
 
 def t_route_residual(f_path, ccr):

@@ -407,22 +407,26 @@ def test_roundtrip_convergence_note_comes_with_its_table(tmp_path):
 
 
 def test_roundtrip_task_integrates_and_extracts_its_flow_once(tmp_path, monkeypatch):
-    # On the N = 32 grid: the corner-atom flow and the driver recovered
-    # from the diagonal path are integrated once each; the corner-atom
-    # flow, its regenerated flow and the recovered driver's flow are
-    # extracted once each.  The task's own extraction feeds the
-    # flow-closure check, and one kernel solver serves every solve.
-    counts = {"forward_csk_evolution": 0, "qef_from_csk_path": 0, "KernelSolver": 0}
-    for name in ("forward_csk_evolution", "qef_from_csk_path"):
-        original = getattr(solvers, name)
+    # On the N = 32 grid: the corner-atom flow, its regenerated flow and
+    # the flow of the driver recovered from the diagonal path are each
+    # integrated in one pass and extracted once at each of the 33 nodes.
+    # The task's own extraction feeds the flow-closure check, and one
+    # kernel solver serves every solve.
+    counts = {"_flow": 0, "_extract_node": 0, "KernelSolver": 0}
+    flow, extract = solvers._flow, solvers._extract_node
 
-        def counted(path, *args, _name=name, _original=original, **kwargs):
-            if path.grid.steps == 32:
-                counts[_name] += 1
-            return _original(path, *args, **kwargs)
+    def counted_flow(mids, ccr):
+        if ccr.grid.steps == 32:
+            counts["_flow"] += 1
+        return flow(mids, ccr)
 
-        monkeypatch.setattr(solvers, name, counted)
-        monkeypatch.setattr(cli, name, counted)
+    def counted_extract(live, ccr, prev):
+        if ccr.grid.steps == 32:
+            counts["_extract_node"] += 1
+        return extract(live, ccr, prev)
+
+    monkeypatch.setattr(solvers, "_flow", counted_flow)
+    monkeypatch.setattr(solvers, "_extract_node", counted_extract)
     factor = lie.KernelSolver.__init__
 
     def counted_factor(self, ccr):
@@ -436,11 +440,7 @@ def test_roundtrip_task_integrates_and_extracts_its_flow_once(tmp_path, monkeypa
         bundled_scenario("atomic_roundtrip.scn"), output_dir=out, levels=1
     )
     assert code == 0
-    assert counts == {
-        "forward_csk_evolution": 2,
-        "qef_from_csk_path": 3,
-        "KernelSolver": 1,
-    }
+    assert counts == {"_flow": 3, "_extract_node": 3 * 33, "KernelSolver": 1}
 
 
 def test_each_bundled_scenario_factorizes_each_kernel_once(tmp_path, monkeypatch):
@@ -469,17 +469,18 @@ def test_each_bundled_scenario_factorizes_each_kernel_once(tmp_path, monkeypatch
 
 def test_forward_and_inverse_tables_reuse_the_base_grid(tmp_path, monkeypatch):
     # With three levels the base-grid error comes from the flow or the
-    # driver the task already holds: zero_forward integrates its N = 16
-    # flow once, and diagonal_inverse recovers its N = 24 driver once.
-    base = {"forward_csk_evolution": 16, "inverse_toe_measure": 24}
+    # driver the task already forms: zero_forward integrates its N = 16
+    # flow once, and diagonal_inverse recovers its N = 24 driver in one
+    # pass that also integrates and compares it.
+    base = {"forward_csk_evolution": 16, "_inversion": 24}
     counts = dict.fromkeys(base, 0)
     for name in base:
         original = getattr(solvers, name)
 
-        def counted(path, *args, _name=name, _original=original, **kwargs):
-            if path.grid.steps == base[_name]:
+        def counted(*args, _name=name, _original=original):
+            if args[-1].grid.steps == base[_name]:
                 counts[_name] += 1
-            return _original(path, *args, **kwargs)
+            return _original(*args)
 
         monkeypatch.setattr(solvers, name, counted)
         monkeypatch.setattr(cli, name, counted)
@@ -488,4 +489,4 @@ def test_forward_and_inverse_tables_reuse_the_base_grid(tmp_path, monkeypatch):
         code = run_scenario(bundled_scenario(f"{name}.scn"), output_dir=out, levels=3)
         assert code == 0
         assert len((out / "convergence.csv").read_text().splitlines()) == 5
-    assert counts == {"forward_csk_evolution": 1, "inverse_toe_measure": 1}
+    assert counts == {"forward_csk_evolution": 1, "_inversion": 1}

@@ -44,12 +44,14 @@ from quadexp import (
     spectral_abscissa,
     staggered_inverse_measures,
     t_route_residual,
+    write_measure_csv,
     zero_measure,
 )
+from quadexp import cli, solvers
 from quadexp import model as model_module
-from quadexp import solvers
 from quadexp.cli import bundled_scenario, parse_scenario
 from quadexp.lie import CskMatrix, KernelSolver, _ups_series, symplectic_residual_raw
+from quadexp.measures import _common_window, _midpoint, _window_weighted_norm
 from quadexp.model import ccr_two_point
 from quadexp.solvers import LiveColumns, _dense_csk_evolution
 
@@ -855,6 +857,153 @@ def test_roundtrip_residual_peak_memory_stays_within_two_stacks(model2, pi2):
     assert peak <= 2.0 * stack_bytes, peak / stack_bytes
 
 
+def test_roundtrip_passes_peak_within_a_fraction_of_a_stack(model2, pi2):
+    # each pass holds the nodes of its stages at u - 1 and u only, and the
+    # diagonal path forms its targets on access; the stage-by-stage routes
+    # held N + 1 windows and blocks, about 1.6 stacks at N = 64
+    grid = make_grid(1.0, 64)
+    ccr = build_ccr_kernel(model2, grid)
+    size = ccr.big.shape[0]
+    stack_bytes = grid.node_count * size * size * 16
+    f_path = corner_atom_path(grid, pi2)
+    n_path = diagonal_lebesgue_path(grid, pi2)
+    runs = {
+        "roundtrip_f": lambda: roundtrip_f_residual(f_path, ccr),
+        "roundtrip_n": lambda: roundtrip_n_residual(n_path, ccr),
+    }
+    for name, run in runs.items():
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.6 * stack_bytes, (name, peak / stack_bytes)
+
+
+def _reference_gaps(ccr, got, want):
+    """Per-node kernel-weighted gaps of the measures got against want over
+    the largest target norm, as the stage-by-stage routes took them."""
+    gaps, den = [], 0.0
+    for g, w in zip(got, want):
+        lo, _, w_g, w_w = _common_window(g, w)
+        gaps.append(_window_weighted_norm(ccr, lo, w_g - w_w))
+        den = max(den, _window_weighted_norm(ccr, w._lo, w._window))
+    return [gap / den if den > 0.0 else gap for gap in gaps]
+
+
+def _reference_roundtrip_n_gaps(n_path, ccr):
+    """Inverse of the whole path, then its flow extracted at every node."""
+    f_path = inverse_toe_measure(n_path, ccr).f_path
+    measures = forward_qef_measure(f_path, ccr).measures
+    return _reference_gaps(ccr, measures, n_path.entries)
+
+
+def _reference_roundtrip_f(f_path, ccr):
+    """Staggered inverse of all extracted measures, then the regenerated
+    flow stored and extracted: (invariant, direct, driver extraction)."""
+    qef = forward_qef_measure(f_path, ccr)
+    recovered = staggered_inverse_measures(qef.measures, ccr)
+    check = qef_from_csk_path(csk_path_from_midpoints(recovered, ccr), ccr)
+    entries = f_path.entries
+    mids = [_midpoint(a, b) for a, b in zip(entries, entries[1:])]
+    invariant = max(_reference_gaps(ccr, check.measures, qef.measures))
+    return invariant, max(_reference_gaps(ccr, recovered, mids)), qef
+
+
+@pytest.mark.parametrize("case", ["n2", "n4", "zero pi"])
+def test_roundtrip_passes_equal_the_stage_by_stage_routes(
+    case, model2, model4, pi2, tmp_path, monkeypatch
+):
+    model, pi = {
+        "n2": (model2, pi2),
+        "n4": (model4, 0.05 * np.eye(4)),
+        "zero pi": (model2, np.zeros((2, 2))),
+    }[case]
+    grid = make_grid(1.0, 16)
+    ccr = build_ccr_kernel(model, grid)
+    f_path = corner_atom_path(grid, pi)
+    n_path = diagonal_lebesgue_path(grid, pi)
+    n_gaps = _reference_roundtrip_n_gaps(n_path, ccr)
+    invariant, direct, qef = _reference_roundtrip_f(f_path, ccr)
+    assert roundtrip_n_residual(n_path, ccr) == max(n_gaps)
+    trip = roundtrip_f_residual(f_path, ccr)
+    assert (trip.invariant_residual, trip.direct_residual) == (invariant, direct)
+
+    # every report.csv column of the three tasks, and their terminal
+    # measures; the refined closure levels are stubbed out, level 0 kept
+    monkeypatch.setattr(cli, "_measure_closure", lambda pi: lambda g, c: 1.0)
+    flow = forward_csk_evolution(f_path, ccr)
+    inverse = inverse_toe_measure(n_path, ccr)
+    forward_columns = {
+        "symplectic": flow.residuals(),
+        "reality": list(qef.reality_residuals),
+        "reconstruction": [r.relative for r in qef.solve_reports],
+    }
+    want = {
+        "forward": (forward_columns, "n_terminal.csv", qef.measures[-1]),
+        "roundtrip": (
+            {**forward_columns, "roundtrip": n_gaps}, "n_terminal.csv", qef.measures[-1]
+        ),
+        "inverse": (
+            {
+                "reality": [q.reality_residual for q in inverse.f_path.entries],
+                "reconstruction": [r.relative for r in inverse.solve_reports],
+            },
+            "f_terminal.csv",
+            inverse.f_path.entries[-1],
+        ),
+    }
+    runs = (("forward", 1), ("roundtrip", 1), ("inverse", 1), ("inverse", 3))
+    for task, levels in runs:
+        columns, name, terminal = want[task]
+        scn = cli.Scenario(
+            name=task, task=task, horizon=1.0, steps=16, levels=levels, seed=0,
+            cutoff=40, theta=model.theta, drift=model.drift,
+            dispersion=model.dispersion, pi=pi, output_dir=str(tmp_path),
+        )
+        out = tmp_path / f"{task}{levels}"
+        out.mkdir()
+        result = cli._RUNNERS[task](scn, model, out)
+        assert result.columns == columns, task
+        write_measure_csv(tmp_path / "want.csv", terminal)
+        assert (out / name).read_bytes() == (tmp_path / "want.csv").read_bytes(), task
+        if task == "roundtrip":
+            assert result.checks[3][1] == invariant
+            assert result.notes[0].endswith(cli._fmt(direct))
+        if task == "inverse":
+            assert result.checks[1][1] == max(inverse.quad_errors)
+            if levels == 3:
+                assert result.convergence[0][3] == max(n_gaps)
+
+
+def test_diagonal_path_forms_and_checks_each_entry_on_access(grid16, pi2):
+    path = diagonal_lebesgue_path(grid16, pi2)
+    for family, build in (
+        (path.entries, diagonal_lebesgue_measure),
+        (path.derivative_entries, atomic_corner_measure),
+    ):
+        assert not isinstance(family, tuple)
+        assert len(family) == grid16.node_count
+        for u, entry in zip(range(-1, grid16.node_count), [family[-1], *family]):
+            want = build(grid16, u % grid16.node_count, pi2)
+            assert np.array_equal(entry.weights, want.weights)
+            assert entry.support_index == want.support_index
+        with pytest.raises(IndexError):
+            family[grid16.node_count]
+    # a path given a family formed on access checks each entry as it is formed
+    atoms = solvers._OnAccess(
+        grid16.node_count, lambda u: atomic_corner_measure(grid16, min(u + 1, 16), pi2)
+    )
+    lazy = MeasurePath(grid16, atoms)
+    with pytest.raises(ValueError, match="entry 3 anticipates"):
+        lazy.entries[3]
+    with pytest.raises(ValueError, match="entry 0 anticipates"):
+        list(lazy.entries)
+    with pytest.raises(ValueError, match="17 nodes"):
+        MeasurePath(grid16, solvers._OnAccess(4, atoms.__getitem__))
+
+
 def test_integrators_and_extraction_peak_memory_stay_near_one_stack(model2, pi2):
     grid = make_grid(1.0, 32)
     ccr = build_ccr_kernel(model2, grid)
@@ -1073,18 +1222,36 @@ def test_terminal_extraction_at_n256_peaks_near_the_import():
     # steps, about 16 MiB, where the blocks took over 0.5 GB.  A child
     # starts with its parent's peak RSS, so a small launcher runs it and
     # reads its peak from RUSAGE_CHILDREN, kilobytes on Linux.
+    code = (
+        "s_path = forward_csk_evolution(corner_atom_path(grid, pi), ccr)\n"
+        "qef_from_csk_path(s_path, ccr, nodes=[256])\n"
+    )
+    assert _child_peak_mb(256, code) < 200.0
+
+
+def test_roundtrip_n_residual_at_n128_peaks_under_120_mb():
+    # the inverse, the flow and its extraction run in one pass over the
+    # diagonal path, whose targets are formed on access; the stage-by-stage
+    # routes peaked at about 256 MB here
+    code = "roundtrip_n_residual(diagonal_lebesgue_path(grid, pi), ccr)\n"
+    assert _child_peak_mb(128, code) < 120.0
+
+
+def _child_peak_mb(steps, code):
+    """Peak RSS in MB of a fresh process that builds the n = 2 model, the
+    grid of the given steps, its kernel ccr and pi, then runs code."""
     pytest.importorskip("resource")
     code = (
         "import numpy as np\n"
         "from quadexp import build_ccr_kernel, make_grid, random_model\n"
-        "from quadexp import corner_atom_path, forward_csk_evolution, qef_from_csk_path\n"
+        "from quadexp import corner_atom_path, diagonal_lebesgue_path\n"
+        "from quadexp import forward_csk_evolution, qef_from_csk_path\n"
+        "from quadexp import roundtrip_n_residual\n"
         "model = random_model(np.random.default_rng(7), n=2, m=2)\n"
-        "grid = make_grid(1.0, 256)\n"
+        f"grid = make_grid(1.0, {steps})\n"
         "ccr = build_ccr_kernel(model, grid)\n"
         "pi = 0.2 * np.array([[1.0, 0.3], [0.3, 0.8]])\n"
-        "s_path = forward_csk_evolution(corner_atom_path(grid, pi), ccr)\n"
-        "qef_from_csk_path(s_path, ccr, nodes=[256])\n"
-    )
+    ) + code
     launcher = (
         "import resource, subprocess, sys\n"
         "subprocess.run([sys.executable, '-c', sys.argv[1]], check=True)\n"
@@ -1101,8 +1268,7 @@ def test_terminal_extraction_at_n256_peaks_near_the_import():
         text=True,
         check=True,
     )
-    peak_mb = int(proc.stdout.split()[-1]) / 1024
-    assert peak_mb < 200.0, peak_mb
+    return int(proc.stdout.split()[-1]) / 1024
 
 
 def _block_bytes(size, widths):
