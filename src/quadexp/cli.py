@@ -580,13 +580,19 @@ def _run_oracle(scn, model, out_dir):
     )
     checks = [("oracle_bracket", max(residuals), ORACLE_GATE)]
     notes = ()
-    if model is not None and scn.steps >= 1 and scn.steps <= 2 and scn.horizon > 0:
+    multitime_grid = 1 <= scn.steps <= 2 and scn.horizon > 0
+    if model is not None and multitime_grid:
         grid = make_grid(scn.horizon, scn.steps)
         mt = oracle_multitime_check(model, grid, tol=ORACLE_GATE)
         checks.append(("oracle_multitime", mt.table_residual, ORACLE_GATE))
         notes = (
             "discrete vs continuous table gap: " + _fmt(mt.continuum_gap),
             "multitime dimension: " + str(mt.dimension),
+        )
+    elif model is not None:
+        notes = (
+            "multitime check skipped: it needs T > 0 and 1 <= N <= 2, the "
+            f"scenario has T = {_fmt(scn.horizon)} and N = {scn.steps}",
         )
     return TaskResult(
         tuple(checks), keys, times, {"reconstruction": residuals}, (), notes

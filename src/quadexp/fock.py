@@ -11,6 +11,14 @@ Truncation breaks the CCRs only at the top of the ladder, so every
 comparison is made on the kept low Fock levels, with a margin of two
 levels per quadratic-form application.  The projection onto them is an
 index set: only the kept rows and columns of each commutator are formed.
+
+Operators are built as they are consumed.  Each canonical pair is
+embedded only for the realization that reads it and dropped after it,
+and linear combinations accumulate in place.  The multitime check thus
+holds at once the variables of the nodes built so far, one step's noise
+pairs (while they are realized) or noise variables (while the next node
+is propagated), and that node's rows; once the last node is formed only
+the variables themselves stay alive.
 """
 
 from dataclasses import dataclass
@@ -154,12 +162,18 @@ class VariableSet:
 
 
 def _combine(row, ops):
-    """The operator sum_b row[b] ops[b]."""
-    return sum(c * op for c, op in zip(row, ops))
+    """The operator sum_b row[b] ops[b], summed in place in term order."""
+    out = row[0] * ops[0]
+    for c, op in zip(row[1:], ops[1:]):
+        out += c * op
+    return out
 
 
-def _canonical_pairs(modes):
-    """(q_1, p_1, q_2, p_2, ...) of the modes, embedded in their tensor product."""
+def _canonical_pairs(modes, slots):
+    """(q_s, p_s) for s in slots, embedded in the tensor product of all modes.
+
+    The dimension budget is checked before anything is embedded.
+    """
     cutoffs = tuple(mode.cutoff for mode in modes)
     dim = int(np.prod(cutoffs))
     if dim > DIMENSION_BUDGET:
@@ -168,8 +182,8 @@ def _canonical_pairs(modes):
         )
     return [
         _embed(op, slot, cutoffs)
-        for slot, mode in enumerate(modes)
-        for op in (mode.position, mode.momentum)
+        for slot in slots
+        for op in (modes[slot].position, modes[slot].momentum)
     ]
 
 
@@ -215,7 +229,7 @@ def build_single_time(theta, cutoff):
     if not np.isfinite(theta).all() or np.linalg.norm(theta + theta.T) > tol:
         raise ValueError("commutator table must be finite and antisymmetric")
     modes = tuple(make_mode(cutoff) for _ in range(n // 2))
-    variables = _realize(theta, _canonical_pairs(modes))
+    variables = _realize(theta, _canonical_pairs(modes, range(len(modes))))
     return VariableSet(modes, tuple(variables), theta)
 
 
@@ -263,6 +277,11 @@ def antisymmetric_remainder(vars, q_anti):
     return float(np.linalg.norm(gap)), complex(scalar)
 
 
+def _check_bracket_cutoffs(cutoffs):
+    if min(cutoffs) < 8:
+        raise ValueError("bracket check needs mode cutoffs of at least 8")
+
+
 @dataclass(frozen=True)
 class BracketReport:
     """Kept-level residual of one bracket identity check."""
@@ -282,8 +301,7 @@ def oracle_bracket_check(vars, q1, q2, tol=1e-8):
     rows and the kept columns of each form, and the kept block of the
     right-hand side.
     """
-    if min(vars.cutoffs) < 8:
-        raise ValueError("bracket check needs mode cutoffs of at least 8")
+    _check_bracket_cutoffs(vars.cutoffs)
     q1 = _symmetric_form(vars, q1)
     q2 = _symmetric_form(vars, q2)
     theta = vars.ccr_target
@@ -339,6 +357,30 @@ def _discrete_table(model, grid):
     return table, thetas, e_step
 
 
+def _multitime_variables(model, grid, modes, e_step):
+    """Flat (X_0, X_1, ..., X_N) of the multitime check, built step by step.
+
+    modes hold the system pairs first, then each step's noise pairs.
+    Node 0 realizes theta from the system pairs; step u realizes its
+    noise table h J from its own pairs and propagates
+    X_{u+1} = e_step X_u + B dW_u.  Each step's pairs are embedded for
+    its realization only and its noise variables dropped after the
+    step, so the returned variables are the only operators left.
+    """
+    n = model.dim
+    m = model.noise_dim
+    first = n // 2
+    nodes = [_realize(model.theta, _canonical_pairs(modes, range(first)))]
+    propagate = np.hstack([e_step, model.dispersion])
+    for u in range(grid.node_count - 1):
+        slots = range(first + u * (m // 2), first + (u + 1) * (m // 2))
+        noise = _realize(grid.step * symplectic_j(m), _canonical_pairs(modes, slots))
+        nodes.append([_combine(row, nodes[u] + noise) for row in propagate])
+        # the next step's pairs must not be embedded beside these
+        del noise
+    return [op for node in nodes for op in node]
+
+
 def oracle_multitime_check(model, grid, cutoff=8, noise_cutoff=8, tol=1e-8):
     """Validate the discrete-time two-point CCR table on operators.
 
@@ -348,6 +390,13 @@ def oracle_multitime_check(model, grid, cutoff=8, noise_cutoff=8, tol=1e-8):
     generates.  The table is exact at the discrete level, so the
     residual is pure truncation; the gap to the continuous kernel is
     reported as a diagnostic, not a pass condition.
+
+    Operators are built as they are consumed (_multitime_variables):
+    while node u + 1 is formed, the nodes up to u, step u's m noise
+    variables and the new node's rows are alive, and no canonical pair.
+    The table and bracket checks then see the (N + 1) n variables
+    alone.  Cutoffs below 8 and tensor dimensions over the budget are
+    rejected before any operator is built.
     """
     n = model.dim
     m = model.noise_dim
@@ -356,18 +405,11 @@ def oracle_multitime_check(model, grid, cutoff=8, noise_cutoff=8, tol=1e-8):
         raise ValueError("multitime oracle is restricted to grids with N <= 2")
     steps = count - 1
     dims = [cutoff] * (n // 2) + [noise_cutoff] * (steps * (m // 2))
+    _check_bracket_cutoffs(dims)
     modes = tuple(make_mode(d) for d in dims)
-    canon = _canonical_pairs(modes)
 
     table, _, e_step = _discrete_table(model, grid)
-    # the system block realizes theta, each noise block realizes h J
-    x_nodes = [_realize(model.theta, canon[:n])]
-    propagate = np.hstack([e_step, model.dispersion])
-    for u in range(steps):
-        pairs = canon[n + u * m : n + (u + 1) * m]
-        noise = _realize(grid.step * symplectic_j(m), pairs)
-        x_nodes.append([_combine(row, x_nodes[u] + noise) for row in propagate])
-    flat = [op for node in x_nodes for op in node]
+    flat = _multitime_variables(model, grid, modes, e_step)
 
     scale = 1.0 + float(np.abs(table).max())
     worst = 0.0

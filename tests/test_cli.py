@@ -331,6 +331,28 @@ def test_seed_override_changes_oracle_draws(tmp_path):
     assert outs[0] != outs[1]
 
 
+@pytest.mark.parametrize(
+    "grid_lines,shown",
+    [("T = 0.5\nN = 3\n", "T = 0.5 and N = 3"), ("", "T = 0 and N = 0")],
+    ids=["N=3", "no-grid"],
+)
+def test_oracle_notes_why_the_multitime_check_is_skipped(tmp_path, grid_lines, shown):
+    # the bundled oracle model on a grid the multitime check cannot run:
+    # the bracket checks pass alone and the summary says why
+    model = bundled_scenario("oscillator.mod").read_text(encoding="ascii")
+    path = write(tmp_path, "task = oracle\ncutoff = 16\n" + grid_lines + model)
+    out = tmp_path / "out"
+    assert run_scenario(path, output_dir=out) == 0
+    summary = (out / "summary.txt").read_text().splitlines()
+    checks = [line for line in summary if line.startswith("check ")]
+    assert len(checks) == 1 and checks[0].startswith("check oracle_bracket: PASS")
+    assert (
+        "note: multitime check skipped: it needs T > 0 and 1 <= N <= 2, "
+        f"the scenario has {shown}"
+    ) in summary
+    assert summary[-1] == "result: PASS"
+
+
 PI_ROW = "pi = [[0.2, 0.06], [0.06, 0.16]]\n"
 
 

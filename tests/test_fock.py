@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from quadexp import (
     NumericalFailure,
+    OqhoModel,
     TruncatedMode,
     VariableSet,
     antisymmetric_remainder,
@@ -16,6 +19,8 @@ from quadexp import (
     quadratic_form_matrix,
     symplectic_j,
 )
+from quadexp.cli import bundled_scenario, parse_scenario
+from quadexp.model import expm
 
 
 def test_mode_ccr_projected_exact_but_top_defect():
@@ -296,3 +301,69 @@ def test_multitime_oracle_guards(model2):
         oracle_multitime_check(model2, make_grid(1.0, 3))
     with pytest.raises(NumericalFailure, match="budget"):
         oracle_multitime_check(model2, make_grid(1.0, 2), cutoff=40, noise_cutoff=40)
+
+
+@pytest.mark.parametrize("cutoffs", [(6, 8), (8, 6), (3, 8)])
+def test_multitime_oracle_rejects_low_cutoffs_before_building(
+    model2, monkeypatch, cutoffs
+):
+    def no_embedding(*args):
+        raise AssertionError("an operator was embedded")
+
+    monkeypatch.setattr(fock, "_embed", no_embedding)
+    cutoff, noise_cutoff = cutoffs
+    with pytest.raises(ValueError, match="at least 8"):
+        oracle_multitime_check(
+            model2, make_grid(0.5, 1), cutoff=cutoff, noise_cutoff=noise_cutoff
+        )
+
+
+def _whole_set_variables(model, grid, modes):
+    """Multitime variables from the whole canonical set, embedded up front."""
+    cutoffs = tuple(mode.cutoff for mode in modes)
+    canon = [
+        fock._embed(op, slot, cutoffs)
+        for slot, mode in enumerate(modes)
+        for op in (mode.position, mode.momentum)
+    ]
+    n, m = model.dim, model.noise_dim
+    propagate = np.hstack([expm(grid.step * model.drift), model.dispersion])
+    nodes = [fock._realize(model.theta, canon[:n])]
+    for u in range(grid.node_count - 1):
+        pairs = canon[n + u * m : n + (u + 1) * m]
+        noise = fock._realize(grid.step * symplectic_j(m), pairs)
+        nodes.append([fock._combine(row, nodes[u] + noise) for row in propagate])
+    return [op for node in nodes for op in node]
+
+
+@pytest.mark.parametrize("steps", [1, 2])
+def test_streamed_multitime_variables_equal_the_whole_set_build(model2, steps):
+    # the check's residuals sit near 1e-15, below the golden comparator's
+    # floor, so the streamed build is held to the up-front one bit for bit
+    grid = make_grid(0.5, steps)
+    modes = tuple(make_mode(8) for _ in range(1 + steps))
+    e_step = expm(grid.step * model2.drift)
+    streamed = fock._multitime_variables(model2, grid, modes, e_step)
+    reference = _whole_set_variables(model2, grid, modes)
+    assert len(streamed) == len(reference) == 2 * (1 + steps)
+    for got, want in zip(streamed, reference):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+def test_multitime_oracle_peak_memory_on_the_bundled_model():
+    # dimension 512 at N = 2: each operator is 4 MiB and the six variables
+    # take 24 MiB.  Holding the six embedded canonical operators beside
+    # them as well would add 24 MiB more and break the bound.
+    scn = parse_scenario(bundled_scenario("oracle_single.scn"))
+    model = OqhoModel(scn.theta, scn.drift, scn.dispersion)
+    grid = make_grid(scn.horizon, scn.steps)
+    assert grid.steps == 2
+    tracemalloc.start()
+    try:
+        report = oracle_multitime_check(model, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed and report.dimension == 512
+    assert peak < 40 * 2**20
