@@ -24,6 +24,15 @@ the case index and the ladder cutoff in the node and time columns.
 With levels >= 3 the forward, inverse, roundtrip and spde tasks also
 write convergence.csv.
 
+summary.txt has a check line per gate and then note lines: roundtrip
+notes its driver gap at midpoints, spde its two route timings (dense
+exponential and rank-structured seconds), laplace the Vandermonde
+condition, and oracle its table gap and multitime dimension, or why it
+skipped the multitime check.  A convergence table adds, last, a note
+naming what its error measures.  The golden comparator of the test
+suite checks each note's label exactly and its value as a float; only
+the timings' values go unchecked.
+
 Exit codes: 0 all enabled checks pass, 1 a check failed, 2 schema
 violation, 3 numerical failure.  Outputs are deterministic for a fixed
 scenario and seed: all floats print with 17 significant digits and no
@@ -42,6 +51,7 @@ import numpy as np
 from .errors import NumericalFailure, ScenarioError
 from .fock import build_single_time, oracle_bracket_check, oracle_multitime_check
 from .measures import (
+    CSV_SCHEMA,
     KernelMeasure,
     build_ccr_kernel,
     make_grid,
@@ -87,8 +97,6 @@ TASKS = ("forward", "inverse", "roundtrip", "spde", "laplace", "oracle", "valida
 # tasks that need pi; forward falls back to the zero driver without it
 PI_REQUIRED = ("inverse", "roundtrip", "spde", "laplace")
 
-CSV_SCHEMA = "# schema=1"
-
 SYMPLECTIC_GATE = 1e-9
 REALITY_GATE = 1e-8
 RECONSTRUCTION_GATE = 1e-5
@@ -98,6 +106,13 @@ SPDE_AGREEMENT_GATE = 1e-10
 LAPLACE_GATE = 1e-6
 ORACLE_GATE = 1e-8
 ROUNDTRIP_ORDER_WINDOW = (1.7, 2.3)
+
+# gate on the largest value of each report column that a task checks
+_COLUMN_GATES = {
+    "symplectic": SYMPLECTIC_GATE,
+    "reality": REALITY_GATE,
+    "reconstruction": RECONSTRUCTION_GATE,
+}
 
 _SCALAR_KEYS = {
     "task": str,
@@ -328,6 +343,24 @@ class TaskResult:
     notes: tuple = ()
 
 
+def _grid_kernel(scn, model):
+    """The scenario's base grid and the model's CCR kernel on it."""
+    grid = make_grid(scn.horizon, scn.steps)
+    return grid, build_ccr_kernel(model, grid)
+
+
+def _node_result(grid, checks, columns, convergence=(), notes=()):
+    """TaskResult whose report rows are the nodes of grid."""
+    return TaskResult(
+        checks, range(grid.node_count), grid.nodes, columns, convergence, notes
+    )
+
+
+def _column_checks(columns, *names):
+    """(name, largest value, gate) of each named report column."""
+    return tuple((name, max(columns[name]), _COLUMN_GATES[name]) for name in names)
+
+
 def _flow_columns(nodes):
     """(columns, terminal measure, extras) of an extraction at every node
     of a flow, read as they come from the iterable nodes
@@ -344,30 +377,28 @@ def _flow_columns(nodes):
     return dict(zip(names, map(list, zip(*rows)))), measure, extras
 
 
-def _refine(scn, model, error, level0):
-    """Convergence rows from the task's error on grids of halved steps.
+def _refine(scn, model, error, level0, note):
+    """(convergence rows, notes) from the task's error on grids of
+    halved steps.
 
     error(grid, ccr) is one level's error on a refined grid; level0() is
     the base-grid error, formed from the flow, driver or columns the task
-    already holds.  Below three levels there is no table, nothing is
-    evaluated and the result is ().
+    already holds; note, the one note, says what that error is.
+    Below three levels there is no table, nothing is evaluated and both
+    values are ().
     """
     if scn.levels < 3:
-        return ()
+        return (), ()
     errors = []
     for k in range(scn.levels):
         grid = make_grid(scn.horizon, scn.steps * 2**k)
-        if k == 0:
-            err = level0()
-        else:
-            err = error(grid, build_ccr_kernel(model, grid))
+        err = level0() if k == 0 else error(grid, build_ccr_kernel(model, grid))
         errors.append((grid.steps, grid.step, err))
-    return tuple(emit_convergence(errors))
+    return tuple(emit_convergence(errors)), (note,)
 
 
 def _run_forward(scn, model, out_dir):
-    grid = make_grid(scn.horizon, scn.steps)
-    ccr = build_ccr_kernel(model, grid)
+    grid, ccr = _grid_kernel(scn, model)
     pi = scn.pi if scn.pi is not None else np.zeros((model.dim, model.dim))
     f_path = corner_atom_path(grid, pi)
     s_path = forward_csk_evolution(f_path, ccr)
@@ -375,23 +406,15 @@ def _run_forward(scn, model, out_dir):
         _extraction(enumerate(s_path.mats.blocks()), ccr)
     )
     write_measure_csv(Path(out_dir) / "n_terminal.csv", terminal)
-    checks = (
-        ("symplectic", max(columns["symplectic"]), SYMPLECTIC_GATE),
-        ("reality", max(columns["reality"]), REALITY_GATE),
-        ("reconstruction", max(columns["reconstruction"]), RECONSTRUCTION_GATE),
-    )
-    convergence = _refine(
+    checks = _column_checks(columns, *_COLUMN_GATES)
+    refined = _refine(
         scn,
         model,
         lambda g, c: t_route_residual(corner_atom_path(g, pi), c),
         lambda: _t_route_gap(f_path, ccr, s_path),
+        "convergence error: two-route gap of the normal-ordered kernel",
     )
-    notes = ()
-    if convergence:
-        notes = ("convergence error: two-route gap of the normal-ordered kernel",)
-    return TaskResult(
-        checks, range(grid.node_count), grid.nodes, columns, convergence, notes
-    )
+    return _node_result(grid, checks, columns, *refined)
 
 
 def _measure_closure(pi):
@@ -400,8 +423,7 @@ def _measure_closure(pi):
 
 
 def _run_inverse(scn, model, out_dir):
-    grid = make_grid(scn.horizon, scn.steps)
-    ccr = build_ccr_kernel(model, grid)
+    grid, ccr = _grid_kernel(scn, model)
     n_path = diagonal_lebesgue_path(grid, scn.pi)
     # the closure level needs the forward map of every recovered driver;
     # one pass inverts, integrates and compares, node by node
@@ -416,24 +438,21 @@ def _run_inverse(scn, model, out_dir):
     write_measure_csv(Path(out_dir) / "f_terminal.csv", f)
     reality, reconstruction, quad_errors = map(list, zip(*rows))
     columns = {"reality": reality, "reconstruction": reconstruction}
-    checks = (
-        ("reconstruction", max(reconstruction), RECONSTRUCTION_GATE),
+    checks = _column_checks(columns, "reconstruction") + (
         ("quadrature", max(quad_errors), QUADRATURE_GATE),
     )
-    convergence = _refine(
-        scn, model, _measure_closure(scn.pi), lambda: max(_relative(gaps))
+    refined = _refine(
+        scn,
+        model,
+        _measure_closure(scn.pi),
+        lambda: max(_relative(gaps)),
+        "convergence error: measure-side closure through the forward map",
     )
-    notes = ()
-    if convergence:
-        notes = ("convergence error: measure-side closure through the forward map",)
-    return TaskResult(
-        checks, range(grid.node_count), grid.nodes, columns, convergence, notes
-    )
+    return _node_result(grid, checks, columns, *refined)
 
 
 def _run_roundtrip(scn, model, out_dir):
-    grid = make_grid(scn.horizon, scn.steps)
-    ccr = build_ccr_kernel(model, grid)
+    grid, ccr = _grid_kernel(scn, model)
     columns, terminal, gaps = _flow_columns(
         _roundtrip_f_nodes(corner_atom_path(grid, scn.pi), ccr)
     )
@@ -441,30 +460,26 @@ def _run_roundtrip(scn, model, out_dir):
     write_measure_csv(Path(out_dir) / "n_terminal.csv", terminal)
     n_nodes = _roundtrip_n_nodes(diagonal_lebesgue_path(grid, scn.pi), ccr)
     columns["roundtrip"] = _relative([node[-1] for node in n_nodes])
-    checks = [
-        ("symplectic", max(columns["symplectic"]), SYMPLECTIC_GATE),
-        ("reality", max(columns["reality"]), REALITY_GATE),
-        ("reconstruction", max(columns["reconstruction"]), RECONSTRUCTION_GATE),
+    checks = _column_checks(columns, *_COLUMN_GATES) + (
         ("flow_closure", trip.invariant_residual, FLOW_CLOSURE_GATE),
-    ]
+    )
     notes = (
         "driver gap at midpoints (canonical representative): "
         + _fmt(trip.direct_residual),
     )
-    convergence = _refine(
-        scn, model, _measure_closure(scn.pi), lambda: max(columns["roundtrip"])
+    convergence, refined = _refine(
+        scn,
+        model,
+        _measure_closure(scn.pi),
+        lambda: max(columns["roundtrip"]),
+        "convergence error: measure-side roundtrip in the kernel-weighted norm",
     )
     if convergence:
-        notes += (
-            "convergence error: measure-side roundtrip in the kernel-weighted norm",
-        )
         orders = [row[4] for row in convergence[1:]]
         lo, hi = ROUNDTRIP_ORDER_WINDOW
         worst = min(orders) if min(orders) < lo else max(orders)
-        checks.append(("roundtrip_order", worst, (lo, hi)))
-    return TaskResult(
-        tuple(checks), range(grid.node_count), grid.nodes, columns, convergence, notes
-    )
+        checks += (("roundtrip_order", worst, (lo, hi)),)
+    return _node_result(grid, checks, columns, convergence, notes + refined)
 
 
 def _route_gaps(fast, dense):
@@ -482,8 +497,7 @@ def _route_gap(f_path, ccr):
 
 
 def _run_spde(scn, model, out_dir):
-    grid = make_grid(scn.horizon, scn.steps)
-    ccr = build_ccr_kernel(model, grid)
+    grid, ccr = _grid_kernel(scn, model)
     f_path = corner_atom_path(grid, scn.pi)
     t0 = time.perf_counter()
     dense = _dense_csk_evolution(f_path, ccr)
@@ -495,25 +509,21 @@ def _run_spde(scn, model, out_dir):
     write_measure_csv(Path(out_dir) / "n_terminal.csv", qef.measures[-1])
     columns = {"symplectic": fast.residuals()}
     columns["reconstruction"] = _route_gaps(fast, dense)
-    checks = (
-        ("symplectic", max(columns["symplectic"]), SYMPLECTIC_GATE),
+    checks = _column_checks(columns, "symplectic") + (
         ("spde_agreement", max(columns["reconstruction"]), SPDE_AGREEMENT_GATE),
     )
     notes = (
         "dense exponential seconds: " + _fmt(t_dense),
         "rank-structured seconds: " + _fmt(t_fast),
     )
-    convergence = _refine(
+    convergence, refined = _refine(
         scn,
         model,
         lambda g, c: _route_gap(corner_atom_path(g, scn.pi), c),
         lambda: max(columns["reconstruction"]),
+        "convergence error: route agreement gap (rounding-limited)",
     )
-    if convergence:
-        notes += ("convergence error: route agreement gap (rounding-limited)",)
-    return TaskResult(
-        checks, range(grid.node_count), grid.nodes, columns, convergence, notes
-    )
+    return _node_result(grid, checks, columns, convergence, notes + refined)
 
 
 def _run_laplace(scn, model, out_dir):
@@ -539,9 +549,7 @@ def _run_laplace(scn, model, out_dir):
     write_measure_csv(Path(out_dir) / "laplace_input.csv", measure)
     checks = (("laplace_recovery", max(gaps), LAPLACE_GATE),)
     notes = ("vandermonde condition: " + _fmt(condition),)
-    return TaskResult(
-        checks, range(count), grid.nodes, {"reconstruction": gaps}, (), notes
-    )
+    return _node_result(grid, checks, {"reconstruction": gaps}, (), notes)
 
 
 def _run_oracle(scn, model, out_dir):
@@ -575,9 +583,7 @@ def _run_oracle(scn, model, out_dir):
             keys.append(idx)
             times.append(float(d))
             residuals.append(rep.residual)
-    (Path(out_dir) / "oracle_report.csv").write_text(
-        "\n".join(table) + "\n", encoding="ascii"
-    )
+    _write_lines(out_dir, "oracle_report.csv", table)
     checks = [("oracle_bracket", max(residuals), ORACLE_GATE)]
     notes = ()
     multitime_grid = 1 <= scn.steps <= 2 and scn.horizon > 0
@@ -616,13 +622,18 @@ def _check_passes(check):
     return value <= gate
 
 
+def _write_lines(out_dir, name, lines):
+    """Write lines, each ended by a newline, as the ASCII file name."""
+    (Path(out_dir) / name).write_text("\n".join(lines) + "\n", encoding="ascii")
+
+
 def _write_report(out_dir, result):
     lines = [CSV_SCHEMA, "node,time," + ",".join(REPORT_COLUMNS)]
     unfilled = [float("nan")] * len(result.report_keys)
     columns = [result.columns.get(name, unfilled) for name in REPORT_COLUMNS]
     for key, t, *values in zip(result.report_keys, result.report_times, *columns):
         lines.append(f"{key},{_fmt(t)}," + ",".join(_fmt(v) for v in values))
-    (Path(out_dir) / "report.csv").write_text("\n".join(lines) + "\n", encoding="ascii")
+    _write_lines(out_dir, "report.csv", lines)
 
 
 def _write_convergence(out_dir, rows):
@@ -632,9 +643,7 @@ def _write_convergence(out_dir, rows):
         lines.append(
             f"{level},{steps},{_fmt(h)},{_fmt(err)},{order_text},{int(warning)}"
         )
-    (Path(out_dir) / "convergence.csv").write_text(
-        "\n".join(lines) + "\n", encoding="ascii"
-    )
+    _write_lines(out_dir, "convergence.csv", lines)
 
 
 def _write_summary(out_dir, scn, checks, notes, failure=None):
@@ -655,9 +664,7 @@ def _write_summary(out_dir, scn, checks, notes, failure=None):
     else:
         ok = all(_check_passes(c) for c in checks)
         lines.append("result: " + ("PASS" if ok else "FAIL"))
-    (Path(out_dir) / "summary.txt").write_text(
-        "\n".join(lines) + "\n", encoding="ascii"
-    )
+    _write_lines(out_dir, "summary.txt", lines)
 
 
 def run_scenario(path, output_dir=None, levels=None, seed=None):

@@ -541,7 +541,7 @@ def project_support(q, u):
 
 # CSV exchange format, schema 1: one line per nonzero scalar entry of the
 # flat weights, columns j,k,row,col,re,im, preceded by a grid sidecar line.
-_CSV_SCHEMA = "# schema=1"
+CSV_SCHEMA = "# schema=1"
 
 
 def _format_float(x):
@@ -552,7 +552,7 @@ def write_measure_csv(path, q):
     """Write a measure to CSV with 17 significant digits per value."""
     n = q.dim
     lines = [
-        _CSV_SCHEMA,
+        CSV_SCHEMA,
         f"# grid T={_format_float(q.grid.horizon)} N={q.grid.steps} n={n}",
         "j,k,row,col,re,im",
     ]
@@ -572,12 +572,13 @@ def read_measure_csv(path):
     """Read a measure written by :func:`write_measure_csv`.
 
     The entries must fill an exactly symmetric matrix, as the writer's
-    do, else ScenarioError: the constructor would silently average an
-    asymmetric one.
+    do, else ScenarioError: symmetrization would silently average an
+    asymmetric one.  Only the window over the nodes the entries name is
+    built, so memory follows the entries, not the grid in the header.
     """
     with open(path, "r", encoding="ascii") as handle:
         lines = [line.rstrip("\n") for line in handle]
-    if not lines or lines[0] != _CSV_SCHEMA:
+    if not lines or lines[0] != CSV_SCHEMA:
         raise ScenarioError(f"{path}: missing or unsupported schema header")
     if len(lines) < 3 or not lines[1].startswith("# grid "):
         raise ScenarioError(f"{path}: missing grid sidecar line")
@@ -593,9 +594,7 @@ def read_measure_csv(path):
         raise ScenarioError(f"{path}: grid sidecar needs n >= 1")
     if lines[2] != "j,k,row,col,re,im":
         raise ScenarioError(f"{path}: unexpected column header {lines[2]!r}")
-    size = n * grid.node_count
-    w = np.zeros((size, size), dtype=complex)
-    seen = set()
+    entries = {}
     for lineno, line in enumerate(lines[3:], start=4):
         if not line:
             continue
@@ -613,10 +612,15 @@ def read_measure_csv(path):
             raise ScenarioError(f"{path}:{lineno}: node index out of range")
         if not (0 <= row < n and 0 <= col < n):
             raise ScenarioError(f"{path}:{lineno}: block index out of range")
-        if (j, k, row, col) in seen:
+        if (j, k, row, col) in entries:
             raise ScenarioError(f"{path}:{lineno}: repeated entry")
-        seen.add((j, k, row, col))
-        w[j * n + row, k * n + col] = complex(re, im)
+        entries[j, k, row, col] = complex(re, im)
+    nodes = [node for j, k, _, _ in entries for node in (j, k)]
+    first = min(nodes, default=0)
+    size = n * (max(nodes, default=-1) + 1 - first)
+    w = np.zeros((size, size), dtype=complex)
+    for (j, k, row, col), z in entries.items():
+        w[(j - first) * n + row, (k - first) * n + col] = z
     if not np.array_equal(w, w.T):
         raise ScenarioError(f"{path}: entries are not symmetric")
-    return KernelMeasure(grid, w)
+    return KernelMeasure._from_window(grid, n, first * n, _symmetrized(w))

@@ -4,7 +4,10 @@ Structure (headers, integer columns, verdicts) must match byte for
 byte; floating-point fields are compared at rtol 1e-9 with an absolute
 floor of 1e-12, since columns that sit at rounding level (symplectic
 residuals, reality defects) wiggle across BLAS builds while staying
-far below every gate.  Timing notes in summaries are skipped entirely.
+far below every gate.  Summary notes compare the same way, split at
+their last ": " into a label, which must match exactly, and a value;
+only the values of notes whose label ends in "seconds" (timings) are
+skipped.
 """
 
 import math
@@ -48,9 +51,11 @@ def compare_csv(actual_path, golden_path):
 
 
 def _summary_essentials(text):
-    """(header lines, check fields, result line); notes are volatile."""
+    """(header lines, check fields, note fields, result line); a timing
+    note's value reads None."""
     header = []
     checks = []
+    notes = []
     result = None
     for line in text.splitlines():
         if line.startswith(("scenario:", "task:")):
@@ -59,29 +64,38 @@ def _summary_essentials(text):
             name_verdict, _, value_part = line.partition("(")
             value = value_part.split()[0].rstrip(")") if value_part else ""
             checks.append((name_verdict.strip(), value))
+        elif line.startswith("note: "):
+            label, _, value = line.rpartition(": ")
+            notes.append((label, None if label.endswith("seconds") else value))
         elif line.startswith("result:"):
             result = line
-    return header, checks, result
+    return header, checks, notes, result
 
 
 def compare_summary(actual_path, golden_path):
     problems = []
-    a_head, a_checks, a_result = _summary_essentials(Path(actual_path).read_text())
-    g_head, g_checks, g_result = _summary_essentials(Path(golden_path).read_text())
+    a_head, a_checks, a_notes, a_result = _summary_essentials(
+        Path(actual_path).read_text()
+    )
+    g_head, g_checks, g_notes, g_result = _summary_essentials(
+        Path(golden_path).read_text()
+    )
     if a_head != g_head:
         problems.append(f"{actual_path}: header lines differ: {a_head} vs {g_head}")
     if a_result != g_result:
         problems.append(f"{actual_path}: {a_result!r} vs golden {g_result!r}")
-    if len(a_checks) != len(g_checks):
-        problems.append(f"{actual_path}: check count differs")
-        return problems
-    for (a_name, a_value), (g_name, g_value) in zip(a_checks, g_checks):
-        if a_name != g_name:
-            problems.append(f"{actual_path}: {a_name!r} vs golden {g_name!r}")
-        elif not _token_equal(a_value, g_value):
-            problems.append(
-                f"{actual_path}: {a_name}: value {a_value} vs golden {g_value}"
-            )
+    pairs = (("check", a_checks, g_checks), ("note", a_notes, g_notes))
+    for kind, actual, golden in pairs:
+        if len(actual) != len(golden):
+            problems.append(f"{actual_path}: {kind} count differs")
+            continue
+        for (a_name, a_value), (g_name, g_value) in zip(actual, golden):
+            if a_name != g_name:
+                problems.append(f"{actual_path}: {a_name!r} vs golden {g_name!r}")
+            elif not _token_equal(a_value, g_value):
+                problems.append(
+                    f"{actual_path}: {a_name}: value {a_value} vs golden {g_value}"
+                )
     return problems
 
 

@@ -21,6 +21,8 @@ from quadexp.cli import (
     run_scenario,
 )
 
+from _golden import compare_summary
+
 GOOD = """\
 # minimal forward scenario
 task = forward
@@ -415,17 +417,46 @@ def test_roundtrip_with_zero_pi_reports_zero_gaps(tmp_path):
     assert read_csv_columns(out / "report.csv")["roundtrip"] == [0.0] * 5
 
 
-def test_roundtrip_convergence_note_comes_with_its_table(tmp_path):
-    path = oscillator_scenario(
-        tmp_path, "task = roundtrip\npi = [[0.2, 0.06], [0.06, 0.16]]\n"
-    )
-    note = "convergence error: measure-side roundtrip"
+# what each grid task's convergence error measures, as its note says
+CONVERGENCE_NOTES = {
+    "forward": "two-route gap of the normal-ordered kernel",
+    "inverse": "measure-side closure through the forward map",
+    "roundtrip": "measure-side roundtrip in the kernel-weighted norm",
+    "spde": "route agreement gap (rounding-limited)",
+}
+
+
+@pytest.mark.parametrize("task", CONVERGENCE_NOTES)
+def test_convergence_note_comes_with_its_table(tmp_path, task):
+    path = oscillator_scenario(tmp_path, f"task = {task}\n" + PI_ROW)
+    note = "note: convergence error: " + CONVERGENCE_NOTES[task]
     for levels in (1, 3):
         out = tmp_path / f"levels{levels}"
         assert run_scenario(path, output_dir=out, levels=levels) == 0
         table = (out / "convergence.csv").exists()
         assert table == (levels == 3)
-        assert (note in (out / "summary.txt").read_text()) == table
+        assert (note in (out / "summary.txt").read_text().splitlines()) == table
+
+
+@pytest.mark.parametrize(
+    "notes, problems",
+    [
+        (("dense exponential seconds: 9.5", "gap: 0.5000000000001"), 0),
+        (("dense exponential seconds: 0.25", "gap: 0.5001"), 1),
+        (("rank-structured seconds: 0.25", "gap: 0.5"), 1),
+        (("dense exponential seconds: 0.25",), 1),
+    ],
+    ids=["timing-and-rounding", "value", "label", "count"],
+)
+def test_golden_comparator_checks_summary_notes(tmp_path, notes, problems):
+    # labels and the note count compare exactly, values at rtol 1e-9;
+    # only the values of timing notes go unchecked
+    def summary(name, notes):
+        lines = ["scenario: s", "task: spde", *("note: " + n for n in notes)]
+        return write(tmp_path, "\n".join(lines + ["result: PASS\n"]), name=name)
+
+    golden = summary("golden.txt", ("dense exponential seconds: 0.25", "gap: 0.5"))
+    assert len(compare_summary(summary("actual.txt", notes), golden)) == problems
 
 
 def test_roundtrip_task_integrates_and_extracts_its_flow_once(tmp_path, monkeypatch):

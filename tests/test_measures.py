@@ -290,6 +290,24 @@ def test_csv_rejects_malformed(tmp_path):
             read_measure_csv(bad)
 
 
+def test_csv_read_memory_follows_the_entries(tmp_path):
+    # one entry under a header grid of N = 1000, n = 2: the flat
+    # 2002 x 2002 complex matrix alone would take 64 MB
+    path = tmp_path / "sparse.csv"
+    path.write_text(
+        "# schema=1\n# grid T=1 N=1000 n=2\nj,k,row,col,re,im\n3,3,0,0,1,0\n"
+    )
+    tracemalloc.start()
+    try:
+        q = read_measure_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6, peak
+    assert q.block(3, 3).tolist() == [[1.0, 0.0], [0.0, 0.0]]
+    assert q.support_index == 3
+
+
 def test_zero_entries_skipped_in_csv(tmp_path, grid16, pi2):
     q = atomic_corner_measure(grid16, 3, pi2)
     path = tmp_path / "atom.csv"
