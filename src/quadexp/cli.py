@@ -53,6 +53,7 @@ from .fock import build_single_time, oracle_bracket_check, oracle_multitime_chec
 from .measures import (
     CSV_SCHEMA,
     KernelMeasure,
+    _format_float as _fmt,
     build_ccr_kernel,
     make_grid,
     write_measure_csv,
@@ -126,10 +127,6 @@ _SCALAR_KEYS = {
 }
 _MATRIX_KEYS = ("theta", "drift", "dispersion", "pi")
 _MODEL_KEYS = ("theta", "drift", "dispersion")
-
-
-def _fmt(x):
-    return f"{float(x):.17g}"
 
 
 @dataclass(frozen=True)

@@ -38,10 +38,14 @@ the atan series and the reconstruction bound supplied here; past the
 series radius it takes the anchored logarithm of T.  The kernel solve
 takes k from the node u it is given and solves
 Lambda[:k, :k] W_11 = H_11 alone: the rows below k only check
-consistency.  The superoperators are plain matrix functions of ad_x on
-their whole input: the inverse direction hands them the leading k x k
-blocks and their value to the kernel solve as that leading block
-(solvers._inverse_step).
+consistency.  The eigenbasis superoperators (Ups, sinhc) are plain
+matrix functions of ad_x on their whole square input: the inverse
+direction hands them the leading k x k blocks and their value to the
+kernel solve as that leading block (solvers._inverse_step).  The
+Bernoulli superoperator (Mho) takes its operands as their size x k live
+columns, rows below k included, and the exponent path
+(solvers.g_path_magnus) hands its value to the kernel solve as those
+columns.
 
 Everything here is grid-level linear algebra; the time direction lives
 in the solver module.
@@ -287,11 +291,19 @@ def sinhc_superop(x, y):
 def mho_superop(x, y):
     """Mho(ad_x)(y) by the truncated Bernoulli series of ad_x.
 
+    x and y are square matrices that vanish beyond their first k
+    columns, given as those size x k columns, k = x.shape[1] (a square
+    input is the case k = size).  Each commutator is then
+    ad_x(t) = x t[:k] - t x[:k], again size x k, so the value is the
+    first k columns of the series on the zero-padded matrices.
     Requires the adjoint norm bound 2||x|| to stay below 0.9 * 2 pi so
-    the series converges with margin.  Returns (value, tail_estimate).
+    the series converges with margin; the bound and the tail estimate
+    read the same norms as on the zero-padded matrices.  Returns
+    (value, tail_estimate).
     """
     x = np.asarray(x, dtype=complex)
     y = np.asarray(y, dtype=complex)
+    k = x.shape[1]
     bound = _adjoint_norm_bound(x)
     if bound >= MHO_RADIUS_FRACTION * _TWO_PI:
         raise NumericalFailure(
@@ -302,10 +314,10 @@ def mho_superop(x, y):
     term = y
     value = coeffs[0] * term
     last = 0.0
-    for k in range(1, MHO_SUPEROP_ORDER + 1):
-        term = x @ term - term @ x
-        if coeffs[k] != 0.0:
-            contribution = coeffs[k] * term
+    for j in range(1, MHO_SUPEROP_ORDER + 1):
+        term = x @ term[:k] - term @ x[:k]
+        if coeffs[j] != 0.0:
+            contribution = coeffs[j] * term
             value = value + contribution
             last = np.linalg.norm(contribution)
     ratio = bound / _TWO_PI
@@ -632,14 +644,16 @@ class KernelSolver:
         rows when support_index is None), gives the window
         W_11 = (R + R^T) / 2; least squares takes over when the kernel's
         condition is not below 1e12 or the leading block is exactly
-        singular.  ham is the size x size right-hand side or just its
-        leading k x k block, whose rows below k are then
+        singular.  ham is the size x size right-hand side, its first k
+        columns as a size x k array (the columns beyond k being zero),
+        or just its leading k x k block, whose rows below k are then
         Lambda[k:, :k] R.  The residual Lambda W - ham is taken over
-        every row and column of the whole right-hand side.
+        every row and column of the whole right-hand side, so the first
+        two shapes gate the rows below k as given.
 
         Returns (KernelMeasure, ChkSolveReport); raises ValueError unless
         support_index is None or an integer in [0, N + 1) and ham has one
-        of the two shapes, and NumericalFailure when ham is not finite or
+        of the three shapes, and NumericalFailure when ham is not finite or
         the residual is not within SOLVE_RELATIVE_TOL of the right-hand
         side's norm (plus SOLVE_ABSOLUTE_TOL).
         """
@@ -649,10 +663,10 @@ class KernelSolver:
         if support_index is not None:
             k = (_check_node(support_index, grid.node_count, "support_index") + 1) * n
         ham = np.asarray(ham)
-        if ham.shape not in {(size, size), (k, k)}:
+        if ham.shape not in {(size, size), (size, k), (k, k)}:
             raise ValueError(
-                f"ham of shape {ham.shape} is neither {size} x {size} nor "
-                f"the leading {k} x {k} block"
+                f"ham of shape {ham.shape} is not {size} x {size}, its first "
+                f"{k} columns ({size} x {k}) or the leading {k} x {k} block"
             )
         if not np.isfinite(ham).all():
             raise NumericalFailure("kernel solve: the Hamiltonian is not finite")

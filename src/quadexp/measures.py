@@ -437,14 +437,23 @@ def _check_kernel_measure(ccr, q):
         raise ValueError(f"measure has n = {q.dim}, the kernel n = {ccr.dim}")
 
 
-def lambda_product(ccr, q):
-    """Complex Hamiltonian kernel of a measure: ham = big @ weights, formed
-    as big[:, lo:hi] times the window W[lo:hi, lo:hi] in columns lo:hi.
-    Raises ValueError unless q is on the kernel's grid with its n."""
+def _lambda_block(ccr, q, rows, cols):
+    """(Lambda W)[:rows, :cols] for the masses W of q, formed from its
+    window as Lambda[:rows, lo:hi] W[lo:hi, lo:cols]; raises ValueError
+    unless q is on the kernel's grid with its n."""
     _check_kernel_measure(ccr, q)
-    ham = np.zeros(ccr.big.shape, dtype=complex)
-    ham[:, q._lo : q._hi] = ccr.big[:, q._lo : q._hi] @ q._window
-    return ChkMatrix(ccr.grid, ham, q)
+    lo, hi = q._lo, q._hi
+    out = np.zeros((rows, cols), dtype=complex)
+    if lo < cols:
+        out[:, lo : min(hi, cols)] = ccr.big[:rows, lo:hi] @ q._window[:, : cols - lo]
+    return out
+
+
+def lambda_product(ccr, q):
+    """Complex Hamiltonian kernel of a measure: ham = big @ weights, the
+    whole size x size matrix of :func:`_lambda_block`.  Raises ValueError
+    unless q is on the kernel's grid with its n."""
+    return ChkMatrix(ccr.grid, _lambda_block(ccr, q, *ccr.big.shape), q)
 
 
 def measure_triple_product(q1, ccr, q2):
@@ -545,7 +554,8 @@ CSV_SCHEMA = "# schema=1"
 
 
 def _format_float(x):
-    return f"{x:.17g}"
+    """x with 17 significant digits, the format of every written value."""
+    return f"{float(x):.17g}"
 
 
 def write_measure_csv(path, q):

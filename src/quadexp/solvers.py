@@ -99,10 +99,10 @@ from .lie import (
 from .measures import (
     KernelMeasure,
     _block_norms,
-    _check_kernel_measure,
     _check_node,
     _check_pi,
     _common_window,
+    _lambda_block,
     _lambda_columns,
     _live_width,
     _midpoint,
@@ -110,7 +110,6 @@ from .measures import (
     atomic_corner_measure,
     build_ccr_kernel,
     diagonal_lebesgue_measure,
-    lambda_product,
 )
 from .model import expm, laplace_lambda, laplace_point
 
@@ -865,28 +864,16 @@ def _inverse_step(superop, n_measure, dn_measure, ccr, support_index):
     [0, t_u]^2, so the image vanishes beyond its first k = (u + 1) n
     columns and its rows below k are Lambda[k:, :k] M_11.  The
     superoperator runs on the leading k x k blocks only, each formed
-    from its measure's window (:func:`_leading_lambda`), and its value
+    from its measure's window (:func:`measures._lambda_block`), and its value
     Lambda_11 M_11 goes to the kernel solve as the leading block of the
     right-hand side, which solves for M_11 and gates the whole of it,
     rows below k included.  Returns (measure, rounding bound of the
     k x k superoperator evaluation, solve report)."""
     k = (support_index + 1) * ccr.dim
-    x = 2j * _leading_lambda(ccr, n_measure, k)
-    top, err = superop(x, _leading_lambda(ccr, dn_measure, k))
+    x = 2j * _lambda_block(ccr, n_measure, k, k)
+    top, err = superop(x, _lambda_block(ccr, dn_measure, k, k))
     measure, report = ccr.solver.solve_measure(top, support_index=support_index)
     return measure, err, report
-
-
-def _leading_lambda(ccr, q, k):
-    """(Lambda W)[:k, :k] for the masses W of q, formed from its window as
-    Lambda[:k, lo:hi] W[lo:hi, lo:k]; raises ValueError unless q is on
-    the kernel's grid with its n."""
-    _check_kernel_measure(ccr, q)
-    lo, hi = q._lo, q._hi
-    out = np.zeros((k, k), dtype=complex)
-    if lo < k:
-        out[:, lo : min(hi, k)] = ccr.big[:k, lo:hi] @ q._window[:, : k - lo]
-    return out
 
 
 @dataclass(frozen=True)
@@ -1206,22 +1193,31 @@ def g_path_magnus(f_path, ccr):
 
     Explicit midpoint rule on the stacked kernel Y = Lambda G; the
     Bernoulli superoperator is guarded inside its convergence radius, so
-    drivers must stay mild or horizons short.  Returns the list of Y
-    matrices and the G measures recovered per node.
+    drivers must stay mild or horizons short.  Returns (G path, ys,
+    solve reports): ys[u] is Y_u as its live columns, and each G_u is
+    recovered from them by the kernel solve.
+
+    G_u is supported in [0, t_u]^2, so Y_u vanishes exactly beyond
+    column k_u = (u + 1) n: ys[u] is the size x k_u block Y_u[:, :k_u],
+    rows below k_u included, and ys[-1] is the whole size x size Y_N.
+    Each step widens Y by n zero columns and runs on those columns
+    alone, its two Bernoulli inputs Lambda F formed on them from the
+    measures' windows (:func:`measures._lambda_block`), so a path off
+    the kernel's grid or n raises ValueError at its first step.
 
     exp(4i Y_N) reproduces the terminal symplectic kernel of
-    :func:`forward_csk_evolution` up to the shared scheme order.  Both
-    Bernoulli inputs are :func:`lambda_product` Hamiltonians, so a path
-    off the kernel's grid or n raises ValueError at its first step.
+    :func:`forward_csk_evolution` up to the shared scheme order.
     """
     grid = f_path.grid
     h = grid.step
-    y = np.zeros(ccr.big.shape, dtype=complex)
+    n = ccr.dim
+    y = np.zeros((ccr.big.shape[0], n), dtype=complex)
     ys = [y]
     for u, mid in enumerate(_Midpoints(f_path)):
-        k1, _ = mho_superop(4j * y, lambda_product(ccr, f_path.entries[u]).ham)
+        y = np.pad(y, ((0, 0), (0, n)))  # Y_{u+1} lives in (u + 2) n columns
+        k1, _ = mho_superop(4j * y, _lambda_block(ccr, f_path.entries[u], *y.shape))
         y_half = y + (0.25 * h) * k1  # half step of (1/2) Mho(...)
-        k2, _ = mho_superop(4j * y_half, lambda_product(ccr, mid).ham)
+        k2, _ = mho_superop(4j * y_half, _lambda_block(ccr, mid, *y.shape))
         y = y + (0.5 * h) * k2
         ys.append(y)
     measures, reports = zip(*(

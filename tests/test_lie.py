@@ -475,6 +475,34 @@ def test_mho_superop_radius_guard():
         mho_superop(x, np.eye(3))
 
 
+def test_mho_superop_on_live_columns_matches_the_zero_padded_call(rng):
+    # x and y vanish beyond column k; handed over as their size x k
+    # columns, the series gives the first k columns of the square call
+    size, k = 9, 4
+    x = np.zeros((size, size), dtype=complex)
+    y = np.zeros((size, size), dtype=complex)
+    x[:, :k] = 0.15 * (rng.normal(size=(size, k)) + 1j * rng.normal(size=(size, k)))
+    y[:, :k] = rng.normal(size=(size, k))
+    value, tail = mho_superop(x[:, :k], y[:, :k])
+    full, full_tail = mho_superop(x, y)
+    assert value.shape == (size, k)
+    assert np.all(full[:, k:] == 0.0)
+    gap = np.abs(value - full[:, :k]).max()
+    assert gap <= 4 * np.finfo(float).eps * np.abs(full).max(), gap
+    assert tail == pytest.approx(full_tail, rel=1e-12)
+    # the radius guard reads the same norms on both forms
+    guard = lie.MHO_RADIUS_FRACTION * 2.0 * np.pi
+    unit = x / lie._adjoint_norm_bound(x)
+    for factor in (0.99, 1.01):
+        scaled = factor * guard * unit
+        for args in ((scaled[:, :k], y[:, :k]), (scaled, y)):
+            if factor < 1.0:
+                mho_superop(*args)
+            else:
+                with pytest.raises(NumericalFailure, match="Bernoulli"):
+                    mho_superop(*args)
+
+
 def test_derivative_identity_second_order(rng):
     a = 0.5 * rng.normal(size=(3, 3))
     b = 0.5 * rng.normal(size=(3, 3))
@@ -647,6 +675,25 @@ def test_kernel_solver_residual_counts_border_rows(ccr8, rng):
     full = np.linalg.norm(ccr8.big @ measure.weights - ham)
     assert report.residual == pytest.approx(full, rel=1e-12)
     assert report.residual >= 1e-10
+
+
+def test_kernel_solve_takes_the_live_columns_bit_for_bit(ccr8, rng):
+    # the size x k columns carry every row, so rows below k are gated as
+    # in the zero-padded size x size call, with the same weights and report
+    solver = KernelSolver(ccr8)
+    size, u = ccr8.big.shape[0], 3
+    k = (u + 1) * ccr8.dim
+    q = random_measure(rng, ccr8.grid, ccr8.dim, support=u)
+    ham = ccr8.big @ q.weights
+    ham[k:, :k] += 1e-9 * rng.normal(size=(size - k, k))
+    padded, padded_report = solver.solve_measure(ham, support_index=u)
+    cols, cols_report = solver.solve_measure(ham[:, :k].copy(), support_index=u)
+    assert np.array_equal(cols.weights, padded.weights)
+    assert cols_report == padded_report
+    assert cols_report.residual >= 1e-10
+    for shape in ((size, k + 1), (k, size), (k + 1, k)):
+        with pytest.raises(ValueError, match="first 8 columns"):
+            solver.solve_measure(np.zeros(shape), support_index=u)
 
 
 def test_kernel_solver_absolute_floor(ccr8):

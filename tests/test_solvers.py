@@ -31,9 +31,11 @@ from quadexp import (
     inverse_toe_measure,
     is_nonanticipative,
     kernel_weighted_norm,
+    lambda_product,
     laplace_point,
     laplace_recover_measure,
     make_grid,
+    mho_superop,
     qef_from_csk_path,
     qef_psi_measure,
     random_measure,
@@ -1409,6 +1411,59 @@ def test_g_path_refuses_a_path_of_another_dimension(model2):
     ccr = build_ccr_kernel(model2, make_grid(1.0, 8))
     with pytest.raises(ValueError, match="n = 4"):
         g_path_magnus(corner_atom_path(ccr.grid, 0.1 * np.eye(4)), ccr)
+
+
+def _dense_magnus_exponents(f_path, ccr):
+    # the exponent path on whole size x size matrices, each Bernoulli
+    # input a full lambda_product Hamiltonian
+    h = f_path.grid.step
+    y = np.zeros(ccr.big.shape, dtype=complex)
+    ys = [y]
+    entries = f_path.entries
+    for u in range(len(entries) - 1):
+        mid = _midpoint(entries[u], entries[u + 1])
+        k1, _ = mho_superop(4j * y, lambda_product(ccr, entries[u]).ham)
+        y_half = y + (0.25 * h) * k1
+        k2, _ = mho_superop(4j * y_half, lambda_product(ccr, mid).ham)
+        y = y + (0.5 * h) * k2
+        ys.append(y)
+    return ys
+
+
+@pytest.mark.parametrize("driver", ["corner-atom", "recovered"])
+def test_g_path_keeps_each_exponent_on_its_live_columns(model2, pi2, driver):
+    grid = make_grid(1.0, 8)
+    ccr = build_ccr_kernel(model2, grid)
+    if driver == "corner-atom":
+        f_path = corner_atom_path(grid, 0.5 * pi2)
+    else:
+        f_path = inverse_toe_measure(diagonal_lebesgue_path(grid, pi2), ccr).f_path
+    _, ys, _ = g_path_magnus(f_path, ccr)
+    dense = _dense_magnus_exponents(f_path, ccr)
+    size, n = ccr.big.shape[0], ccr.dim
+    assert len(ys) == len(dense) == grid.node_count
+    for u, (y, full) in enumerate(zip(ys, dense)):
+        k = (u + 1) * n
+        assert y.shape == (size, k), u
+        # Y_u = Lambda G_u vanishes exactly beyond its live columns
+        assert np.all(full[:, k:] == 0.0), u
+        gap = np.abs(y - full[:, :k]).max()
+        assert gap <= 1e-14 * max(np.abs(full).max(), 1e-300), (u, gap)
+
+
+def test_g_path_peak_memory_stays_below_a_full_size_stack(model2, pi2):
+    # ys holds sum_u size (u + 1) n entries, about half of the N + 1 full
+    # size x size exponents (16.8 MiB at N = 64, n = 2)
+    grid = make_grid(1.0, 64)
+    ccr = build_ccr_kernel(model2, grid)
+    f_path = corner_atom_path(grid, 0.5 * pi2)
+    tracemalloc.start()
+    try:
+        g_path_magnus(f_path, ccr)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 20 * 2**20, peak / 2**20
 
 
 def test_kernel_paths_and_matrices_refuse_another_grid(model2, pi2):
