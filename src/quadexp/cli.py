@@ -408,7 +408,7 @@ def _run_forward(scn, model, out_dir):
         scn,
         model,
         lambda g, c: t_route_residual(corner_atom_path(g, pi), c),
-        lambda: _t_route_gap(f_path, ccr, s_path),
+        lambda: _t_route_gap(f_path, ccr, s_path.mats.blocks()),
         "convergence error: two-route gap of the normal-ordered kernel",
     )
     return _node_result(grid, checks, columns, *refined)

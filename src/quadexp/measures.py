@@ -106,11 +106,6 @@ def make_grid(horizon, steps):
     return TimeGrid(float(horizon), steps)
 
 
-def _check_same_grid(a, b):
-    if a != b:
-        raise ValueError(f"grid mismatch: {a} vs {b}")
-
-
 @dataclass(frozen=True)
 class CcrKernel:
     """Stacked two-point commutator kernel on a grid.
@@ -430,18 +425,25 @@ def split_sym_antisym(raw, ccr):
     return KernelMeasure(ccr.grid, raw), scalar  # the constructor symmetrizes
 
 
-def _check_kernel_measure(ccr, q):
-    """Raise ValueError unless q is on the kernel's grid with its n."""
-    _check_same_grid(ccr.grid, q.grid)
-    if q.dim != ccr.dim:
-        raise ValueError(f"measure has n = {q.dim}, the kernel n = {ccr.dim}")
+def _check_member(obj, ccr, label):
+    """Raise ValueError unless obj lies on the kernel ccr: its grid must
+    be ccr.grid and, where it has an n (a measure or a measure path), that
+    n must be ccr.dim.  Every stage of the bridge refuses its input this
+    way, the message naming label, the kernel's n and obj's.  A kernel
+    path or matrix has no n of its own and is read as having ccr.dim;
+    its constructor checks its shape against the kernel."""
+    n = getattr(obj, "dim", ccr.dim)
+    if obj.grid != ccr.grid or n != ccr.dim:
+        raise ValueError(
+            f"{label} is not on the kernel's grid with n = {ccr.dim} (it has n = {n})"
+        )
 
 
 def _lambda_block(ccr, q, rows, cols):
     """(Lambda W)[:rows, :cols] for the masses W of q, formed from its
     window as Lambda[:rows, lo:hi] W[lo:hi, lo:cols]; raises ValueError
-    unless q is on the kernel's grid with its n."""
-    _check_kernel_measure(ccr, q)
+    unless q is on the kernel's grid with its n (:func:`_check_member`)."""
+    _check_member(q, ccr, "measure")
     lo, hi = q._lo, q._hi
     out = np.zeros((rows, cols), dtype=complex)
     if lo < cols:
@@ -462,9 +464,10 @@ def measure_triple_product(q1, ccr, q2):
     The composition is associative but transposes to minus the reversed
     product, so the result is returned as raw weights; take brackets or
     split explicitly to land back in the measure class.  Formed as W1
-    times :func:`lambda_product` of q2, which checks q2's grid and n.
+    times :func:`lambda_product` of q2; both measures must be on the
+    kernel's grid with its n, else ValueError.
     """
-    _check_same_grid(q1.grid, ccr.grid)
+    _check_member(q1, ccr, "measure")
     return q1.weights @ lambda_product(ccr, q2).ham
 
 

@@ -37,11 +37,13 @@ node, or, for a flow whose step adds fewer entries than the block
 holds (the rank-2n steps of an atomic driver), the two thin factors of
 that step, O(N n size) entries in all against about half of N + 1
 dense matrices for the blocks.  Its readers (extraction, the
-congruence gates, the integrated T route) take each block and its
-width from one ordered pass over the path, which replays the steps
-bit for bit, and a full node is built only when a caller indexes one.
-The integrated T route keeps T_u as its block, at the width of S_u,
-and every solve against conj(S_u) returns its k live columns only.
+congruence gates) take each block and its width from one ordered pass
+over the path, which replays the steps bit for bit, and a full node is
+built only when a caller indexes one.  The integrated T route
+(:func:`t_route_residual`, :func:`forward_t_evolution`) stores no
+path: it reads the flow's blocks as the integrator yields them, keeps
+T_u as its block, at the width of S_u, and every solve against
+conj(S_u) returns its k live columns only.
 Extraction needs no such solve: the Cayley transform of T_u is i Y_u
 with the real Y_u = (Re S_u)^{-1} Im S_u, so each node's logarithm and
 kernel solve run in real arithmetic and the measures come out real by
@@ -59,7 +61,9 @@ generator that walks the nodes in order: the integrator step
 (:func:`_flow`), extraction at a node (:func:`_extraction`), the inverse
 step (:func:`_inversion`), the staggered inverse of consecutive
 measures (:func:`_staggered`), and the kernel-weighted gap at a node
-(:func:`_node_gap`).  The public stage functions collect their
+(:func:`_node_gap`).  Every stage refuses a measure, path or kernel
+matrix off its kernel's grid or n by the one check
+:func:`measures._check_member`.  The public stage functions collect their
 generator (:func:`csk_path_from_midpoints`, :func:`qef_from_csk_path`,
 :func:`inverse_toe_measure`, :func:`staggered_inverse_measures`); the
 roundtrip residuals and the CLI's forward, inverse and roundtrip tasks
@@ -99,6 +103,7 @@ from .lie import (
 from .measures import (
     KernelMeasure,
     _block_norms,
+    _check_member,
     _check_node,
     _check_pi,
     _common_window,
@@ -418,8 +423,7 @@ class CskPath:
                 "mats must be a LiveColumns stack; compress full nodes "
                 "with LiveColumns.from_dense(nodes, size)"
             )
-        if self.grid != self.ccr.grid:
-            raise ValueError("path and kernel grids differ")
+        _check_member(self, self.ccr, "path")
         if self.mats.shape != (self.grid.node_count, *self.ccr.big.shape):
             raise ValueError("matrix stack shape does not match grid and kernel")
         # terminal gate; full sweeps go through validate()
@@ -486,11 +490,6 @@ class _Midpoints(_OnAccess):
         super().__init__(
             len(entries) - 1, lambda u: _midpoint(entries[u], entries[u + 1])
         )
-
-
-def _check_on_kernel(q, ccr, label):
-    if q.grid != ccr.grid or q.dim != ccr.dim:
-        raise ValueError(f"{label} is not on the kernel's grid with n = {ccr.dim}")
 
 
 def _check_step_norm(exponent):
@@ -574,7 +573,7 @@ def _flow(mids, ccr):
     live.setflags(write=False)
     yield None, live
     for u, mid in enumerate(mids):
-        _check_on_kernel(mid, ccr, f"midpoint {u}")
+        _check_member(mid, ccr, f"midpoint {u}")
         cols, lam_w = _lambda_columns(ccr, mid)
         m_cols = (2j * h) * lam_w
         r_u = np.empty((0, live.shape[1]), dtype=complex)
@@ -600,16 +599,14 @@ def forward_csk_evolution(f_path, ccr):
     The midpoint measure of each step is the average of its two node
     entries; see :func:`csk_path_from_midpoints` for the stepping.
     """
-    if f_path.grid != ccr.grid:
-        raise ValueError("path and kernel grids differ")
+    _check_member(f_path, ccr, "path")
     return csk_path_from_midpoints(_Midpoints(f_path), ccr)
 
 
 def _dense_csk_evolution(f_path, ccr):
     """Reference for :func:`forward_csk_evolution`: expm(M) @ S_u at every
     step, on dense matrices, each node compressed as soon as it is formed."""
-    if f_path.grid != ccr.grid:
-        raise ValueError("path and kernel grids differ")
+    _check_member(f_path, ccr, "path")
 
     def step(s_u, mid):
         exponent = 2j * ccr.grid.step * (ccr.big @ mid.weights)
@@ -779,9 +776,8 @@ def qef_from_csk_path(s_path, ccr, nodes=None):
     unless every requested node is an integer in [0, N + 1), and unless
     s_path was integrated on ccr or on a kernel with equal entries.
     """
+    _check_member(s_path, ccr, "path")
     grid = s_path.grid
-    if grid != ccr.grid:
-        raise ValueError("path and kernel grids differ")
     if not (s_path.ccr is ccr or np.array_equal(s_path.ccr.big, ccr.big)):
         raise ValueError("path was integrated on another kernel than ccr")
     count = grid.node_count
@@ -812,21 +808,24 @@ def forward_qef_measure(f_path, ccr, nodes=None):
     return qef_from_csk_path(s_path, ccr, nodes=nodes)
 
 
-def _t_steps(f_path, ccr, s_path):
-    """T_0[:, :k_0], T_1[:, :k_1], ... of :func:`forward_t_evolution`, one
-    read-only block at a time, k_u the stored width of S_u.
+def _t_steps(f_path, ccr, s_blocks):
+    """(T_u[:, :k_u], S_u[:, :k_u]) of :func:`forward_t_evolution` for
+    u = 0, 1, ..., one pair at a time, each T_u read-only and k_u the
+    width of the flow block S_u.
 
-    Step u widens the blocks of T_u and S_u to k = k_{u+1} (:func:`_widen`),
-    forms S_mid[:, :k] from the two flow blocks, and adds the k columns
-    :func:`_conj_solve` returns for the right-hand side
+    s_blocks is an iterator over the flow's blocks S_u[:, :k_u] in node
+    order: the running flow (:func:`_flow_blocks`), which stores no path,
+    or a stored path's mats.blocks().  Step u widens the blocks of T_u
+    and S_u to k = k_{u+1} (:func:`_widen`), forms S_mid[:, :k] from the
+    two flow blocks, and adds the k columns :func:`_conj_solve` returns
+    for the right-hand side
     Lambda (Re F)_mid S_mid[:, :k] = Re(Lambda[:, C] W[C, C]) S_mid[C, :k]
-    on the midpoint's live columns C (Lambda is real, C[-1] < k).  The
-    flow blocks come in pairs from one ordered pass of s_path.mats.  No
-    full node and no size x size T is formed."""
+    on the midpoint's live columns C (Lambda is real, C[-1] < k).  Only
+    the blocks of nodes u and u + 1 are held; no full node and no
+    size x size T is formed."""
     h = f_path.grid.step
-    s_blocks = s_path.mats.blocks()
     t_u = s_lo = next(s_blocks)  # T_0 = S_0 = I
-    yield t_u
+    yield t_u, s_lo
     for mid, s_hi in zip(_Midpoints(f_path), s_blocks):
         width = s_hi.shape[1]
         s_mid = 0.5 * (_widen(s_lo, width) + s_hi)
@@ -835,7 +834,7 @@ def _t_steps(f_path, ccr, s_path):
         rhs = (4j * h) * (lam_w.real @ s_mid[cols])
         t_u = _widen(t_u, width) + _conj_solve(s_mid, rhs)
         t_u.setflags(write=False)
-        yield t_u
+        yield t_u, s_hi
 
 
 def forward_t_evolution(f_path, ccr):
@@ -847,12 +846,15 @@ def forward_t_evolution(f_path, ccr):
     independent cross-check of the factorization in
     :func:`forward_qef_measure`: it integrates T, never factoring S.
     Returns the read-only :class:`LiveColumns` stack of T, each node kept
-    at the stored width of S_u (each right-hand side, and so T_u - I,
-    vanishes beyond it), the blocks :func:`_t_steps` yields kept as they
-    come.
+    at the width of the flow block S_u (each right-hand side, and so
+    T_u - I, vanishes beyond it), the blocks :func:`_t_steps` yields kept
+    as they come.  The flow is read as it runs (:func:`_flow_blocks`) and
+    never stored.  Raises ValueError unless f_path is on the kernel's grid
+    with its n.
     """
-    s_path = forward_csk_evolution(f_path, ccr)
-    return LiveColumns(_t_steps(f_path, ccr, s_path), ccr.big.shape[0])
+    _check_member(f_path, ccr, "path")
+    steps = _t_steps(f_path, ccr, _flow_blocks(_Midpoints(f_path), ccr))
+    return LiveColumns((t_u for t_u, _ in steps), ccr.big.shape[0])
 
 
 def _inverse_step(superop, n_measure, dn_measure, ccr, support_index):
@@ -905,11 +907,10 @@ def inverse_toe_measure(n_path, ccr):
 
 def _target_pairs(n_path, ccr):
     """(N_u, N'_u) per node of a measure path, for :func:`_inversion`;
-    ValueError without derivative entries or off the kernel's grid."""
+    ValueError without derivative entries or off the kernel's grid or n."""
     if n_path.derivative_entries is None:
         raise ValueError("inverse direction needs derivative entries on the path")
-    if n_path.grid != ccr.grid:
-        raise ValueError("path and kernel grids differ")
+    _check_member(n_path, ccr, "path")
     return zip(n_path.entries, n_path.derivative_entries)
 
 
@@ -953,7 +954,7 @@ def _staggered(measures, ccr):
     grid, n = ccr.grid, ccr.dim
     prev = None
     for u, q in enumerate(measures):
-        _check_on_kernel(q, ccr, f"measure {u}")
+        _check_member(q, ccr, f"measure {u}")
         if prev is not None:
             lo, _, w_lo, w_hi = _common_window(prev, q)
             slope = KernelMeasure._from_window(grid, n, lo, (w_hi - w_lo) / grid.step)
@@ -1028,8 +1029,7 @@ def _roundtrip_f_nodes(f_path, ccr):
     :func:`staggered_inverse_measures`, :func:`csk_path_from_midpoints`
     and :func:`qef_from_csk_path`, and each value is theirs bit for bit.
     """
-    if f_path.grid != ccr.grid:
-        raise ValueError("path and kernel grids differ")
+    _check_member(f_path, ccr, "path")
     flow = _extraction(enumerate(_flow_blocks(_Midpoints(f_path), ccr)), ccr)
     nodes, staggered = _fork(flow)
     recovered, regen = _fork(_staggered((q for q, *_ in staggered), ccr))
@@ -1101,18 +1101,24 @@ def t_route_residual(f_path, ccr):
 
     T_u = I + conj(S_u)^{-1} (2i Im S_u), the matrix whose logarithm
     :func:`qef_from_csk_path` takes, is formed on the flow itself and
-    compared with :func:`forward_t_evolution`: no logarithm or solve runs.
+    compared with :func:`forward_t_evolution`: no logarithm or kernel
+    solve runs.  One ordered pass reads the flow as it runs
+    (:func:`_flow_blocks`) and stores no path.  Raises ValueError unless
+    f_path is on the kernel's grid with its n.
     """
-    return _t_route_gap(f_path, ccr, forward_csk_evolution(f_path, ccr))
+    _check_member(f_path, ccr, "path")
+    return _t_route_gap(f_path, ccr, _flow_blocks(_Midpoints(f_path), ccr))
 
 
-def _t_route_gap(f_path, ccr, s_path):
-    """:func:`t_route_residual` on the driver's flow s_path; the
-    integrated T is compared node by node as its recursion runs, on the
-    k live columns both routes share.  Each of the size - k identity
-    columns adds 1 to ||T_u||_F^2, as in :func:`lie.symplectic_residual_raw`."""
+def _t_route_gap(f_path, ccr, s_blocks):
+    """:func:`t_route_residual` on the driver's flow blocks s_blocks (the
+    running flow, or the blocks of a stored path); the integrated T is
+    compared node by node as its recursion runs, each flow block read
+    once, on the k live columns both routes share.  Each of the size - k
+    identity columns adds 1 to ||T_u||_F^2, as in
+    :func:`lie.symplectic_residual_raw`."""
     worst = 0.0
-    for t_direct, live in zip(_t_steps(f_path, ccr, s_path), s_path.mats.blocks()):
+    for t_direct, live in _t_steps(f_path, ccr, s_blocks):
         size, k = live.shape
         t_u = np.eye(size, k) + _conj_solve(live, 2j * live.imag)
         gap = np.linalg.norm(t_u - t_direct)

@@ -475,6 +475,21 @@ def test_mho_superop_radius_guard():
         mho_superop(x, np.eye(3))
 
 
+def test_bernoulli_coefficients_are_exact():
+    # each B_k / k! is the correctly rounded rational, so the odd ones
+    # from k = 3 on are exactly zero and mho_superop skips their terms
+    mp = pytest.importorskip("mpmath")
+    coeffs = lie._bernoulli_over_factorial(lie.MHO_SUPEROP_ORDER)
+    assert len(coeffs) == lie.MHO_SUPEROP_ORDER + 1
+    assert coeffs[1] == -0.5
+    for k in range(0, len(coeffs), 2):
+        with mp.workdps(40):
+            want = float(mp.bernoulli(k) / mp.factorial(k))
+        assert coeffs[k] == want, (k, coeffs[k], want)
+    for k in range(3, len(coeffs), 2):
+        assert coeffs[k] == 0.0, (k, coeffs[k])
+
+
 def test_mho_superop_on_live_columns_matches_the_zero_padded_call(rng):
     # x and y vanish beyond column k; handed over as their size x k
     # columns, the series gives the first k columns of the square call

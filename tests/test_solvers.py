@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -35,6 +36,7 @@ from quadexp import (
     laplace_point,
     laplace_recover_measure,
     make_grid,
+    measure_triple_product,
     mho_superop,
     qef_from_csk_path,
     qef_psi_measure,
@@ -481,6 +483,22 @@ def test_t_route_check_runs_no_extraction(ccr16, pi2, monkeypatch):
     residual = t_route_residual(corner_atom_path(ccr16.grid, pi2), ccr16)
     assert 0.0 < residual < 1e-2
     assert counts == zero
+
+
+def test_t_route_check_stores_no_flow(model2, pi2):
+    # the check reads the flow's blocks as the integrator yields them;
+    # at N = 64 a stored flow alone would raise the tracemalloc peak from
+    # about 2.4 to 4.0 MiB
+    grid = make_grid(1.0, 64)
+    ccr = build_ccr_kernel(model2, grid)
+    f_path = corner_atom_path(grid, pi2)
+    tracemalloc.start()
+    try:
+        t_route_residual(f_path, ccr)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 2**20, peak / 2**20
 
 
 def test_roundtrip_atomic_closes_through_the_flow(model2, pi2):
@@ -1144,9 +1162,9 @@ def test_replayed_and_stored_nodes_extract_alike(ccr16, pi2):
         assert got.reality_residuals == want.reality_residuals
         assert got.solve_reports == want.solve_reports
     assert path.residuals() == stored.residuals()
-    gap = solvers._t_route_gap(f_path, ccr16, stored)
+    gap = solvers._t_route_gap(f_path, ccr16, stored.mats.blocks())
     assert t_route_residual(f_path, ccr16) == gap
-    assert solvers._t_route_gap(f_path, ccr16, path) == gap
+    assert solvers._t_route_gap(f_path, ccr16, path.mats.blocks()) == gap
 
 
 @pytest.mark.parametrize(
@@ -1403,7 +1421,7 @@ def test_g_path_zero_driver(ccr16):
 def test_g_path_refuses_a_path_on_another_grid(model2, pi2):
     # the first Bernoulli input is refused before any step integrates
     ccr = build_ccr_kernel(model2, make_grid(1.0, 8))
-    with pytest.raises(ValueError, match="grid mismatch"):
+    with pytest.raises(ValueError, match="measure is not on the kernel's grid"):
         g_path_magnus(corner_atom_path(make_grid(2.0, 8), pi2), ccr)
 
 
@@ -1471,10 +1489,107 @@ def test_kernel_paths_and_matrices_refuse_another_grid(model2, pi2):
     ccr = build_ccr_kernel(model2, make_grid(1.0, 8))
     path = forward_csk_evolution(corner_atom_path(ccr.grid, pi2), ccr)
     other = make_grid(2.0, 8)
-    with pytest.raises(ValueError, match="grids differ"):
+    with pytest.raises(ValueError, match="path is not on the kernel's grid"):
         CskPath(other, ccr, path.mats)
-    with pytest.raises(ValueError, match="grids differ"):
+    with pytest.raises(ValueError, match="matrix is not on the kernel's grid"):
         CskMatrix(other, np.eye(ccr.big.shape[0]), ccr)
+
+
+def _corner(grid, pi):
+    return atomic_corner_measure(grid, 2, pi)
+
+
+# Each stage entry point that takes a kernel: (label its refusal names,
+# whether its input has an n, call(ccr, grid, pi) handing it an input
+# built on grid from the mass pi).
+_STAGES = {
+    "lambda_product": (
+        "measure", True, lambda ccr, g, pi: lambda_product(ccr, _corner(g, pi))
+    ),
+    "measure_triple_product": (
+        "measure",
+        True,
+        lambda ccr, g, pi: measure_triple_product(
+            _corner(g, pi), ccr, _corner(ccr.grid, 0.1 * np.eye(ccr.dim))
+        ),
+    ),
+    "CskPath": (
+        "path",
+        False,
+        lambda ccr, g, pi: CskPath(
+            g, ccr, forward_csk_evolution(zero_path(ccr.grid, ccr.dim), ccr).mats
+        ),
+    ),
+    "CskMatrix": (
+        "matrix", False, lambda ccr, g, pi: CskMatrix(g, np.eye(len(ccr.big)), ccr)
+    ),
+    "forward_csk_evolution": (
+        "path",
+        True,
+        lambda ccr, g, pi: forward_csk_evolution(corner_atom_path(g, pi), ccr),
+    ),
+    "_dense_csk_evolution": (
+        "path",
+        True,
+        lambda ccr, g, pi: _dense_csk_evolution(corner_atom_path(g, pi), ccr),
+    ),
+    "qef_from_csk_path": (
+        "path",
+        False,
+        lambda ccr, g, pi: qef_from_csk_path(
+            forward_csk_evolution(corner_atom_path(g, pi), CcrKernel(g, ccr.big)), ccr
+        ),
+    ),
+    "inverse_toe_measure": (
+        "path",
+        True,
+        lambda ccr, g, pi: inverse_toe_measure(diagonal_lebesgue_path(g, pi), ccr),
+    ),
+    "staggered_inverse_measures": (
+        "measure 0",
+        True,
+        lambda ccr, g, pi: staggered_inverse_measures(
+            [diagonal_lebesgue_measure(g, u, pi) for u in range(g.node_count)], ccr
+        ),
+    ),
+    "roundtrip_f_residual": (
+        "path",
+        True,
+        lambda ccr, g, pi: roundtrip_f_residual(corner_atom_path(g, pi), ccr),
+    ),
+    "roundtrip_n_residual": (
+        "path",
+        True,
+        lambda ccr, g, pi: roundtrip_n_residual(diagonal_lebesgue_path(g, pi), ccr),
+    ),
+    "t_route_residual": (
+        "path", True, lambda ccr, g, pi: t_route_residual(corner_atom_path(g, pi), ccr)
+    ),
+    "forward_t_evolution": (
+        "path",
+        True,
+        lambda ccr, g, pi: forward_t_evolution(corner_atom_path(g, pi), ccr),
+    ),
+    "g_path_magnus": (
+        "measure", True, lambda ccr, g, pi: g_path_magnus(corner_atom_path(g, pi), ccr)
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "stage, off",
+    [(name, "grid") for name in _STAGES]
+    + [(name, "n") for name, (_, has_n, _) in _STAGES.items() if has_n],
+)
+def test_every_stage_refuses_an_input_off_its_kernel(model2, stage, off):
+    # one check and one message for every stage: another grid with the
+    # same node count, or an n = 4 input on the n = 2 kernel's grid
+    ccr = build_ccr_kernel(model2, make_grid(1.0, 8))
+    label, _, call = _STAGES[stage]
+    grid, n = (make_grid(2.0, 8), 2) if off == "grid" else (ccr.grid, 4)
+    message = f"{label} is not on the kernel's grid with n = 2 (it has n = {n})"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(ccr, grid, 0.1 * np.eye(n))
 
 
 def test_extraction_refuses_a_path_of_another_kernel(pi2):

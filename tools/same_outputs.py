@@ -1,12 +1,17 @@
 """Check that two source trees write the same CLI outputs.
 
-Runs nine scenarios with each tree, every run in a fresh child process
+Runs ten scenarios with each tree, every run in a fresh child process
 with ``OPENBLAS_NUM_THREADS=1``: the six bundled scenarios at their own
 levels, then ``zero_forward``, ``diagonal_inverse`` and ``spde_fast`` at
-``--levels 3``.  Each child imports the tree's ``src`` and runs that
-tree's own bundled scenario file.  Every written file is compared byte
-for byte, except that the values of summary notes whose label ends in
-``seconds`` (timings) are skipped; the child's exit codes must agree.
+``--levels 3``, then ``t_forward``, a ``forward`` run with the bundled
+Pi as its driver (T = 1, N = 16, levels 3, the bundled
+``oscillator.mod``), the one run whose convergence table reaches the
+integrated T route.  Each child imports the tree's ``src`` and runs
+that tree's own bundled scenario file; ``t_forward`` is written into
+the temporary directory for each tree, naming that tree's model file.
+Every written file is compared byte for byte, except that the values of
+summary notes whose label ends in ``seconds`` (timings) are skipped;
+the child's exit codes must agree.
 
 Usage: python3 tools/same_outputs.py BEFORE_TREE AFTER_TREE
 
@@ -30,12 +35,34 @@ SCENARIOS = (
 )
 RUNS = [(name, None) for name in SCENARIOS] + [
     (name, 3) for name in ("zero_forward", "diagonal_inverse", "spde_fast")
-]
+] + [("t_forward", None)]
+
+# zero_forward's driver is Pi = 0, whose T routes agree trivially; this
+# scenario drives the flow with the bundled Pi.
+T_FORWARD = """task = forward
+T = 1.0
+N = 16
+levels = 3
+model_file = {model}
+pi = [[0.2, 0.06], [0.06, 0.16]]
+"""
+
+
+def _scenario(tree, name, scn_dir):
+    """Scenario file of one run: tree's bundled one, or, for t_forward,
+    one written into scn_dir naming tree's own oscillator.mod."""
+    bundled = Path(tree) / "src" / "quadexp" / "scenarios"
+    if name != "t_forward":
+        return bundled / f"{name}.scn"
+    scn_dir.mkdir(parents=True, exist_ok=True)
+    scenario = scn_dir / f"{name}.scn"
+    scenario.write_text(T_FORWARD.format(model=bundled / "oscillator.mod"))
+    return scenario
 
 
 def _run(tree, name, levels, out_dir):
-    """Exit code of one ``quadexp run`` of tree's bundled scenario."""
-    scenario = Path(tree) / "src" / "quadexp" / "scenarios" / f"{name}.scn"
+    """Exit code of one ``quadexp run`` of tree's scenario (:func:`_scenario`)."""
+    scenario = _scenario(tree, name, out_dir.parent / f"{out_dir.name}-scenario")
     cmd = [sys.executable, "-m", "quadexp.cli", "run", str(scenario)]
     cmd += ["--output-dir", str(out_dir)]
     if levels is not None:
